@@ -91,6 +91,14 @@ def _reject_unknown(section: dict, allowed, path: str) -> None:
             raise ConfigError(f"{path}: unknown key '{key}'")
 
 
+def _section(raw: dict, name: str) -> dict:
+    """The top-level section ``name``; an absent section is empty."""
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name}: expected a JSON object, got {section!r}")
+    return section
+
+
 def _merge_defaults(section: dict, defaults: dict, path: str) -> dict:
     _reject_unknown(section, defaults, path)
     merged = dict(defaults)
@@ -169,10 +177,12 @@ def resolve_experiment(
             raise ConfigError("manifest: missing 'experiment' section")
     _reject_unknown(raw, _TOP_LEVEL_KEYS, "config")
 
-    task_section = raw.get("task")
-    if not isinstance(task_section, dict) or "kind" not in task_section:
+    task_section = _section(raw, "task")
+    if "kind" not in task_section:
         raise ConfigError("task: section with a 'kind' field is required")
     kind = task_section["kind"]
+    if not isinstance(kind, str):
+        raise ConfigError(f"task.kind: expected a string, got {kind!r}")
     if kind not in TASK_KINDS:
         raise ConfigError(
             f"task.kind: unknown kind '{kind}'; expected one of {sorted(TASK_KINDS)}"
@@ -185,7 +195,7 @@ def resolve_experiment(
     task = make_task(kind, **task_fields)
 
     training_section = _merge_defaults(
-        raw.get("training", {}) or {}, _TRAINING_DEFAULTS, "training"
+        _section(raw, "training"), _TRAINING_DEFAULTS, "training"
     )
     lr_schedule = training_section["lr_schedule"]
     schedule_obj = (
@@ -210,7 +220,7 @@ def resolve_experiment(
     )
 
     threshold_section = _merge_defaults(
-        raw.get("threshold", {}) or {}, _THRESHOLD_DEFAULTS, "threshold"
+        _section(raw, "threshold"), _THRESHOLD_DEFAULTS, "threshold"
     )
     policy = ThresholdPolicy(
         base=_parse_schedule(threshold_section["base"], "threshold.base"),
@@ -229,7 +239,7 @@ def resolve_experiment(
     )
 
     mask_section = _merge_defaults(
-        raw.get("mask_agreement", {}) or {}, _MASK_DEFAULTS, "mask_agreement"
+        _section(raw, "mask_agreement"), _MASK_DEFAULTS, "mask_agreement"
     )
     mask_cfg = MaskAgreementConfig(
         n_selected_nodes=_expect_int(

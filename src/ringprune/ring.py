@@ -1,16 +1,24 @@
-"""Deterministic lock-step simulation of collective exchanges on a node ring.
+"""Deterministic simulation of collective exchanges on a node ring.
 
-Nodes are logical processes advanced through identical sequences of
-send/receive hops, so results and byte counts are pure functions of the
-inputs and seeds. Chunk c of the parameter range is owned by node c, and a
-reduction accumulates contributions in ring order starting from the owner:
+Results and byte counts are pure functions of the inputs and seeds. Chunk c
+of the parameter range is owned by node c, and a reduction accumulates
+contributions in ring order starting from the owner:
 
     chunk c  =  ((x_c + x_{c+1}) + x_{c+2}) + ...   (node indices mod N)
 
 Fixing the summation order this way makes repeated runs bit-identical and
-lets an independent checker reproduce the exact floating-point result.
-Per-message payload bytes are recorded in :class:`LinkStats`; on a ring the
-sending node identifies the link, since node k only ever sends to k+1.
+lets an independent checker reproduce the exact floating-point result. The
+reduce kernel does not move buffers hop by hop: it rotates each chunk's
+column block of the (node, entry) array once, so that row i holds the
+chunk's i-th contributor, then adds the rows in order. Every element then
+sees the additions of the hop-by-hop ring in the same order.
+
+The messages are those of the scatter-reduce and allgather schedules, 2(N-1)
+per node: at scatter hop s node k forwards its partial of chunk k - s, and
+at allgather hop s the finished chunk k + 1 - s. Their payload bytes follow
+from per-chunk entry counts and are recorded in :class:`LinkStats`; on a
+ring the sending node identifies the link, since node k only ever sends to
+k+1.
 """
 
 from __future__ import annotations
@@ -109,6 +117,15 @@ class LinkStats:
             raise StructuralError("payload_bytes must be >= 0")
         self.records.append((int(step), int(sender), phase, int(payload_bytes)))
 
+    def record_hop(self, step: int, phase: str, sizes: np.ndarray) -> None:
+        """Record one message from every node; node k sends ``sizes[k]`` bytes."""
+        if np.any(sizes < 0):
+            raise StructuralError("payload_bytes must be >= 0")
+        step = int(step)
+        self.records.extend(
+            (step, sender, phase, nbytes) for sender, nbytes in enumerate(sizes.tolist())
+        )
+
     def extend(self, other: "LinkStats") -> None:
         self.records.extend(other.records)
 
@@ -168,7 +185,8 @@ def write_bandwidth_csv(stats: LinkStats, path) -> None:
             writer.writerow([step, node, phase, nbytes])
 
 
-def _check_vectors(contributions, topo: RingTopology) -> list[np.ndarray]:
+def _stack_vectors(contributions, topo: RingTopology) -> np.ndarray:
+    """One float64 row per node, validated against the topology."""
     vecs = [np.asarray(v, dtype=np.float64) for v in contributions]
     if len(vecs) != topo.n_nodes:
         raise StructuralError(
@@ -179,42 +197,46 @@ def _check_vectors(contributions, topo: RingTopology) -> list[np.ndarray]:
             raise StructuralError(
                 f"contribution shape {v.shape} does not match vector length {topo.length}"
             )
-    return vecs
+    return np.stack(vecs)
 
 
-def _pad(vec: np.ndarray, topo: RingTopology) -> np.ndarray:
-    pad = topo.padded_length - topo.length
-    if pad == 0:
-        return vec
-    return np.concatenate([vec, np.zeros(pad, dtype=np.float64)])
+def _rotate_chunks(rows: np.ndarray, bounds) -> np.ndarray:
+    """Reorder each chunk's column block so that row i holds the chunk's i-th
+    contributor: columns bounds[c]:bounds[c + 1] of row i come from node c + i."""
+    n = rows.shape[0]
+    rotated = np.empty_like(rows)
+    for c in range(n):
+        cols = slice(bounds[c], bounds[c + 1])
+        rotated[: n - c, cols] = rows[c:, cols]
+        rotated[n - c :, cols] = rows[:c, cols]
+    return rotated
 
 
-def _ring_exchange(chunked, topo, stats, step, chunk_nbytes, combine):
-    """Run the scatter-reduce and allgather hop schedules over per-node,
-    per-chunk buffers, combining partials with ``combine`` and adopting
-    finished chunks by reference."""
-    n = topo.n_nodes
-    # Scatter-reduce: at hop s, node k forwards its partial of chunk (k - s);
-    # the receiver folds it in ahead of its own contribution, which keeps the
-    # accumulation order owner-first.
+def _ring_reduce(rows, bounds, counts, stats, step, entry_bytes) -> np.ndarray:
+    """Owner-first sum of ``rows`` (one per node) over chunks ``bounds``, with
+    the scatter-reduce and allgather messages recorded in ``stats``.
+
+    ``counts[s, c]`` is the number of entries in chunk c's partial once it
+    holds s + 1 contributions; row N-1 is the finished chunk. At scatter hop s
+    node k forwards chunk k - s, and at allgather hop s chunk k + 1 - s.
+    """
+    rotated = _rotate_chunks(rows, bounds)
+    total = rotated[0].copy()
+    for row in rotated[1:]:
+        total += row
+    n = rows.shape[0]
+    senders = np.arange(n)
     for s in range(n - 1):
-        sends = []
-        for k in range(n):
-            c = (k - s) % n
-            sends.append((k, c, chunked[k][c]))
-            stats.record(step, k, PHASE_SCATTER, chunk_nbytes(chunked[k][c]))
-        for k, c, payload in sends:
-            r = topo.successor(k)
-            chunked[r][c] = combine(payload, chunked[r][c])
-    # Allgather: node k forwards chunk (k + 1 - s); the receiver adopts it.
+        stats.record_hop(step, PHASE_SCATTER, entry_bytes * counts[s, (senders - s) % n])
+    finished = counts[n - 1]
     for s in range(n - 1):
-        sends = []
-        for k in range(n):
-            c = (k + 1 - s) % n
-            sends.append((k, c, chunked[k][c]))
-            stats.record(step, k, PHASE_ALLGATHER, chunk_nbytes(chunked[k][c]))
-        for k, c, payload in sends:
-            chunked[topo.successor(k)][c] = payload
+        stats.record_hop(step, PHASE_ALLGATHER, entry_bytes * finished[(senders + 1 - s) % n])
+    return total
+
+
+def _fixed_counts(bounds, n: int) -> np.ndarray:
+    """Per-hop entry counts of chunks whose size does not change in transit."""
+    return np.broadcast_to(np.diff(bounds), (n, n))
 
 
 def dense_allreduce(
@@ -226,29 +248,21 @@ def dense_allreduce(
 ) -> tuple[np.ndarray, LinkStats]:
     """Elementwise sum of all contributions, delivered to every node.
 
-    Each node sends exactly 2(N-1) chunk messages. The returned vector is the
-    one every node ends up holding.
+    Each node sends exactly 2(N-1) chunk messages, padding included. The
+    returned vector is the one every node ends up holding.
     """
-    vecs = _check_vectors(contributions, topo)
-    n = topo.n_nodes
-    chunked = [
-        [np.array(_pad(v, topo)[topo.chunk_slice(c)]) for c in range(n)]
-        for v in vecs
-    ]
+    rows = _stack_vectors(contributions, topo)
     stats = LinkStats()
-    _ring_exchange(
-        chunked,
-        topo,
+    # Padding entries are zeros: they only add to the message bytes.
+    total = _ring_reduce(
+        rows,
+        np.minimum(topo.chunk_bounds, topo.length),
+        _fixed_counts(topo.chunk_bounds, topo.n_nodes),
         stats,
         step,
-        chunk_nbytes=lambda chunk: chunk.shape[0] * value_bytes,
-        combine=lambda incoming, own: incoming + own,
+        value_bytes,
     )
-    results = [np.concatenate(node_chunks)[: topo.length] for node_chunks in chunked]
-    for r in results[1:]:
-        if not np.array_equal(r, results[0]):
-            raise ProtocolError("dense all-reduce results diverged across nodes")
-    return results[0], stats
+    return total, stats
 
 
 def select_broadcast_nodes(n_nodes: int, cfg: MaskAgreementConfig, step: int) -> tuple[int, ...]:
@@ -311,11 +325,11 @@ def sparse_allreduce(
     value_bytes: int = VALUE_BYTES,
     index_bytes: int = INDEX_BYTES,
 ) -> tuple[SparseGradient, LinkStats]:
-    """Mean of sparse gradients that share one index set.
+    """Sum of sparse gradients that share one index set.
 
     Values are summed per index in the same owner-first ring order as the
-    dense reduce, then divided by N. The output index set is exactly the
-    shared one, so density is preserved no matter how many nodes reduce.
+    dense reduce. The output index set is exactly the shared one, so density
+    is preserved no matter how many nodes reduce.
     """
     if len(contributions) != topo.n_nodes:
         raise StructuralError(
@@ -334,31 +348,20 @@ def sparse_allreduce(
                 "sparse all-reduce requires identical index sets on every node; "
                 "a mismatch means mask agreement failed"
             )
-    n = topo.n_nodes
     idx = first.indices
     # Chunk c carries the sparse entries whose parameter index falls in the
     # chunk's range; those are contiguous in the sorted index list.
     cuts = np.searchsorted(idx, np.asarray(topo.chunk_bounds))
-    per_entry = value_bytes + index_bytes
-    chunked = [
-        [np.array(sg.values[cuts[c]: cuts[c + 1]]) for c in range(n)]
-        for sg in contributions
-    ]
     stats = LinkStats()
-    _ring_exchange(
-        chunked,
-        topo,
+    total = _ring_reduce(
+        np.stack([sg.values for sg in contributions]),
+        cuts,
+        _fixed_counts(cuts, topo.n_nodes),
         stats,
         step,
-        chunk_nbytes=lambda chunk: chunk.shape[0] * per_entry,
-        combine=lambda incoming, own: incoming + own,
+        value_bytes + index_bytes,
     )
-    summed = [np.concatenate(node_chunks) for node_chunks in chunked]
-    for s in summed[1:]:
-        if not np.array_equal(s, summed[0]):
-            raise ProtocolError("sparse all-reduce results diverged across nodes")
-    mean = summed[0] / n
-    return SparseGradient(indices=idx.copy(), values=mean, total_length=first.total_length), stats
+    return SparseGradient(indices=idx.copy(), values=total, total_length=first.total_length), stats
 
 
 def dgc_union_contrast(per_node_masks: list[BitMask], topo: RingTopology | None = None) -> float:
@@ -391,10 +394,11 @@ def naive_sparse_allreduce(
 
     Each node contributes only its own masked entries, but partial sums union
     their index sets hop by hop, so payloads grow as they travel. Message
-    bytes reflect the growing unions. The result is the mean of the masked
+    bytes reflect the growing unions: a running OR of the masks in each
+    chunk's owner-first order. The result is the sum of the masked
     contributions on the union support.
     """
-    vecs = _check_vectors(contributions, topo)
+    rows = _stack_vectors(contributions, topo)
     if len(local_masks) != topo.n_nodes:
         raise StructuralError(
             f"got {len(local_masks)} masks for {topo.n_nodes} nodes"
@@ -404,26 +408,21 @@ def naive_sparse_allreduce(
             raise StructuralError(
                 f"mask length {m.length} does not match vector length {topo.length}"
             )
-    n = topo.n_nodes
-    per_entry = value_bytes + index_bytes
-    chunked = []
-    for v, m in zip(vecs, local_masks):
-        vals = _pad(np.where(m.bits, v, 0.0), topo)
-        mask = _pad(m.bits.astype(np.float64), topo).astype(bool)
-        chunked.append(
-            [(np.array(vals[topo.chunk_slice(c)]), np.array(mask[topo.chunk_slice(c)])) for c in range(n)]
-        )
-    stats = LinkStats()
-    _ring_exchange(
-        chunked,
-        topo,
-        stats,
-        step,
-        chunk_nbytes=lambda chunk: int(np.count_nonzero(chunk[1])) * per_entry,
-        combine=lambda incoming, own: (incoming[0] + own[0], incoming[1] | own[1]),
+    bits = np.stack([m.bits for m in local_masks])
+    bounds = np.minimum(topo.chunk_bounds, topo.length)
+    # running[s] is, per column, the OR of the first s + 1 contributors'
+    # masks in the column's chunk order; its last row is the full union.
+    running = np.logical_or.accumulate(_rotate_chunks(bits, bounds), axis=0)
+    counts = np.stack(
+        [
+            np.count_nonzero(running[:, bounds[c] : bounds[c + 1]], axis=1)
+            for c in range(topo.n_nodes)
+        ],
+        axis=1,
     )
-    final_vals = np.concatenate([c[0] for c in chunked[0]])[: topo.length]
-    final_mask = np.concatenate([c[1] for c in chunked[0]])[: topo.length]
-    idx = np.flatnonzero(final_mask)
-    mean = final_vals[idx] / n
-    return SparseGradient(indices=idx, values=mean, total_length=topo.length), stats
+    stats = LinkStats()
+    total = _ring_reduce(
+        np.where(bits, rows, 0.0), bounds, counts, stats, step, value_bytes + index_bytes
+    )
+    idx = np.flatnonzero(running[-1])
+    return SparseGradient(indices=idx, values=total[idx], total_length=topo.length), stats

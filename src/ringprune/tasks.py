@@ -106,15 +106,6 @@ class LinearRegressionTask(SyntheticTask):
         solution, *_ = np.linalg.lstsq(design, self.targets, rcond=None)
         return solution
 
-    def describe(self) -> dict:
-        return {
-            "kind": "linear_regression_synthetic",
-            "n_samples": self.n_samples,
-            "n_features": self.n_features,
-            "noise": self.noise,
-            "data_seed": self.data_seed,
-        }
-
 
 @dataclass
 class MlpClassificationTask(SyntheticTask):
@@ -219,18 +210,6 @@ class MlpClassificationTask(SyntheticTask):
         loss = float(-np.mean(log_probs[np.arange(self.n_samples), self.labels]))
         accuracy = float(np.mean(np.argmax(logits, axis=1) == self.labels))
         return loss, accuracy
-
-    def describe(self) -> dict:
-        return {
-            "kind": "mlp_classification_synthetic",
-            "n_samples": self.n_samples,
-            "n_features": self.n_features,
-            "hidden_units": self.hidden_units,
-            "n_classes": self.n_classes,
-            "center_scale": self.center_scale,
-            "label_noise": self.label_noise,
-            "data_seed": self.data_seed,
-        }
 
 
 TASK_KINDS = {

@@ -1,5 +1,8 @@
 """Momentum SGD over the simulated ring, dense and pruned variants.
 
+Every node applies the same reduced update to the same starting weights, so
+the replicas are one weight vector in :class:`TrainState`; what differs per
+node, the residual buffer and the staleness counters, is one row per node.
 One training super-step runs compute, mask agreement, reduce, and update as
 lock-step phases. The pruned pipeline per node:
 
@@ -10,13 +13,12 @@ lock-step phases. The pruned pipeline per node:
 4. agree on a shared mask (random broadcasters, OR-combine);
 5. send the buffer entries under the shared mask and zero them locally,
    keeping the rest as the residual;
-6. ring-reduce the sent entries and apply the update identically everywhere.
+6. ring-reduce the sent entries and apply the update.
 
-The reduce hands back the mean of the sent contributions; the update
-rescales it by the node count so the applied total matches the dense
-baseline's plain sum of (1/NB)-scaled gradients. With node counts that are
-powers of two the rescale is exact, which is what makes a warm-up step
-(threshold 0, momentum 0) bit-identical to the dense baseline.
+The reduce hands back the sum of the sent contributions in the same
+owner-first order as the dense baseline's reduce of (1/NB)-scaled
+gradients, which is what makes a warm-up step (threshold 0, momentum 0)
+bit-identical to the dense baseline for every node count.
 """
 
 from __future__ import annotations
@@ -107,40 +109,37 @@ class TrainingConfig:
 
 
 @dataclass
-class NodeState:
-    """One worker: weights, residual buffer, staleness counters, seed."""
+class TrainState:
+    """The ring's training state.
 
-    node_id: int
+    ``weights`` (P,) is every node's replica. Row k of ``accum`` (N, P) is
+    node k's residual buffer (the momentum velocity in dense mode), and row k
+    of ``staleness`` (N, P) counts the steps since node k last sent each entry.
+    """
+
     weights: np.ndarray
     accum: np.ndarray
     staleness: np.ndarray
-    stream_seed: int
 
 
-def init_nodes(task, cfg: TrainingConfig) -> list[NodeState]:
+def init_state(task, cfg: TrainingConfig) -> TrainState:
     """All nodes start from identical weights and empty buffers."""
-    initial = task.init_weights(substream(cfg.seed, INIT_STREAM))
-    length = task.layout.total_length
-    return [
-        NodeState(
-            node_id=k,
-            weights=initial.copy(),
-            accum=np.zeros(length),
-            staleness=np.zeros(length, dtype=np.int64),
-            stream_seed=cfg.seed,
-        )
-        for k in range(cfg.n_nodes)
-    ]
-
-
-def local_gradient(task, state: NodeState, cfg: TrainingConfig, step: int) -> np.ndarray:
-    """This node's (1/NB)-scaled mini-batch gradient for one step."""
-    grad = task.node_gradient(
-        state.weights, state.node_id, step, cfg.n_nodes, cfg.batch_size
+    shape = (cfg.n_nodes, task.layout.total_length)
+    return TrainState(
+        weights=task.init_weights(substream(cfg.seed, INIT_STREAM)),
+        accum=np.zeros(shape),
+        staleness=np.zeros(shape, dtype=np.int64),
     )
-    if grad.shape != state.weights.shape:
+
+
+def local_gradient(
+    task, weights: np.ndarray, node: int, cfg: TrainingConfig, step: int
+) -> np.ndarray:
+    """Node ``node``'s (1/NB)-scaled mini-batch gradient for one step."""
+    grad = task.node_gradient(weights, node, step, cfg.n_nodes, cfg.batch_size)
+    if grad.shape != weights.shape:
         raise ProtocolError(
-            f"task gradient shape {grad.shape} does not match weights {state.weights.shape}"
+            f"task gradient shape {grad.shape} does not match weights {weights.shape}"
         )
     return grad
 
@@ -155,15 +154,6 @@ def clip_gradient(grad: np.ndarray, clip_norm: float) -> np.ndarray:
     return grad
 
 
-def _check_replicas(nodes: list[NodeState]) -> None:
-    reference = nodes[0].weights
-    for node in nodes[1:]:
-        if not np.array_equal(node.weights, reference):
-            raise ProtocolError(
-                f"weights diverged between node 0 and node {node.node_id}"
-            )
-
-
 @dataclass
 class StepOutcome:
     """What one super-step produced, for metrics and assertions."""
@@ -174,7 +164,7 @@ class StepOutcome:
 
 
 def baseline_dense_step(
-    nodes: list[NodeState],
+    state: TrainState,
     cfg: TrainingConfig,
     step: int,
     *,
@@ -186,18 +176,37 @@ def baseline_dense_step(
 
     The per-node buffer holds the momentum velocity in this mode.
     """
-    grads = [local_gradient(task, node, cfg, step) for node in nodes]
+    grads = [local_gradient(task, state.weights, k, cfg, step) for k in range(cfg.n_nodes)]
     total, stats = dense_allreduce(grads, topo, step=step)
-    eta = cfg.lr_at(epoch)
-    for node in nodes:
-        node.accum = cfg.momentum * node.accum + total
-        node.weights = node.weights - eta * node.accum
-    _check_replicas(nodes)
+    state.accum = cfg.momentum * state.accum + total
+    state.weights = state.weights - cfg.lr_at(epoch) * state.accum[0]
     return StepOutcome(stats=stats)
 
 
+def _local_masks(
+    state: TrainState,
+    policy: ThresholdPolicy,
+    cfg: TrainingConfig,
+    step: int,
+    epoch: int,
+    task,
+) -> list[BitMask]:
+    """Steps 1-3 of the pruned pipeline on every node: gradient, clip,
+    residual fold, score, per-layer thresholds, local candidate mask."""
+    local_masks = []
+    for k in range(cfg.n_nodes):
+        grad = local_gradient(task, state.weights, k, cfg, step)
+        if cfg.clip_norm is not None:
+            grad = clip_gradient(grad, cfg.clip_norm)
+        state.accum[k] = cfg.momentum * state.accum[k] + grad
+        imp = compute_importance(state.accum[k], state.weights, task.layout)
+        thresholds = thresholds_for(imp, policy, epoch)
+        local_masks.append(build_local_mask(imp, thresholds, ParamStream(cfg.seed, k, step)))
+    return local_masks
+
+
 def compressed_step(
-    nodes: list[NodeState],
+    state: TrainState,
     policy: ThresholdPolicy,
     mask_cfg: MaskAgreementConfig,
     cfg: TrainingConfig,
@@ -208,38 +217,22 @@ def compressed_step(
     topo: RingTopology,
 ) -> StepOutcome:
     """One pruned super-step; see the module docstring for the pipeline."""
-    local_masks = []
-    for node in nodes:
-        grad = local_gradient(task, node, cfg, step)
-        if cfg.clip_norm is not None:
-            grad = clip_gradient(grad, cfg.clip_norm)
-        node.accum = cfg.momentum * node.accum + grad
-        imp = compute_importance(node.accum, node.weights, task.layout)
-        thresholds = thresholds_for(imp, policy, epoch)
-        stream = ParamStream(node.stream_seed, node.node_id, step)
-        local_masks.append(build_local_mask(imp, thresholds, stream))
+    local_masks = _local_masks(state, policy, cfg, step, epoch, task)
     shared, stats = mask_agreement_round(local_masks, mask_cfg, step)
     sent_parts = []
-    for node in nodes:
-        sent, kept = split_by_mask(node.accum, shared)
-        node.accum = kept
+    for k in range(cfg.n_nodes):
+        sent, state.accum[k] = split_by_mask(state.accum[k], shared)
         sent_parts.append(sent)
-    mean, reduce_stats = sparse_allreduce(sent_parts, topo, step=step)
+    total, reduce_stats = sparse_allreduce(sent_parts, topo, step=step)
     stats.extend(reduce_stats)
-    # Undo the reduce's division so the applied total matches the dense
-    # baseline's sum; exact when n_nodes is a power of two.
-    update = mean.densify() * float(cfg.n_nodes)
-    eta = cfg.lr_at(epoch)
-    for node in nodes:
-        node.weights = node.weights - eta * update
-        node.staleness += 1
-        node.staleness[shared.bits] = 0
-    _check_replicas(nodes)
+    state.weights = state.weights - cfg.lr_at(epoch) * total.densify()
+    state.staleness += 1
+    state.staleness[:, shared.bits] = 0
     return StepOutcome(stats=stats, shared_mask=shared, sent=sent_parts[0])
 
 
 def dgc_contrast_step(
-    nodes: list[NodeState],
+    state: TrainState,
     policy: ThresholdPolicy,
     cfg: TrainingConfig,
     step: int,
@@ -254,31 +247,16 @@ def dgc_contrast_step(
     the wire traffic densify with node count. The union plays the shared
     mask's role for residual-free bookkeeping of what was applied.
     """
-    local_masks = []
-    buffers = []
-    for node in nodes:
-        grad = local_gradient(task, node, cfg, step)
-        if cfg.clip_norm is not None:
-            grad = clip_gradient(grad, cfg.clip_norm)
-        node.accum = cfg.momentum * node.accum + grad
-        imp = compute_importance(node.accum, node.weights, task.layout)
-        thresholds = thresholds_for(imp, policy, epoch)
-        stream = ParamStream(node.stream_seed, node.node_id, step)
-        local_masks.append(build_local_mask(imp, thresholds, stream))
-        buffers.append(node.accum)
-    mean, stats = naive_sparse_allreduce(buffers, local_masks, topo, step=step)
-    update = mean.densify() * float(cfg.n_nodes)
-    eta = cfg.lr_at(epoch)
+    local_masks = _local_masks(state, policy, cfg, step, epoch, task)
+    total, stats = naive_sparse_allreduce(state.accum, local_masks, topo, step=step)
+    sent_bits = np.stack([mask.bits for mask in local_masks])
+    state.accum = np.where(sent_bits, 0.0, state.accum)
+    state.weights = state.weights - cfg.lr_at(epoch) * total.densify()
+    state.staleness += 1
+    state.staleness[sent_bits] = 0
     union_bits = np.zeros(topo.length, dtype=bool)
-    union_bits[mean.indices] = True
-    union = BitMask(union_bits)
-    for node, mask in zip(nodes, local_masks):
-        node.accum = np.where(mask.bits, 0.0, node.accum)
-        node.weights = node.weights - eta * update
-        node.staleness += 1
-        node.staleness[mask.bits] = 0
-    _check_replicas(nodes)
-    return StepOutcome(stats=stats, shared_mask=union, sent=mean)
+    union_bits[total.indices] = True
+    return StepOutcome(stats=stats, shared_mask=BitMask(union_bits), sent=total)
 
 
 def closed_form_weight_change(
@@ -346,13 +324,6 @@ class RunResult:
             return float("nan")
         return float(np.mean(ratios))
 
-    def unbounded_ratio_steps(self) -> int:
-        return sum(
-            1
-            for m in self.metrics
-            if m.compression_ratio is not None and not np.isfinite(m.compression_ratio)
-        )
-
     def total_bytes(self) -> int:
         return sum(m.bytes_total for m in self.metrics)
 
@@ -387,11 +358,11 @@ def run_experiment(
         raise ConfigError(f"unknown mode '{mode}'; expected one of {MODES}")
     length = task.layout.total_length
     topo = RingTopology.create(cfg.n_nodes, length)
-    nodes = init_nodes(task, cfg)
+    state = init_state(task, cfg)
     steps_per_epoch = max(1, task.n_samples // (cfg.n_nodes * cfg.batch_size))
     dense_bytes = length * VALUE_BYTES
 
-    loss, accuracy = task.evaluate(nodes[0].weights)
+    loss, accuracy = task.evaluate(state.weights)
     metrics = [
         StepMetrics(
             step=0,
@@ -413,37 +384,33 @@ def run_experiment(
         for _ in range(steps_per_epoch):
             if mode == MODE_DENSE:
                 outcome = baseline_dense_step(
-                    nodes, cfg, step, task=task, topo=topo, epoch=epoch
+                    state, cfg, step, task=task, topo=topo, epoch=epoch
                 )
                 density: float | None = 1.0
                 ratio: float | None = 1.0
                 layer_density = {name: 1.0 for name in task.layout.names}
-            elif mode == MODE_COMPRESSED:
-                outcome = compressed_step(
-                    nodes, policy, mask_cfg, cfg, step, epoch, task=task, topo=topo
-                )
-                density = outcome.shared_mask.density()
-                ratio = compression_ratio(
-                    outcome.sent, 0, VALUE_BYTES, INDEX_BYTES, dense_bytes
-                )
-                layer_density = _layer_densities(outcome.shared_mask, task.layout)
             else:
-                outcome = dgc_contrast_step(
-                    nodes, policy, cfg, step, epoch, task=task, topo=topo
-                )
+                if mode == MODE_COMPRESSED:
+                    outcome = compressed_step(
+                        state, policy, mask_cfg, cfg, step, epoch, task=task, topo=topo
+                    )
+                else:
+                    outcome = dgc_contrast_step(
+                        state, policy, cfg, step, epoch, task=task, topo=topo
+                    )
                 density = outcome.shared_mask.density()
                 ratio = compression_ratio(
                     outcome.sent, 0, VALUE_BYTES, INDEX_BYTES, dense_bytes
                 )
                 layer_density = _layer_densities(outcome.shared_mask, task.layout)
-            loss, accuracy = task.evaluate(nodes[0].weights)
+            loss, accuracy = task.evaluate(state.weights)
             step += 1
             if not np.isfinite(loss):
                 raise DivergenceError(
                     f"non-finite loss {loss} at step {step} (epoch {epoch}); "
                     "the run diverged"
                 )
-            p50, p90, pmax = _staleness_percentiles(nodes[0].staleness)
+            p50, p90, pmax = _staleness_percentiles(state.staleness[0])
             all_stats.extend(outcome.stats)
             metrics.append(
                 StepMetrics(

@@ -9,6 +9,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from ringprune import (
     BitMask,
@@ -32,7 +33,7 @@ from ringprune import (
     dense_allreduce,
     dgc_union_contrast,
     encode_mask,
-    init_nodes,
+    init_state,
     mask_agreement_round,
     run_experiment,
     sparse_allreduce,
@@ -109,13 +110,14 @@ def test_criterion_1_sparsity_preservation():
     )
 
 
-def test_criterion_2_zero_threshold_equivalence():
+@pytest.mark.parametrize("n_nodes", [3, 4, 5, 6])
+def test_criterion_2_zero_threshold_equivalence(n_nodes):
     task = LinearRegressionTask(n_samples=128, n_features=8, data_seed=202)
     cfg = TrainingConfig(
         momentum=0.0,
         learning_rate=0.05,
         batch_size=8,
-        n_nodes=4,
+        n_nodes=n_nodes,
         clip_norm=None,
         seed=21,
         epochs=50,
@@ -127,23 +129,23 @@ def test_criterion_2_zero_threshold_equivalence():
     )
     mask_cfg = MaskAgreementConfig(n_selected_nodes=2, shared_seed=23)
     topo = RingTopology.create(cfg.n_nodes, task.layout.total_length)
-    dense_nodes = init_nodes(task, cfg)
-    pruned_nodes = init_nodes(task, cfg)
+    dense_state = init_state(task, cfg)
+    pruned_state = init_state(task, cfg)
     steps = 200
     mismatch = None
     for step in range(steps):
-        baseline_dense_step(dense_nodes, cfg, step, task=task, topo=topo)
+        baseline_dense_step(dense_state, cfg, step, task=task, topo=topo)
         compressed_step(
-            pruned_nodes, policy, mask_cfg, cfg, step, 0, task=task, topo=topo
+            pruned_state, policy, mask_cfg, cfg, step, 0, task=task, topo=topo
         )
-        if pruned_nodes[0].weights.tobytes() != dense_nodes[0].weights.tobytes():
+        if pruned_state.weights.tobytes() != dense_state.weights.tobytes():
             mismatch = f"trajectories differ at step {step}"
             break
     report(
         2,
         "zero-threshold equivalence",
         mismatch is None,
-        mismatch or f"{steps} steps bit-identical to the dense baseline",
+        mismatch or f"{steps} steps bit-identical to the dense baseline (N={n_nodes})",
     )
 
 
@@ -165,12 +167,12 @@ def test_criterion_3_closed_form_weight_change():
         cfg = TrainingConfig(
             momentum=momentum, learning_rate=lr, n_nodes=2, seed=trial
         )
-        nodes = init_nodes(task, cfg)
+        state = init_state(task, cfg)
         topo = RingTopology.create(2, length)
-        start = nodes[0].weights.copy()
+        start = state.weights.copy()
         for step in range(horizon):
-            baseline_dense_step(nodes, cfg, step, task=task, topo=topo)
-        iterated = nodes[0].weights - start
+            baseline_dense_step(state, cfg, step, task=task, topo=topo)
+        iterated = state.weights - start
         predicted = closed_form_weight_change(history, momentum, lr)
         rel = float(
             np.linalg.norm(iterated - predicted) / np.linalg.norm(predicted)

@@ -63,12 +63,28 @@ def test_run_rejects_negative_learning_rate(tmp_path, capsys):
     assert "training.learning_rate" in capsys.readouterr().err
 
 
-def test_run_rejects_unknown_key(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "section, value, message",
+    [
+        ("training", {"turbo": True}, "training: unknown key 'turbo'"),
+        ("training", 5, "training: expected a JSON object"),
+        ("training", [], "training: expected a JSON object"),
+        ("threshold", "abc", "threshold: expected a JSON object"),
+        ("mask_agreement", None, "mask_agreement: expected a JSON object"),
+        ("task", {"kind": ["x"]}, "task.kind: expected a string"),
+    ],
+    ids=["unknown-key", "int", "list", "string", "null", "list-kind"],
+)
+def test_run_rejects_unknown_key(tmp_path, capsys, section, value, message):
+    # A dict value is merged into the section, anything else replaces it.
     cfg = minimal_config(tmp_path / "run")
-    cfg["training"]["turbo"] = True
+    if isinstance(value, dict):
+        cfg[section].update(value)
+    else:
+        cfg[section] = value
     config = write_config(tmp_path, cfg)
     assert main(["run", str(config), "--quiet"]) == 2
-    assert "unknown key 'turbo'" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_run_rejects_missing_file(tmp_path, capsys):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from ringprune import (
+    INDEX_BYTES,
+    VALUE_BYTES,
     BitMask,
     ConfigError,
     LinkStats,
@@ -38,6 +40,111 @@ def ring_order_sum_oracle(contributions, topo):
             acc = acc + padded[(c + i) % n][sl]
         out[sl] = acc
     return out[: topo.length]
+
+
+def _ring_exchange(chunked, topo, stats, step, chunk_nbytes, combine):
+    """Run the scatter-reduce and allgather hop schedules over per-node,
+    per-chunk buffers, combining partials with ``combine`` and adopting
+    finished chunks by reference."""
+    n = topo.n_nodes
+    # Scatter-reduce: at hop s, node k forwards its partial of chunk (k - s);
+    # the receiver folds it in ahead of its own contribution, which keeps the
+    # accumulation order owner-first.
+    for s in range(n - 1):
+        sends = []
+        for k in range(n):
+            c = (k - s) % n
+            sends.append((k, c, chunked[k][c]))
+            stats.record(step, k, PHASE_SCATTER, chunk_nbytes(chunked[k][c]))
+        for k, c, payload in sends:
+            r = topo.successor(k)
+            chunked[r][c] = combine(payload, chunked[r][c])
+    # Allgather: node k forwards chunk (k + 1 - s); the receiver adopts it.
+    for s in range(n - 1):
+        sends = []
+        for k in range(n):
+            c = (k + 1 - s) % n
+            sends.append((k, c, chunked[k][c]))
+            stats.record(step, k, PHASE_ALLGATHER, chunk_nbytes(chunked[k][c]))
+        for k, c, payload in sends:
+            chunked[topo.successor(k)][c] = payload
+
+
+def _padded(vec, topo):
+    return np.concatenate([vec, np.zeros(topo.padded_length - topo.length, dtype=vec.dtype)])
+
+
+def _agreed(per_node):
+    """The result every node holds after the exchange; all copies must agree."""
+    for other in per_node[1:]:
+        assert np.array_equal(other, per_node[0])
+    return per_node[0]
+
+
+def hop_dense_oracle(contributions, topo, step):
+    """Dense all-reduce moved hop by hop through per-node chunk buffers."""
+    chunked = [
+        [np.array(_padded(v, topo)[topo.chunk_slice(c)]) for c in range(topo.n_nodes)]
+        for v in contributions
+    ]
+    stats = LinkStats()
+    _ring_exchange(
+        chunked,
+        topo,
+        stats,
+        step,
+        chunk_nbytes=lambda chunk: chunk.shape[0] * VALUE_BYTES,
+        combine=lambda incoming, own: incoming + own,
+    )
+    return _agreed([np.concatenate(c)[: topo.length] for c in chunked]), stats
+
+
+def hop_sparse_oracle(contributions, topo, step):
+    """Shared-index sparse all-reduce moved hop by hop: (indices, sums, stats)."""
+    idx = contributions[0].indices
+    cuts = np.searchsorted(idx, np.asarray(topo.chunk_bounds))
+    chunked = [
+        [np.array(sg.values[cuts[c]: cuts[c + 1]]) for c in range(topo.n_nodes)]
+        for sg in contributions
+    ]
+    stats = LinkStats()
+    _ring_exchange(
+        chunked,
+        topo,
+        stats,
+        step,
+        chunk_nbytes=lambda chunk: chunk.shape[0] * (VALUE_BYTES + INDEX_BYTES),
+        combine=lambda incoming, own: incoming + own,
+    )
+    return idx, _agreed([np.concatenate(c) for c in chunked]), stats
+
+
+def hop_naive_oracle(contributions, local_masks, topo, step):
+    """No-agreement reduce moved hop by hop, index sets unioning on the way:
+    (indices, sums, stats)."""
+    chunked = []
+    for v, m in zip(contributions, local_masks):
+        vals = _padded(np.where(m.bits, v, 0.0), topo)
+        mask = _padded(m.bits, topo)
+        chunked.append(
+            [
+                (np.array(vals[topo.chunk_slice(c)]), np.array(mask[topo.chunk_slice(c)]))
+                for c in range(topo.n_nodes)
+            ]
+        )
+    stats = LinkStats()
+    _ring_exchange(
+        chunked,
+        topo,
+        stats,
+        step,
+        chunk_nbytes=lambda chunk: int(np.count_nonzero(chunk[1])) * (VALUE_BYTES + INDEX_BYTES),
+        combine=lambda incoming, own: (incoming[0] + own[0], incoming[1] | own[1]),
+    )
+    final_vals = _agreed([np.concatenate([c[0] for c in node])[: topo.length] for node in chunked])
+    final_mask = _agreed([np.concatenate([c[1] for c in node])[: topo.length] for node in chunked])
+    idx = np.flatnonzero(final_mask)
+    return idx, final_vals[idx], stats
 
 
 def selection_oracle(shared_seed, step, n_nodes, n_selected):
@@ -208,9 +315,9 @@ def test_sparse_mean_two_nodes():
     topo = RingTopology.create(2, 4)
     a = _sparse([0, 2], [1.0, 3.0], 4)
     b = _sparse([0, 2], [3.0, 1.0], 4)
-    mean, _ = sparse_allreduce([a, b], topo)
-    assert mean.indices.tolist() == [0, 2]
-    assert mean.values.tolist() == [2.0, 2.0]
+    total, _ = sparse_allreduce([a, b], topo)
+    assert total.indices.tolist() == [0, 2]
+    assert total.values.tolist() == [4.0, 4.0]
 
 
 def test_sparse_zero_contribution_node():
@@ -222,8 +329,8 @@ def test_sparse_zero_contribution_node():
         _sparse(idx, [4.0, 8.0], 8),
         _sparse(idx, [4.0, 8.0], 8),
     ]
-    mean, _ = sparse_allreduce(parts, topo)
-    assert mean.values.tolist() == [3.0, 6.0]
+    total, _ = sparse_allreduce(parts, topo)
+    assert total.values.tolist() == [12.0, 24.0]
 
 
 def test_sparse_density_preserved_and_matches_dense_oracle():
@@ -234,10 +341,11 @@ def test_sparse_density_preserved_and_matches_dense_oracle():
     topo = RingTopology.create(n, length)
     dense_vecs = [rng.standard_normal(length) * mask_bits for _ in range(n)]
     parts = [SparseGradient(idx, v[idx], length) for v in dense_vecs]
-    mean, _ = sparse_allreduce(parts, topo)
-    assert mean.nnz == idx.shape[0]  # density exactly that of the mask
+    total, _ = sparse_allreduce(parts, topo)
+    assert total.nnz == idx.shape[0]  # density exactly that of the mask
     dense_sum, _ = dense_allreduce(dense_vecs, topo)
-    assert np.allclose(mean.densify(), dense_sum / n, rtol=1e-6, atol=1e-12)
+    # Both reduces add each index's contributions in the same owner-first order.
+    assert np.array_equal(total.densify(), dense_sum)
 
 
 def test_sparse_rejects_index_mismatch():
@@ -293,20 +401,57 @@ def test_naive_sparse_reduce_matches_masked_mean_oracle():
     topo = RingTopology.create(n, length)
     vecs = [rng.standard_normal(length) for _ in range(n)]
     masks = [BitMask(rng.random(length) < 0.1) for _ in range(n)]
-    mean, stats = naive_sparse_allreduce(vecs, masks, topo)
+    total, stats = naive_sparse_allreduce(vecs, masks, topo)
     expected = np.zeros(length)
     for v, m in zip(vecs, masks):
         expected += np.where(m.bits, v, 0.0)
-    expected /= n
     union = or_masks(masks)
-    assert mean.nnz == union.popcount()
-    assert np.allclose(mean.densify(), np.where(union.bits, expected, 0.0), atol=1e-12)
+    assert total.nnz == union.popcount()
+    assert np.allclose(total.densify(), np.where(union.bits, expected, 0.0), atol=1e-12)
     # Allgather hops carry the full union, scatter hops carry partial unions.
     per_entry = 8
     allgather_bytes = stats.bytes_for(phase=PHASE_ALLGATHER)
     scatter_bytes = stats.bytes_for(phase=PHASE_SCATTER)
     assert allgather_bytes == (n - 1) * union.popcount() * per_entry
     assert scatter_bytes <= allgather_bytes
+
+
+# --- hop-by-hop oracle ---------------------------------------------------------------
+
+
+def _oracle_cases():
+    return sorted(
+        {(n, length) for n in (2, 3, 5, 6, 8, 17, 64) for length in (1, n - 1, 100, 1204)}
+    )
+
+
+@pytest.mark.parametrize("n, length", _oracle_cases())
+def test_collectives_match_hop_by_hop_oracle(n, length):
+    # Lengths below N leave chunks that are only padding.
+    rng = np.random.default_rng(10_000 * n + length)
+    topo = RingTopology.create(n, length)
+    step = 7
+    vecs = [rng.standard_normal(length) for _ in range(n)]
+
+    total, stats = dense_allreduce(vecs, topo, step=step)
+    expected, oracle_stats = hop_dense_oracle(vecs, topo, step)
+    assert total.tobytes() == expected.tobytes()
+    assert stats.records == oracle_stats.records
+
+    shared = np.flatnonzero(rng.random(length) < 0.3)
+    parts = [SparseGradient(shared, v[shared], length) for v in vecs]
+    reduced, stats = sparse_allreduce(parts, topo, step=step)
+    idx, values, oracle_stats = hop_sparse_oracle(parts, topo, step)
+    assert np.array_equal(reduced.indices, idx)
+    assert reduced.values.tobytes() == values.tobytes()
+    assert stats.records == oracle_stats.records
+
+    masks = [BitMask(rng.random(length) < 0.1) for _ in range(n)]
+    reduced, stats = naive_sparse_allreduce(vecs, masks, topo, step=step)
+    idx, values, oracle_stats = hop_naive_oracle(vecs, masks, topo, step)
+    assert np.array_equal(reduced.indices, idx)
+    assert reduced.values.tobytes() == values.tobytes()
+    assert stats.records == oracle_stats.records
 
 
 # --- bandwidth report ------------------------------------------------------------------

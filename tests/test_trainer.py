@@ -18,11 +18,11 @@ from ringprune import (
     closed_form_weight_change,
     compressed_step,
     dgc_contrast_step,
-    init_nodes,
+    init_state,
     local_gradient,
     run_experiment,
 )
-from ringprune.trainer import MODE_COMPRESSED, MODE_DENSE, MODE_DGC_CONTRAST, NodeState
+from ringprune.trainer import MODE_COMPRESSED, MODE_DENSE, MODE_DGC_CONTRAST
 
 
 class FixedGradientTask:
@@ -123,12 +123,12 @@ def test_baseline_one_step_arithmetic():
         initial_weights=[1.0],
     )
     cfg = TrainingConfig(momentum=0.9, learning_rate=0.1, n_nodes=2, seed=0)
-    nodes = init_nodes(task, cfg)
+    state = init_state(task, cfg)
     topo = RingTopology.create(2, 1)
-    baseline_dense_step(nodes, cfg, 0, task=task, topo=topo)
-    for node in nodes:
-        assert node.weights[0] == pytest.approx(0.95)
-        assert node.accum[0] == pytest.approx(0.5)
+    baseline_dense_step(state, cfg, 0, task=task, topo=topo)
+    assert state.weights[0] == pytest.approx(0.95)
+    for k in range(2):
+        assert state.accum[k, 0] == pytest.approx(0.5)
 
 
 def test_baseline_zero_step_size_freezes_weights():
@@ -139,11 +139,11 @@ def test_baseline_zero_step_size_freezes_weights():
         lr_schedule=EpochSchedule.constant(0.0),
         n_nodes=2,
     )
-    nodes = init_nodes(task, cfg)
+    state = init_state(task, cfg)
     topo = RingTopology.create(2, 3)
     for step in range(5):
-        baseline_dense_step(nodes, cfg, step, task=task, topo=topo)
-    assert np.array_equal(nodes[0].weights, [0.5, 0.5, 0.5])
+        baseline_dense_step(state, cfg, step, task=task, topo=topo)
+    assert np.array_equal(state.weights, [0.5, 0.5, 0.5])
 
 
 def test_baseline_matches_single_process_oracle():
@@ -153,12 +153,12 @@ def test_baseline_matches_single_process_oracle():
     cfg = TrainingConfig(
         momentum=0.9, learning_rate=0.05, batch_size=4, n_nodes=4, seed=3, epochs=1
     )
-    nodes = init_nodes(task, cfg)
+    state = init_state(task, cfg)
     topo = RingTopology.create(4, task.layout.total_length)
 
     # Single-process oracle: momentum SGD on the concatenation of all four
     # nodes' batches, normalised by the global batch size.
-    w = nodes[0].weights.copy()
+    w = state.weights.copy()
     vel = np.zeros_like(w)
     for step in range(100):
         union = np.concatenate(
@@ -169,8 +169,8 @@ def test_baseline_matches_single_process_oracle():
         w = w - 0.05 * vel
 
     for step in range(100):
-        baseline_dense_step(nodes, cfg, step, task=task, topo=topo)
-    assert np.allclose(nodes[0].weights, w, rtol=1e-6, atol=1e-9)
+        baseline_dense_step(state, cfg, step, task=task, topo=topo)
+    assert np.allclose(state.weights, w, rtol=1e-6, atol=1e-9)
 
 
 # --- closed-form weight change ---------------------------------------------------------
@@ -204,12 +204,12 @@ def test_closed_form_matches_iterated_baseline():
         initial_weights=rng.standard_normal(length),
     )
     cfg = TrainingConfig(momentum=0.9, learning_rate=0.07, n_nodes=2, seed=0)
-    nodes = init_nodes(task, cfg)
+    state = init_state(task, cfg)
     topo = RingTopology.create(2, length)
-    start = nodes[0].weights.copy()
+    start = state.weights.copy()
     for step in range(horizon):
-        baseline_dense_step(nodes, cfg, step, task=task, topo=topo)
-    iterated = nodes[0].weights - start
+        baseline_dense_step(state, cfg, step, task=task, topo=topo)
+    iterated = state.weights - start
     predicted = closed_form_weight_change(history, momentum=0.9, learning_rate=0.07)
     assert np.linalg.norm(iterated - predicted) <= 1e-10 * np.linalg.norm(predicted)
 
@@ -224,19 +224,19 @@ def test_compressed_warmup_equals_baseline_exactly():
     )
     mask_cfg = MaskAgreementConfig(n_selected_nodes=1, shared_seed=3)
     topo = RingTopology.create(2, task.layout.total_length)
-    dense_nodes = init_nodes(task, cfg)
-    pruned_nodes = init_nodes(task, cfg)
+    dense_state = init_state(task, cfg)
+    pruned_state = init_state(task, cfg)
     policy = warmup_policy()
     for step in range(20):
-        baseline_dense_step(dense_nodes, cfg, step, task=task, topo=topo)
+        baseline_dense_step(dense_state, cfg, step, task=task, topo=topo)
         outcome = compressed_step(
-            pruned_nodes, policy, mask_cfg, cfg, step, 0, task=task, topo=topo
+            pruned_state, policy, mask_cfg, cfg, step, 0, task=task, topo=topo
         )
         assert outcome.shared_mask.density() == 1.0
         assert (
-            pruned_nodes[0].weights.tobytes() == dense_nodes[0].weights.tobytes()
+            pruned_state.weights.tobytes() == dense_state.weights.tobytes()
         )  # bit-for-bit
-        assert int(pruned_nodes[0].staleness.max()) == 0
+        assert int(pruned_state.staleness[0].max()) == 0
 
 
 def test_compressed_zero_gradients_change_nothing():
@@ -245,16 +245,16 @@ def test_compressed_zero_gradients_change_nothing():
     cfg = TrainingConfig(momentum=0.9, learning_rate=0.1, n_nodes=2, seed=1)
     mask_cfg = MaskAgreementConfig(n_selected_nodes=2, shared_seed=9)
     topo = RingTopology.create(2, 5)
-    nodes = init_nodes(task, cfg)
+    state = init_state(task, cfg)
     for step in range(7):
         outcome = compressed_step(
-            nodes, fixed_policy(0.1), mask_cfg, cfg, step, 0, task=task, topo=topo
+            state, fixed_policy(0.1), mask_cfg, cfg, step, 0, task=task, topo=topo
         )
         assert outcome.sent.nnz == 0
-    assert np.array_equal(nodes[0].weights, np.ones(5))
-    assert np.array_equal(nodes[0].accum, np.zeros(5))
+    assert np.array_equal(state.weights, np.ones(5))
+    assert np.array_equal(state.accum[0], np.zeros(5))
     # Nothing was ever in a shared mask, so staleness equals the step count.
-    assert np.array_equal(nodes[0].staleness, np.full(5, 7))
+    assert np.array_equal(state.staleness[0], np.full(5, 7))
 
 
 def _reject_sample(seed, step, n_nodes, count):
@@ -289,7 +289,7 @@ def test_compressed_matches_scalar_transcript():
     cfg = TrainingConfig(momentum=momentum, learning_rate=eta, n_nodes=2, seed=4)
     mask_cfg = MaskAgreementConfig(n_selected_nodes=1, shared_seed=shared_seed)
     topo = RingTopology.create(2, length)
-    nodes = init_nodes(task, cfg)
+    state = init_state(task, cfg)
 
     # Scalar transcript, plain Python floats.
     w = [1.0] * length
@@ -307,7 +307,7 @@ def test_compressed_matches_scalar_transcript():
         shared = masks[selected]
         for i in range(length):
             if shared[i]:
-                update = ((u[0][i] + u[1][i]) / 2.0) * 2.0
+                update = u[0][i] + u[1][i]
                 w[i] = w[i] - eta * update
                 u[0][i] = 0.0
                 u[1][i] = 0.0
@@ -316,12 +316,12 @@ def test_compressed_matches_scalar_transcript():
                 stale[i] += 1
 
         compressed_step(
-            nodes, fixed_policy(thr), mask_cfg, cfg, step, 0, task=task, topo=topo
+            state, fixed_policy(thr), mask_cfg, cfg, step, 0, task=task, topo=topo
         )
-        assert nodes[0].weights.tolist() == w
-        assert nodes[0].accum.tolist() == u[0]
-        assert nodes[1].accum.tolist() == u[1]
-        assert nodes[0].staleness.tolist() == stale
+        assert state.weights.tolist() == w
+        assert state.accum[0].tolist() == u[0]
+        assert state.accum[1].tolist() == u[1]
+        assert state.staleness[0].tolist() == stale
 
 
 def test_compressed_per_step_conservation_exact():
@@ -340,20 +340,20 @@ def test_compressed_per_step_conservation_exact():
         cfg = TrainingConfig(momentum=momentum, learning_rate=0.01, n_nodes=2, seed=6)
         mask_cfg = MaskAgreementConfig(n_selected_nodes=1, shared_seed=8)
         topo = RingTopology.create(2, length)
-        nodes = init_nodes(task, cfg)
+        state = init_state(task, cfg)
         for step in range(6):
-            u_prev = nodes[0].accum.copy()
+            u_prev = state.accum[0].copy()
             outcome = compressed_step(
-                nodes, fixed_policy(1.5), mask_cfg, cfg, step, 0, task=task, topo=topo
+                state, fixed_policy(1.5), mask_cfg, cfg, step, 0, task=task, topo=topo
             )
             expected = momentum * u_prev + presets[(0, step)]
             assert np.array_equal(
-                outcome.sent.densify() + nodes[0].accum, expected
+                outcome.sent.densify() + state.accum[0], expected
             )
             if momentum == 0.0:
                 # Each step is self-contained: sent + kept is exactly g.
                 assert np.array_equal(
-                    outcome.sent.densify() + nodes[0].accum, presets[(0, step)]
+                    outcome.sent.densify() + state.accum[0], presets[(0, step)]
                 )
 
 
@@ -374,15 +374,15 @@ def test_compressed_infinite_threshold_freezes_everything():
     cfg = TrainingConfig(momentum=0.9, learning_rate=0.05, batch_size=4, n_nodes=2, seed=8)
     mask_cfg = MaskAgreementConfig(n_selected_nodes=2, shared_seed=4)
     topo = RingTopology.create(2, task.layout.total_length)
-    nodes = init_nodes(task, cfg)
-    start = nodes[0].weights.copy()
+    state = init_state(task, cfg)
+    start = state.weights.copy()
     for step in range(6):
         outcome = compressed_step(
-            nodes, policy, mask_cfg, cfg, step, 0, task=task, topo=topo
+            state, policy, mask_cfg, cfg, step, 0, task=task, topo=topo
         )
         assert outcome.sent.nnz == 0
-    assert np.array_equal(nodes[0].weights, start)
-    assert np.all(nodes[0].staleness == 6)
+    assert np.array_equal(state.weights, start)
+    assert np.all(state.staleness[0] == 6)
 
 
 def test_compressed_staleness_zero_iff_in_shared_mask():
@@ -392,12 +392,12 @@ def test_compressed_staleness_zero_iff_in_shared_mask():
     cfg = TrainingConfig(momentum=0.9, learning_rate=0.05, batch_size=4, n_nodes=2, seed=7)
     mask_cfg = MaskAgreementConfig(n_selected_nodes=1, shared_seed=2)
     topo = RingTopology.create(2, task.layout.total_length)
-    nodes = init_nodes(task, cfg)
+    state = init_state(task, cfg)
     for step in range(5):
         outcome = compressed_step(
-            nodes, fixed_policy(0.05), mask_cfg, cfg, step, 0, task=task, topo=topo
+            state, fixed_policy(0.05), mask_cfg, cfg, step, 0, task=task, topo=topo
         )
-        zeroed = nodes[0].staleness == 0
+        zeroed = state.staleness[0] == 0
         assert np.array_equal(zeroed, outcome.shared_mask.bits)
 
 
@@ -410,15 +410,13 @@ def test_dgc_step_updates_union_support_only():
     )
     cfg = TrainingConfig(momentum=0.9, learning_rate=0.05, batch_size=4, n_nodes=4, seed=9)
     topo = RingTopology.create(4, task.layout.total_length)
-    nodes = init_nodes(task, cfg)
-    before = nodes[0].weights.copy()
+    state = init_state(task, cfg)
+    before = state.weights.copy()
     outcome = dgc_contrast_step(
-        nodes, fixed_policy(0.05), cfg, 0, 0, task=task, topo=topo
+        state, fixed_policy(0.05), cfg, 0, 0, task=task, topo=topo
     )
-    changed = nodes[0].weights != before
+    changed = state.weights != before
     assert not np.any(changed & ~outcome.shared_mask.bits)
-    for other in nodes[1:]:
-        assert np.array_equal(other.weights, nodes[0].weights)
 
 
 # --- run_experiment ------------------------------------------------------------------
@@ -516,6 +514,5 @@ def test_local_gradient_shape_checked():
     layout = LayerLayout.from_sizes([("w", 3)])
     task = FixedGradientTask(layout, lambda n, s: np.zeros(4), np.zeros(3))
     cfg = TrainingConfig(n_nodes=2)
-    node = NodeState(0, np.zeros(3), np.zeros(3), np.zeros(3, dtype=np.int64), 0)
     with pytest.raises(Exception):
-        local_gradient(task, node, cfg, 0)
+        local_gradient(task, np.zeros(3), 0, cfg, 0)

@@ -7,11 +7,18 @@ layer's scores: a disordered layer raises its threshold, a uniformly
 important one lowers it. Parameters at or above the layer threshold are
 always selected; parameters below it are selected with probability
 score / threshold, which keeps long-unsent residuals from going stale.
+
+Every function here takes either one node's vector or a node-stacked array
+with one row per node, and reduces along the last axis. A one-dimensional
+call is the single-row case of the same code, so a ring of N nodes is scored,
+thresholded and masked in one pass per step with bit-identical results to N
+separate calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -67,11 +74,15 @@ class EpochSchedule:
 
 @dataclass(frozen=True)
 class LayerStats:
-    """Mean, population variance, and dispersion ratio of one layer's scores."""
+    """Mean, population variance, and dispersion ratio of one layer's scores.
 
-    mean: float
-    variance: float
-    ratio: float
+    Floats for one node's scores; (N,) arrays, one entry per node, for
+    node-stacked scores.
+    """
+
+    mean: float | np.ndarray
+    variance: float | np.ndarray
+    ratio: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -121,18 +132,19 @@ class ThresholdPolicy:
 
 @dataclass(frozen=True)
 class ImportanceVector:
-    """Non-negative per-parameter scores tied to a layer layout."""
+    """Non-negative per-parameter scores tied to a layer layout: shape (P,)
+    for one node, or (N, P) with one row per node."""
 
     scores: np.ndarray
     layout: LayerLayout
 
     def __post_init__(self) -> None:
         arr = np.ascontiguousarray(np.asarray(self.scores, dtype=np.float64))
-        if arr.ndim != 1:
-            raise StructuralError("scores must be one-dimensional")
-        if arr.shape[0] != self.layout.total_length:
+        if arr.ndim not in (1, 2):
+            raise StructuralError("scores must be one row or a stack of rows")
+        if arr.shape[-1] != self.layout.total_length:
             raise StructuralError(
-                f"score count {arr.shape[0]} does not match layout length "
+                f"score count {arr.shape[-1]} does not match layout length "
                 f"{self.layout.total_length}"
             )
         if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr < 0)):
@@ -141,11 +153,18 @@ class ImportanceVector:
         object.__setattr__(self, "scores", arr)
 
     def layer_scores(self, layer_index: int) -> np.ndarray:
-        return self.scores[self.layout.slice_of(layer_index)]
+        return self.scores[..., self.layout.slice_of(layer_index)]
 
 
-def _first_nonfinite(arr: np.ndarray) -> int:
-    return int(np.flatnonzero(~np.isfinite(arr))[0])
+def check_finite(accumulated_grad: np.ndarray, weights: np.ndarray) -> None:
+    """Raise InputError at the first non-finite residual entry or weight,
+    naming the node too for a node-stacked residual."""
+    for name, arr in (("gradient", accumulated_grad), ("weight", weights)):
+        bad = ~np.isfinite(arr)
+        if bad.any():
+            *node, index = np.unravel_index(int(np.argmax(bad)), arr.shape)
+            where = f"node {node[0]}, index {index}" if node else f"index {index}"
+            raise InputError(f"non-finite {name} at {where}")
 
 
 def compute_importance(
@@ -154,96 +173,116 @@ def compute_importance(
     layout: LayerLayout,
     eps: float = DEFAULT_WEIGHT_EPS,
 ) -> ImportanceVector:
-    """Score each parameter as |accumulated gradient| / max(|weight|, eps)."""
+    """Score each parameter as |accumulated gradient| / max(|weight|, eps).
+
+    ``accumulated_grad`` is one node's (P,) buffer or the (N, P) stack of all
+    nodes' buffers; ``weights`` is the (P,) vector they share, checked once.
+    """
     if eps <= 0:
         raise InputError(f"eps must be > 0, got {eps}")
     g = np.asarray(accumulated_grad, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
-    if g.shape != w.shape or g.ndim != 1:
+    if w.ndim != 1 or g.ndim not in (1, 2) or g.shape[-1] != w.shape[0]:
         raise StructuralError(
             f"gradient shape {g.shape} does not match weight shape {w.shape}"
         )
-    if g.shape[0] != layout.total_length:
+    if w.shape[0] != layout.total_length:
         raise StructuralError(
-            f"vector length {g.shape[0]} does not match layout length {layout.total_length}"
+            f"vector length {w.shape[0]} does not match layout length {layout.total_length}"
         )
-    if not np.all(np.isfinite(g)):
-        raise InputError(f"non-finite gradient at index {_first_nonfinite(g)}")
-    if not np.all(np.isfinite(w)):
-        raise InputError(f"non-finite weight at index {_first_nonfinite(w)}")
-    scores = np.abs(g) / np.maximum(np.abs(w), eps)
+    check_finite(g, w)
+    scores = np.abs(g)
+    scores /= np.maximum(np.abs(w), eps)
     return ImportanceVector(scores=scores, layout=layout)
 
 
 def layer_stats(imp: ImportanceVector, layer_index: int) -> LayerStats:
-    """Mean, population variance, and variance/mean ratio for one layer."""
+    """Mean, population variance, and variance/mean ratio for one layer,
+    per node when the scores are node-stacked."""
     scores = imp.layer_scores(layer_index)
-    if scores.size == 0:
-        raise StructuralError(f"layer {layer_index} is empty")
-    mean = float(scores.mean())
-    if np.all(scores == scores[0]):
-        variance = 0.0  # exact for constant layers, including single-parameter ones
-    else:
-        variance = float(np.mean((scores - mean) ** 2))
-    ratio = variance / max(mean, STAT_EPS)
+    mean = scores.mean(axis=-1)
+    # exact 0 for constant layers, including single-parameter ones
+    constant = np.all(scores == scores[..., :1], axis=-1)
+    variance = np.where(constant, 0.0, np.mean((scores - mean[..., None]) ** 2, axis=-1))
+    ratio = variance / np.maximum(mean, STAT_EPS)
+    if scores.ndim == 1:
+        return LayerStats(mean=float(mean), variance=float(variance), ratio=float(ratio))
     return LayerStats(mean=mean, variance=variance, ratio=ratio)
 
 
-def layer_threshold(policy: ThresholdPolicy, epoch: int, stats: LayerStats) -> float:
-    """Send threshold for one layer at one epoch.
+def layer_threshold(
+    policy: ThresholdPolicy, epoch: int, stats: LayerStats
+) -> float | np.ndarray:
+    """Send threshold for one layer at one epoch, per node for stacked stats.
 
     Warm-up epochs return 0 (dense sends) without consulting the schedules.
     """
+    ratio = np.asarray(stats.ratio, dtype=np.float64)
     if epoch < policy.warmup_epochs:
-        return 0.0
-    base = policy.base.value_at(epoch)
-    weight = policy.ratio_weight.value_at(epoch)
-    if stats.ratio > policy.ratio_pivot:
-        thr = base + weight * stats.ratio
+        thr = np.zeros_like(ratio)
     else:
-        thr = base - weight * stats.ratio
-    thr *= policy.scale
-    return min(max(thr, policy.thr_min), policy.thr_max)
+        base = policy.base.value_at(epoch)
+        weight = policy.ratio_weight.value_at(epoch)
+        thr = np.where(ratio > policy.ratio_pivot, base + weight * ratio, base - weight * ratio)
+        thr = np.minimum(np.maximum(thr * policy.scale, policy.thr_min), policy.thr_max)
+    return thr if thr.ndim else float(thr)
 
 
-def thresholds_for(imp: ImportanceVector, policy: ThresholdPolicy, epoch: int) -> list[float]:
-    """Per-layer thresholds for a whole importance vector."""
-    return [
-        layer_threshold(policy, epoch, layer_stats(imp, j))
-        for j in range(imp.layout.n_layers)
-    ]
+def thresholds_for(imp: ImportanceVector, policy: ThresholdPolicy, epoch: int) -> np.ndarray:
+    """Per-layer thresholds: shape (L,) for one node, (N, L) for stacked scores."""
+    return np.stack(
+        [
+            np.asarray(layer_threshold(policy, epoch, layer_stats(imp, j)))
+            for j in range(imp.layout.n_layers)
+        ],
+        axis=-1,
+    )
 
 
 def build_local_mask(
     imp: ImportanceVector,
-    thr_by_layer: list[float],
-    stream: ParamStream,
-) -> BitMask:
-    """One node's send-candidate mask.
+    thr_by_layer,
+    stream: ParamStream | Sequence[ParamStream],
+) -> BitMask | list[BitMask]:
+    """Send-candidate mask of one node, or of each node for stacked scores.
 
     A parameter is selected deterministically when its score reaches the
     layer threshold, and otherwise independently with probability
     score / threshold. A zero threshold selects the whole layer; an infinite
     threshold selects nothing. Draws come from the per-layer substreams of
-    ``stream``, so the result is bit-reproducible for a fixed seed.
+    ``stream``, one stream per node, so the result is bit-reproducible for a
+    fixed seed. Stacked scores take (N, L) thresholds and N streams and give
+    one mask per node.
     """
     layout = imp.layout
-    if len(thr_by_layer) != layout.n_layers:
+    rows = imp.scores.reshape(-1, layout.total_length)
+    thr = np.asarray(thr_by_layer, dtype=np.float64)
+    if thr.shape != imp.scores.shape[:-1] + (layout.n_layers,):
         raise StructuralError(
-            f"{len(thr_by_layer)} thresholds supplied for {layout.n_layers} layers"
+            f"thresholds of shape {thr.shape} supplied for {layout.n_layers} layers "
+            f"and scores of shape {imp.scores.shape}"
         )
-    bits = np.zeros(layout.total_length, dtype=bool)
+    thr = thr.reshape(rows.shape[0], layout.n_layers)
+    streams = [stream] if imp.scores.ndim == 1 else list(stream)
+    if len(streams) != rows.shape[0]:
+        raise StructuralError(f"{len(streams)} streams supplied for {rows.shape[0]} nodes")
+    bad = ~(thr >= 0)  # negative or NaN
+    if bad.any():
+        node, j = np.argwhere(bad)[0]
+        raise InputError(f"threshold for layer {j} of row {node} must be >= 0, got {thr[node, j]}")
+    bits = np.empty(rows.shape, dtype=bool)
     for j in range(layout.n_layers):
-        thr = float(thr_by_layer[j])
-        if thr < 0 or np.isnan(thr):
-            raise InputError(f"threshold for layer {j} must be >= 0, got {thr}")
         sl = layout.slice_of(j)
-        scores = imp.scores[sl]
-        if thr == 0.0:
-            bits[sl] = True
-            continue
-        if np.isinf(thr):
-            continue  # score/thr = 0, nothing can be selected
-        uniforms = stream.layer(j).random(scores.shape[0])
-        bits[sl] = (scores >= thr) | (uniforms < scores / thr)
-    return BitMask(bits)
+        scores = rows[:, sl]
+        layer_thr = thr[:, j : j + 1]
+        # Rows with a zero or infinite threshold draw nothing: with uniforms
+        # of 0 the rule below selects all of a zero-threshold row (scores are
+        # >= 0) and none of an infinite-threshold one (scores are finite).
+        uniforms = np.zeros(scores.shape)
+        for k in np.flatnonzero((layer_thr[:, 0] > 0) & np.isfinite(layer_thr[:, 0])):
+            streams[k].layer(j).random(out=uniforms[k])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bits[:, sl] = (scores >= layer_thr) | (uniforms < scores / layer_thr)
+    if imp.scores.ndim == 1:
+        return BitMask(bits[0])
+    return [BitMask(row) for row in bits]

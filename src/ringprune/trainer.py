@@ -4,12 +4,15 @@ Every node applies the same reduced update to the same starting weights, so
 the replicas are one weight vector in :class:`TrainState`; what differs per
 node, the residual buffer and the staleness counters, is one row per node.
 One training super-step runs compute, mask agreement, reduce, and update as
-lock-step phases. The pruned pipeline per node:
+lock-step phases. The pruned pipeline:
 
-1. compute the (1/NB)-scaled mini-batch gradient, optionally clipped;
-2. fold it into the residual buffer, u <- momentum * u + g;
-3. score the buffer against the current weights, pick per-layer thresholds,
-   and build a local candidate mask;
+1. compute each node's (1/NB)-scaled mini-batch gradient, optionally
+   clipped, one node at a time;
+2. fold them into the residual rows, u <- momentum * u + g, in one pass;
+3. score all rows against the current weights, pick per-(node, layer)
+   thresholds, and build every node's local candidate mask, one call each
+   over the (N, P) residuals (warm-up skips the scoring: its thresholds are
+   0, so every entry is a candidate);
 4. agree on a shared mask (random broadcasters, OR-combine);
 5. send the buffer entries under the shared mask and zero them locally,
    keeping the rest as the residual;
@@ -41,6 +44,7 @@ from .importance import (
     EpochSchedule,
     ThresholdPolicy,
     build_local_mask,
+    check_finite,
     compute_importance,
     thresholds_for,
 )
@@ -183,6 +187,23 @@ def baseline_dense_step(
     return StepOutcome(stats=stats)
 
 
+def _fold_gradients(state: TrainState, cfg: TrainingConfig, step: int, task) -> None:
+    """Steps 1-2 of the pruned pipeline: every node's gradient, clipped,
+    folded into its residual row, u <- momentum * u + g.
+
+    Gradients and their clipping run per node, since a batched matmul or a
+    2-D norm can round differently; the fold runs once over (N, P).
+    """
+    grads = np.empty_like(state.accum)
+    for k in range(cfg.n_nodes):
+        grad = local_gradient(task, state.weights, k, cfg, step)
+        if cfg.clip_norm is not None:
+            grad = clip_gradient(grad, cfg.clip_norm)
+        grads[k] = grad
+    state.accum *= cfg.momentum
+    state.accum += grads
+
+
 def _local_masks(
     state: TrainState,
     policy: ThresholdPolicy,
@@ -191,18 +212,20 @@ def _local_masks(
     epoch: int,
     task,
 ) -> list[BitMask]:
-    """Steps 1-3 of the pruned pipeline on every node: gradient, clip,
-    residual fold, score, per-layer thresholds, local candidate mask."""
-    local_masks = []
-    for k in range(cfg.n_nodes):
-        grad = local_gradient(task, state.weights, k, cfg, step)
-        if cfg.clip_norm is not None:
-            grad = clip_gradient(grad, cfg.clip_norm)
-        state.accum[k] = cfg.momentum * state.accum[k] + grad
-        imp = compute_importance(state.accum[k], state.weights, task.layout)
-        thresholds = thresholds_for(imp, policy, epoch)
-        local_masks.append(build_local_mask(imp, thresholds, ParamStream(cfg.seed, k, step)))
-    return local_masks
+    """Steps 1-3 of the pruned pipeline: fold the gradients, then score,
+    threshold and mask all nodes in one pass over the (N, P) residuals.
+
+    Warm-up thresholds are 0 whatever the scores, so warm-up skips scoring
+    and makes every entry a candidate.
+    """
+    _fold_gradients(state, cfg, step, task)
+    if epoch < policy.warmup_epochs:
+        check_finite(state.accum, state.weights)
+        return [BitMask.ones(task.layout.total_length)] * cfg.n_nodes
+    imp = compute_importance(state.accum, state.weights, task.layout)
+    thresholds = thresholds_for(imp, policy, epoch)
+    streams = [ParamStream(cfg.seed, k, step) for k in range(cfg.n_nodes)]
+    return build_local_mask(imp, thresholds, streams)
 
 
 def compressed_step(

@@ -1,6 +1,10 @@
 import csv
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,6 +58,103 @@ def test_run_writes_three_files(tmp_path):
         rows = list(csv.DictReader(fh))
     assert rows[0]["step"] == "0"
     assert rows[-1]["mode"] == "compressed"
+
+
+def test_module_entry_point_runs_from_checkout(tmp_path):
+    out = tmp_path / "run"
+    config = write_config(tmp_path, minimal_config(out))
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "ringprune", "run", str(config), "--quiet"],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert (out / "metrics.csv").is_file()
+
+
+# Two short runs that go through every branch of the pruned pipeline: a
+# compressed run at N = 64 whose layer-wise thresholds (ratio_weight > 0) fall
+# on both sides of ratio_pivot and clamp at thr_max, and a clipped
+# dgc_contrast run.
+PINNED_RUNS = {
+    "compressed64": (
+        {
+            "task": {
+                "kind": "mlp_classification_synthetic",
+                "n_samples": 1024,
+                "n_features": 8,
+                "hidden_units": 12,
+                "n_classes": 3,
+                "data_seed": 5,
+            },
+            "training": {
+                "momentum": 0.9,
+                "learning_rate": 0.1,
+                "batch_size": 4,
+                "n_nodes": 64,
+                "seed": 11,
+                "epochs": 4,
+            },
+            "threshold": {
+                "base": 0.02,
+                "ratio_weight": 0.01,
+                "ratio_pivot": 1.0,
+                "warmup_epochs": 1,
+                "thr_max": 0.3,
+            },
+            "mask_agreement": {"n_selected_nodes": 2, "shared_seed": 3},
+            "mode": "compressed",
+        },
+        "44839d46dbc5365d355d6c1d7bb6308ef30b0cd2c4cbb65b074817ca21c817af",
+        "737d4e403cee79cfbe33c6f20e1322af8ce3a5a2599d13d388d6f381befdb4bd",
+    ),
+    "dgc_contrast8": (
+        {
+            "task": {
+                "kind": "mlp_classification_synthetic",
+                "n_samples": 512,
+                "n_features": 8,
+                "hidden_units": 12,
+                "n_classes": 3,
+                "data_seed": 6,
+            },
+            "training": {
+                "momentum": 0.9,
+                "learning_rate": 0.1,
+                "batch_size": 8,
+                "n_nodes": 8,
+                "seed": 12,
+                "epochs": 5,
+                "clip_norm": 0.5,
+            },
+            "threshold": {"base": 0.02, "warmup_epochs": 1, "ratio_weight": 0.005},
+            "mask_agreement": {"n_selected_nodes": 2, "shared_seed": 4},
+            "mode": "dgc_contrast",
+        },
+        "26d03370b06c26d3c7fb979f43311fcda3bf00f37c17bceacf33a1391674b22e",
+        "75f9bdcc4c8b5baf84cc52953bb743ec3518dff29bc4fc61b0141c8fe6e19b93",
+    ),
+}
+
+
+def test_artifacts_match_pinned_digests(tmp_path):
+    """metrics.csv and bandwidth.csv are byte-identical to pinned runs.
+
+    The digests were recorded with the per-node scoring loop that the
+    lock-step pass replaced, on Python 3.11.7 with numpy 2.4.6; a refactor
+    that shifts one ulp or one draw changes them. Another numpy version may
+    legitimately change them too (its reductions or generator can round
+    differently): re-record them then, from the code before the change.
+    """
+    for name, (raw, metrics_sha, bandwidth_sha) in PINNED_RUNS.items():
+        config = write_config(tmp_path, raw, name=f"{name}.json")
+        out = tmp_path / name
+        assert main(["run", str(config), "--out", str(out), "--quiet"]) == 0
+        digests = [hashlib.sha256(data).hexdigest() for data in read_bytes(out)]
+        assert digests == [metrics_sha, bandwidth_sha], name
 
 
 def test_run_rejects_negative_learning_rate(tmp_path, capsys):

@@ -78,6 +78,14 @@ def test_importance_nonfinite_identifies_index():
     w = np.array([1.0, 1.0, np.inf])
     with pytest.raises(InputError, match="index 2"):
         compute_importance(np.zeros(3), w, SINGLE)
+    # Node-stacked residuals: the first bad entry in node order, by node and index.
+    stacked = np.zeros((3, 3))
+    stacked[1, 2] = np.nan
+    stacked[2, 0] = np.inf
+    with pytest.raises(InputError, match=r"gradient at node 1, index 2$"):
+        compute_importance(stacked, np.ones(3), SINGLE)
+    with pytest.raises(InputError, match=r"weight at index 2$"):
+        compute_importance(np.zeros((3, 3)), w, SINGLE)
 
 
 def test_importance_bad_eps():

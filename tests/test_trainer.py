@@ -10,19 +10,24 @@ from ringprune import (
     LinearRegressionTask,
     MaskAgreementConfig,
     MlpClassificationTask,
+    ParamStream,
     RingTopology,
     ThresholdPolicy,
     TrainingConfig,
     baseline_dense_step,
+    build_local_mask,
     clip_gradient,
     closed_form_weight_change,
     compressed_step,
+    compute_importance,
     dgc_contrast_step,
     init_state,
+    layer_stats,
     local_gradient,
     run_experiment,
+    thresholds_for,
 )
-from ringprune.trainer import MODE_COMPRESSED, MODE_DENSE, MODE_DGC_CONTRAST
+from ringprune.trainer import MODE_COMPRESSED, MODE_DENSE, MODE_DGC_CONTRAST, _local_masks
 
 
 class FixedGradientTask:
@@ -171,6 +176,135 @@ def test_baseline_matches_single_process_oracle():
     for step in range(100):
         baseline_dense_step(state, cfg, step, task=task, topo=topo)
     assert np.allclose(state.weights, w, rtol=1e-6, atol=1e-9)
+
+
+# --- lock-step scoring pass ---------------------------------------------------------
+
+
+def per_node_local_masks(state, policy, cfg, step, epoch, task):
+    """Steps 1-3 of the pruned pipeline as the trainer ran them before the
+    lock-step pass, one loop iteration per node: the oracle for
+    ``_local_masks``. Also returns each node's thresholds."""
+    local_masks = []
+    node_thresholds = []
+    for k in range(cfg.n_nodes):
+        grad = local_gradient(task, state.weights, k, cfg, step)
+        if cfg.clip_norm is not None:
+            grad = clip_gradient(grad, cfg.clip_norm)
+        state.accum[k] = cfg.momentum * state.accum[k] + grad
+        imp = compute_importance(state.accum[k], state.weights, task.layout)
+        thresholds = thresholds_for(imp, policy, epoch)
+        node_thresholds.append(thresholds)
+        local_masks.append(build_local_mask(imp, thresholds, ParamStream(cfg.seed, k, step)))
+    return local_masks, node_thresholds
+
+
+# Score shapes per layer, before a per-node scale in [0.8, 1.2]. With the
+# "layerwise" policy below (base 0.05, ratio_weight 0.1, pivot 1) they give:
+#   const    constant scores, the variance-0 branch: threshold = base
+#   floor    dispersion below pivot, base - 0.1 * ratio < thr_min
+#   ceiling  dispersion ~10 > pivot, base + 0.1 * ratio > thr_max
+#   upper    dispersion above pivot, unclamped, many scores below the threshold
+#   lower    dispersion below pivot, unclamped, about half the scores below it
+LOCKSTEP_LAYOUT = LayerLayout.from_sizes(
+    [("const", 6), ("floor", 40), ("ceiling", 40), ("upper", 40), ("lower", 40)]
+)
+
+
+def _lockstep_task(n_nodes):
+    rng = np.random.default_rng(n_nodes)
+    upper = np.concatenate([np.full(10, 3.0), np.zeros(30)])
+    shapes = [
+        lambda: np.full(6, 0.3),
+        lambda: rng.uniform(0.0, 5.0, 40),
+        lambda: rng.uniform(0.0, 60.0, 40),
+        lambda: upper + np.concatenate([np.zeros(10), rng.uniform(0.0, 0.6, 30)]),
+        lambda: rng.uniform(0.0, 0.1, 40),
+    ]
+    grads = {}
+    for k in range(n_nodes):
+        signs = rng.choice([-1.0, 1.0], LOCKSTEP_LAYOUT.total_length)
+        for step in range(2):
+            grads[k, step] = rng.uniform(0.8, 1.2) * signs * np.concatenate([f() for f in shapes])
+    weights = rng.choice([-1.0, 1.0], LOCKSTEP_LAYOUT.total_length)
+    return FixedGradientTask(LOCKSTEP_LAYOUT, lambda k, step: grads[k, step], weights)
+
+
+def _lockstep_policy(name):
+    if name == "infinite":
+        return ThresholdPolicy(
+            base=EpochSchedule.constant(np.inf),
+            ratio_weight=EpochSchedule.constant(0.0),
+            thr_max=np.inf,
+            warmup_epochs=0,
+        )
+    return ThresholdPolicy(
+        base=EpochSchedule.constant(0.05),
+        ratio_weight=EpochSchedule.constant(0.1),
+        ratio_pivot=1.0,
+        thr_min=1e-4,
+        thr_max=0.5,
+        warmup_epochs=1 if name == "warmup" else 0,
+    )
+
+
+@pytest.mark.parametrize("case", ["layerwise", "clipped", "infinite", "warmup"])
+@pytest.mark.parametrize("n_nodes", [2, 3, 5, 17, 64])
+def test_lockstep_pass_matches_per_node_oracle(n_nodes, case):
+    task = _lockstep_task(n_nodes)
+    policy = _lockstep_policy(case)
+    cfg = TrainingConfig(
+        momentum=0.5,
+        n_nodes=n_nodes,
+        seed=29,
+        clip_norm=20.0 if case == "clipped" else None,
+    )
+    batched = init_state(task, cfg)
+    oracle = init_state(task, cfg)
+    epoch = 0
+    for step in range(2):  # the second step folds onto a non-zero residual
+        masks = _local_masks(batched, policy, cfg, step, epoch, task)
+        expected_masks, expected_thresholds = per_node_local_masks(
+            oracle, policy, cfg, step, epoch, task
+        )
+        assert np.array_equal(batched.accum, oracle.accum)
+        assert len(masks) == n_nodes
+        for k in range(n_nodes):
+            assert np.array_equal(masks[k].bits, expected_masks[k].bits), f"node {k}"
+        imp = compute_importance(batched.accum, batched.weights, task.layout)
+        thresholds = thresholds_for(imp, policy, epoch)
+        assert thresholds.shape == (n_nodes, LOCKSTEP_LAYOUT.n_layers)
+        assert np.array_equal(thresholds, np.stack(expected_thresholds))
+
+    # The cases reach the branches they are meant to.
+    bits = np.stack([m.bits for m in masks])
+    if case == "infinite":
+        assert np.all(np.isinf(thresholds)) and not bits.any()
+    elif case == "warmup":
+        assert np.all(thresholds == 0.0) and bits.all()
+    elif case == "layerwise":
+        ratios = np.stack([layer_stats(imp, j).ratio for j in range(5)], axis=1)
+        unclamped = (thresholds > policy.thr_min) & (thresholds < policy.thr_max)
+        assert np.all(ratios[:, 0] == 0.0) and np.all(thresholds[:, 0] == 0.05)
+        assert np.any(thresholds[:, 1] == policy.thr_min)
+        assert np.any(thresholds[:, 2] == policy.thr_max)
+        assert np.any((ratios > policy.ratio_pivot) & unclamped)
+        assert np.any((ratios < policy.ratio_pivot) & unclamped)
+        below = imp.scores < np.repeat(thresholds, LOCKSTEP_LAYOUT.lengths, axis=1)
+        assert (bits & below).any() and (~bits & below).any()
+
+
+def test_warmup_skips_scoring_but_rejects_nonfinite_residual():
+    layout = LayerLayout.from_sizes([("w", 3)])
+    task = FixedGradientTask(
+        layout,
+        lambda node, step: [0.1, np.nan, 0.2] if node == 1 else [0.1, 0.1, 0.1],
+        initial_weights=[1.0, 1.0, 1.0],
+    )
+    cfg = TrainingConfig(n_nodes=3)
+    state = init_state(task, cfg)
+    with pytest.raises(InputError, match="node 1, index 1"):
+        _local_masks(state, warmup_policy(), cfg, 0, 0, task)
 
 
 # --- closed-form weight change ---------------------------------------------------------
@@ -462,16 +596,26 @@ def test_run_rejects_unknown_mode():
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
-def test_run_divergence_aborts_with_diagnostic():
+@pytest.mark.parametrize(
+    "mode, policy",
+    [
+        (MODE_DENSE, warmup_policy()),
+        (MODE_COMPRESSED, warmup_policy()),
+        (MODE_COMPRESSED, fixed_policy(0.05)),
+        (MODE_DGC_CONTRAST, fixed_policy(0.05)),
+    ],
+    ids=["dense", "compressed-warmup", "compressed-pruned", "dgc_contrast"],
+)
+def test_run_divergence_aborts_with_diagnostic(mode, policy):
     # A convex quadratic diverges geometrically once the step is too large.
+    # The loss overflows before any residual does, so every mode stops at
+    # the loss check of the same step rather than at a non-finite score.
     task = LinearRegressionTask(n_samples=64, n_features=4, data_seed=37)
     cfg = TrainingConfig(
         momentum=0.9, learning_rate=1e6, batch_size=8, n_nodes=2, epochs=50, seed=13
     )
-    with pytest.raises(DivergenceError, match="step"):
-        run_experiment(
-            task, cfg, warmup_policy(), MaskAgreementConfig(n_selected_nodes=1), MODE_DENSE
-        )
+    with pytest.raises(DivergenceError, match=r"at step 26 \(epoch 6\)"):
+        run_experiment(task, cfg, policy, MaskAgreementConfig(n_selected_nodes=1), mode)
 
 
 def test_run_is_deterministic():

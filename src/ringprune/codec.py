@@ -78,7 +78,11 @@ class EncodedMask:
 @dataclass(frozen=True)
 class SparseGradient:
     """Sorted coordinate (index, value) pairs over a dense vector of
-    ``total_length`` entries."""
+    ``total_length`` entries.
+
+    ``values`` is (nnz,) for one vector, or (N, nnz) for a node-stacked block:
+    one row of values per node, all on the one index set.
+    """
 
     indices: np.ndarray
     values: np.ndarray
@@ -87,11 +91,11 @@ class SparseGradient:
     def __post_init__(self) -> None:
         idx = np.ascontiguousarray(np.asarray(self.indices, dtype=np.int64))
         val = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
-        if idx.ndim != 1 or val.ndim != 1:
-            raise StructuralError("indices and values must be one-dimensional")
-        if idx.shape[0] != val.shape[0]:
+        if idx.ndim != 1 or val.ndim not in (1, 2):
+            raise StructuralError("indices must be one-dimensional and values one row or a stack")
+        if idx.shape[0] != val.shape[-1]:
             raise StructuralError(
-                f"index/value count mismatch: {idx.shape[0]} vs {val.shape[0]}"
+                f"index/value count mismatch: {idx.shape[0]} vs {val.shape[-1]}"
             )
         if idx.size:
             if idx[0] < 0 or idx[-1] >= self.total_length:
@@ -105,14 +109,17 @@ class SparseGradient:
 
     @property
     def nnz(self) -> int:
+        """Entries per row."""
         return int(self.indices.shape[0])
 
     def densify(self) -> np.ndarray:
-        dense = np.zeros(self.total_length, dtype=np.float64)
-        dense[self.indices] = self.values
+        """The dense vector, or the (N, total_length) stack of them."""
+        dense = np.zeros(self.values.shape[:-1] + (self.total_length,), dtype=np.float64)
+        dense[..., self.indices] = self.values
         return dense
 
     def payload_bytes(self, value_bytes: int = VALUE_BYTES, index_bytes: int = INDEX_BYTES) -> int:
+        """Wire bytes of one row's entries."""
         return self.nnz * (value_bytes + index_bytes)
 
 
@@ -164,22 +171,32 @@ def or_masks(masks: list[BitMask]) -> BitMask:
     return BitMask(combined)
 
 
-def split_by_mask(grad: np.ndarray, mask: BitMask) -> tuple[SparseGradient, np.ndarray]:
-    """Split a dense vector into (sent sparse part, kept remainder).
+def split_by_mask(
+    grad: np.ndarray, mask: BitMask, *, out: np.ndarray | None = None
+) -> tuple[SparseGradient, np.ndarray]:
+    """Split a dense vector, or each row of an (N, P) stack, into (sent
+    sparse part, kept remainder).
 
     No arithmetic touches the values: masked entries are copied into the
-    sparse part and zeroed in the remainder, so densify(sent) + kept
-    reconstructs the input exactly.
+    sparse part, one index set with one row of values per row of ``grad``,
+    and zeroed in the remainder, so densify(sent) + kept reconstructs the
+    input exactly. The remainder is written to ``out`` when it is given;
+    ``out=grad`` zeroes the sent entries in place.
     """
     vec = np.asarray(grad, dtype=np.float64)
-    if vec.ndim != 1 or vec.shape[0] != mask.length:
+    if vec.ndim not in (1, 2) or vec.shape[-1] != mask.length:
         raise StructuralError(
-            f"gradient length {vec.shape} does not match mask length {mask.length}"
+            f"gradient shape {vec.shape} does not match mask length {mask.length}"
         )
     idx = np.flatnonzero(mask.bits)
-    sent = SparseGradient(indices=idx, values=vec[idx].copy(), total_length=mask.length)
-    kept = np.where(mask.bits, 0.0, vec)
-    return sent, kept
+    # take() gives C-ordered rows; vec[..., idx] would need a second copy
+    sent = SparseGradient(indices=idx, values=np.take(vec, idx, axis=-1), total_length=mask.length)
+    if out is None:
+        out = vec.copy()
+    elif out is not vec:
+        np.copyto(out, vec)
+    out[..., idx] = 0.0
+    return sent, out
 
 
 def compression_ratio(

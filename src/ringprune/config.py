@@ -120,11 +120,18 @@ def _expect_int(value, path: str) -> int:
     return value
 
 
+def _expect_seed(value, path: str) -> int:
+    """A seed keys numpy's SeedSequence, which takes non-negative integers."""
+    if _expect_int(value, path) < 0:
+        raise ConfigError(f"{path}: expected a non-negative integer, got {value!r}")
+    return value
+
+
 def _parse_schedule(value, path: str) -> EpochSchedule:
     """A schedule is either a constant or a list of {start, end, value} spans
     (end null means open-ended)."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return EpochSchedule.constant(float(value))
+        value = [{"start": 0, "end": None, "value": value}]
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{path}: expected a number or a non-empty list of spans")
     spans = []
@@ -192,6 +199,7 @@ def resolve_experiment(
         _TASK_DEFAULTS[kind],
         "task",
     )
+    _expect_seed(task_fields["data_seed"], "task.data_seed")
     task = make_task(kind, **task_fields)
 
     training_section = _merge_defaults(
@@ -212,7 +220,7 @@ def resolve_experiment(
         clip_norm=_expect_number(
             training_section["clip_norm"], "training.clip_norm", allow_none=True
         ),
-        seed=_expect_int(
+        seed=_expect_seed(
             seed_override if seed_override is not None else training_section["seed"],
             "training.seed",
         ),
@@ -245,7 +253,7 @@ def resolve_experiment(
         n_selected_nodes=_expect_int(
             mask_section["n_selected_nodes"], "mask_agreement.n_selected_nodes"
         ),
-        shared_seed=_expect_int(mask_section["shared_seed"], "mask_agreement.shared_seed"),
+        shared_seed=_expect_seed(mask_section["shared_seed"], "mask_agreement.shared_seed"),
     )
     if mask_cfg.n_selected_nodes > training.n_nodes:
         raise ConfigError(

@@ -25,7 +25,7 @@ import numpy as np
 from .codec import BitMask
 from .errors import ConfigError, InputError, StructuralError
 from .layout import LayerLayout
-from .seeds import ParamStream
+from .seeds import ParamStream, generator_from_words, mask_stream_words
 
 # Guard for |weight| when scoring; keeps scores finite for zero weights
 # without disturbing the ranking of normal-magnitude ones.
@@ -46,9 +46,11 @@ class EpochSchedule:
 
     def __post_init__(self) -> None:
         prev_end = None
-        for start, end, _value in self.spans:
+        for start, end, value in self.spans:
             if start >= end:
                 raise ConfigError(f"schedule span [{start}, {end}) is empty")
+            if value != value:
+                raise ConfigError("schedule value must be a number, got nan")
             if prev_end is not None and start < prev_end:
                 raise ConfigError("schedule spans overlap or are out of order")
             prev_end = end
@@ -106,17 +108,18 @@ class ThresholdPolicy:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.ratio_pivot <= 0:
+        # Written as "not (valid)" so that NaN, which compares false, fails.
+        if not self.ratio_pivot > 0:
             raise ConfigError(f"ratio_pivot must be > 0, got {self.ratio_pivot}")
-        if self.thr_min <= 0:
+        if not self.thr_min > 0:
             raise ConfigError(f"thr_min must be > 0, got {self.thr_min}")
-        if self.thr_min > self.thr_max:
+        if not self.thr_min <= self.thr_max:
             raise ConfigError(
                 f"thr_min {self.thr_min} exceeds thr_max {self.thr_max}"
             )
         if self.warmup_epochs < 0:
             raise ConfigError("warmup_epochs must be >= 0")
-        if self.scale <= 0:
+        if not self.scale > 0:
             raise ConfigError(f"scale must be > 0, got {self.scale}")
 
     @classmethod
@@ -251,8 +254,10 @@ def build_local_mask(
     score / threshold. A zero threshold selects the whole layer; an infinite
     threshold selects nothing. Draws come from the per-layer substreams of
     ``stream``, one stream per node, so the result is bit-reproducible for a
-    fixed seed. Stacked scores take (N, L) thresholds and N streams and give
-    one mask per node.
+    fixed seed. Stacked scores take (N, L) thresholds and N streams, which
+    must share one seed and step, and give one mask per node; the seed words
+    of all N x L substreams are derived in one pass (see
+    :func:`seeds.mask_stream_words`).
     """
     layout = imp.layout
     rows = imp.scores.reshape(-1, layout.total_length)
@@ -266,21 +271,26 @@ def build_local_mask(
     streams = [stream] if imp.scores.ndim == 1 else list(stream)
     if len(streams) != rows.shape[0]:
         raise StructuralError(f"{len(streams)} streams supplied for {rows.shape[0]} nodes")
+    seed, step = streams[0].seed, streams[0].step
+    if any(s.seed != seed or s.step != step for s in streams):
+        raise StructuralError("the streams of one mask pass must share their seed and step")
     bad = ~(thr >= 0)  # negative or NaN
     if bad.any():
         node, j = np.argwhere(bad)[0]
         raise InputError(f"threshold for layer {j} of row {node} must be >= 0, got {thr[node, j]}")
+    # Rows with a zero or infinite threshold draw nothing: with uniforms of 0
+    # the rule below selects all of a zero-threshold row (scores are >= 0)
+    # and none of an infinite-threshold one (scores are finite).
+    draws = (thr > 0) & np.isfinite(thr)
+    words = mask_stream_words(seed, step, [s.node for s in streams], layout.n_layers)
     bits = np.empty(rows.shape, dtype=bool)
     for j in range(layout.n_layers):
         sl = layout.slice_of(j)
         scores = rows[:, sl]
         layer_thr = thr[:, j : j + 1]
-        # Rows with a zero or infinite threshold draw nothing: with uniforms
-        # of 0 the rule below selects all of a zero-threshold row (scores are
-        # >= 0) and none of an infinite-threshold one (scores are finite).
         uniforms = np.zeros(scores.shape)
-        for k in np.flatnonzero((layer_thr[:, 0] > 0) & np.isfinite(layer_thr[:, 0])):
-            streams[k].layer(j).random(out=uniforms[k])
+        for k in np.flatnonzero(draws[:, j]):
+            generator_from_words(words[k, j]).random(out=uniforms[k])
         with np.errstate(divide="ignore", invalid="ignore"):
             bits[:, sl] = (scores >= layer_thr) | (uniforms < scores / layer_thr)
     if imp.scores.ndim == 1:

@@ -37,7 +37,7 @@ from .codec import (
     encode_mask,
     or_masks,
 )
-from .errors import ConfigError, ProtocolError, StructuralError
+from .errors import ConfigError, StructuralError
 from .seeds import SELECT_STREAM, substream
 
 PHASE_SCATTER = "scatter_reduce"
@@ -318,50 +318,45 @@ def mask_agreement_round(
 
 
 def sparse_allreduce(
-    contributions: list[SparseGradient],
+    contributions: SparseGradient,
     topo: RingTopology,
     *,
     step: int = 0,
     value_bytes: int = VALUE_BYTES,
     index_bytes: int = INDEX_BYTES,
 ) -> tuple[SparseGradient, LinkStats]:
-    """Sum of sparse gradients that share one index set.
+    """Sum of the nodes' sparse gradients on their shared index set.
 
-    Values are summed per index in the same owner-first ring order as the
-    dense reduce. The output index set is exactly the shared one, so density
-    is preserved no matter how many nodes reduce.
+    ``contributions`` is a node-stacked block: the one index set every node
+    agreed on and an (N, nnz) array of values, one row per node, as
+    :func:`codec.split_by_mask` cuts it from the stacked residuals. Values
+    are summed per index in the same owner-first ring order as the dense
+    reduce. The output index set is exactly the shared one, so density is
+    preserved no matter how many nodes reduce.
     """
-    if len(contributions) != topo.n_nodes:
+    values = contributions.values
+    rows = values.shape[0] if values.ndim == 2 else 1
+    if rows != topo.n_nodes:
+        raise StructuralError(f"got {rows} contribution rows for {topo.n_nodes} nodes")
+    if contributions.total_length != topo.length:
         raise StructuralError(
-            f"got {len(contributions)} contributions for {topo.n_nodes} nodes"
+            f"sparse total_length {contributions.total_length} does not match "
+            f"topology length {topo.length}"
         )
-    first = contributions[0]
-    if first.total_length != topo.length:
-        raise StructuralError(
-            f"sparse total_length {first.total_length} does not match topology length {topo.length}"
-        )
-    for sg in contributions[1:]:
-        if sg.total_length != first.total_length or not np.array_equal(
-            sg.indices, first.indices
-        ):
-            raise ProtocolError(
-                "sparse all-reduce requires identical index sets on every node; "
-                "a mismatch means mask agreement failed"
-            )
-    idx = first.indices
+    idx = contributions.indices
     # Chunk c carries the sparse entries whose parameter index falls in the
     # chunk's range; those are contiguous in the sorted index list.
     cuts = np.searchsorted(idx, np.asarray(topo.chunk_bounds))
     stats = LinkStats()
     total = _ring_reduce(
-        np.stack([sg.values for sg in contributions]),
+        values,
         cuts,
         _fixed_counts(cuts, topo.n_nodes),
         stats,
         step,
         value_bytes + index_bytes,
     )
-    return SparseGradient(indices=idx.copy(), values=total, total_length=first.total_length), stats
+    return SparseGradient(indices=idx, values=total, total_length=topo.length), stats
 
 
 def dgc_union_contrast(per_node_masks: list[BitMask], topo: RingTopology | None = None) -> float:

@@ -128,6 +128,8 @@ class MlpClassificationTask(SyntheticTask):
     def __post_init__(self) -> None:
         if self.n_classes < 2:
             raise ConfigError("classification needs n_classes >= 2")
+        if self.n_features < 1 or self.hidden_units < 1:
+            raise ConfigError("classification needs n_features >= 1 and hidden_units >= 1")
         if not 0.0 <= self.label_noise < 1.0:
             raise ConfigError("label_noise must be in [0, 1)")
         rng = substream(self.data_seed, DATA_STREAM)

@@ -12,11 +12,13 @@ lock-step phases. The pruned pipeline:
 3. score all rows against the current weights, pick per-(node, layer)
    thresholds, and build every node's local candidate mask, one call each
    over the (N, P) residuals (warm-up skips the scoring: its thresholds are
-   0, so every entry is a candidate);
+   0, so every entry is a candidate; the mask draws' N x L generators are
+   seeded from words derived for the whole step at once);
 4. agree on a shared mask (random broadcasters, OR-combine);
-5. send the buffer entries under the shared mask and zero them locally,
-   keeping the rest as the residual;
-6. ring-reduce the sent entries and apply the update.
+5. split all residual rows under the shared mask in one call: the sent
+   entries form one (N, nnz) block on the shared index set and are zeroed
+   in place, the rest stays as the residual;
+6. ring-reduce the sent block and apply the update.
 
 The reduce hands back the sum of the sent contributions in the same
 owner-first order as the dense baseline's reduce of (1/NB)-scaled
@@ -93,7 +95,8 @@ class TrainingConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"training.momentum must be in [0, 1), got {self.momentum}")
-        if self.learning_rate <= 0:
+        # Written as "not (valid)" so that NaN, which compares false, fails.
+        if not self.learning_rate > 0:
             raise ConfigError(
                 f"training.learning_rate must be > 0, got {self.learning_rate}"
             )
@@ -101,7 +104,7 @@ class TrainingConfig:
             raise ConfigError(f"training.batch_size must be >= 1, got {self.batch_size}")
         if self.n_nodes < 2:
             raise ConfigError(f"training.n_nodes must be >= 2, got {self.n_nodes}")
-        if self.clip_norm is not None and self.clip_norm <= 0:
+        if self.clip_norm is not None and not self.clip_norm > 0:
             raise ConfigError(f"training.clip_norm must be > 0, got {self.clip_norm}")
         if self.epochs < 0:
             raise ConfigError(f"training.epochs must be >= 0, got {self.epochs}")
@@ -164,6 +167,7 @@ class StepOutcome:
 
     stats: LinkStats
     shared_mask: BitMask | None = None
+    # compressed: node 0's sent entries; dgc_contrast: the reduced sum
     sent: SparseGradient | None = None
 
 
@@ -242,16 +246,15 @@ def compressed_step(
     """One pruned super-step; see the module docstring for the pipeline."""
     local_masks = _local_masks(state, policy, cfg, step, epoch, task)
     shared, stats = mask_agreement_round(local_masks, mask_cfg, step)
-    sent_parts = []
-    for k in range(cfg.n_nodes):
-        sent, state.accum[k] = split_by_mask(state.accum[k], shared)
-        sent_parts.append(sent)
-    total, reduce_stats = sparse_allreduce(sent_parts, topo, step=step)
+    sent, _ = split_by_mask(state.accum, shared, out=state.accum)
+    total, reduce_stats = sparse_allreduce(sent, topo, step=step)
     stats.extend(reduce_stats)
     state.weights = state.weights - cfg.lr_at(epoch) * total.densify()
     state.staleness += 1
     state.staleness[:, shared.bits] = 0
-    return StepOutcome(stats=stats, shared_mask=shared, sent=sent_parts[0])
+    # Only node 0's row is kept, so the (N, nnz) block is freed with the step.
+    node0 = SparseGradient(sent.indices, sent.values[0].copy(), sent.total_length)
+    return StepOutcome(stats=stats, shared_mask=shared, sent=node0)
 
 
 def dgc_contrast_step(

@@ -85,10 +85,7 @@ def test_criterion_1_sparsity_preservation():
         topo = RingTopology.create(n, length)
         cfg = MaskAgreementConfig(n_selected_nodes=2, shared_seed=55)
         shared, _ = mask_agreement_round([shared_local] * n, cfg, step=0)
-        parts = [
-            SparseGradient(idx, rng.standard_normal(idx.shape[0]), length)
-            for _ in range(n)
-        ]
+        parts = SparseGradient(idx, rng.standard_normal((n, idx.shape[0])), length)
         mean, _ = sparse_allreduce(parts, topo, step=0)
         if shared.density() != target or mean.nnz / length != target:
             failures.append(f"N={n}: shared density {mean.nnz / length}")
@@ -362,7 +359,7 @@ def test_criterion_8_bandwidth_accounting():
             _, dstats = dense_allreduce(vectors, topo, step=step)
             dense_total += dstats.total_bytes()
             shared, mstats = mask_agreement_round([local] * n, mask_cfg, step)
-            parts = [SparseGradient(idx, v[idx], length) for v in vectors]
+            parts = SparseGradient(idx, np.stack(vectors)[:, idx], length)
             _, sstats = sparse_allreduce(parts, topo, step=step)
             mask_total += mstats.bytes_for(phase=PHASE_MASK)
             sparse_total += mstats.total_bytes() + sstats.total_bytes()

@@ -164,27 +164,84 @@ def test_run_rejects_negative_learning_rate(tmp_path, capsys):
     assert "training.learning_rate" in capsys.readouterr().err
 
 
+NAN = float("nan")
+MLP = "mlp_classification_synthetic"
+
+
 @pytest.mark.parametrize(
-    "section, value, message",
+    "section, value, message, flags",
     [
-        ("training", {"turbo": True}, "training: unknown key 'turbo'"),
-        ("training", 5, "training: expected a JSON object"),
-        ("training", [], "training: expected a JSON object"),
-        ("threshold", "abc", "threshold: expected a JSON object"),
-        ("mask_agreement", None, "mask_agreement: expected a JSON object"),
-        ("task", {"kind": ["x"]}, "task.kind: expected a string"),
+        ("training", {"turbo": True}, "training: unknown key 'turbo'", []),
+        ("training", 5, "training: expected a JSON object", []),
+        ("training", [], "training: expected a JSON object", []),
+        ("threshold", "abc", "threshold: expected a JSON object", []),
+        ("mask_agreement", None, "mask_agreement: expected a JSON object", []),
+        ("task", {"kind": ["x"]}, "task.kind: expected a string", []),
+        ("task", {"data_seed": -1}, "task.data_seed: expected a non-negative integer", []),
+        ("training", {"seed": -1}, "training.seed: expected a non-negative integer", []),
+        (
+            "mask_agreement",
+            {"shared_seed": -1},
+            "mask_agreement.shared_seed: expected a non-negative integer",
+            [],
+        ),
+        ("training", {}, "training.seed: expected a non-negative integer", ["--seed", "-1"]),
+        ("task", {"kind": MLP, "hidden_units": 0}, "hidden_units >= 1", []),
+        ("task", {"kind": MLP, "n_features": 0}, "n_features >= 1", []),
+        ("training", {"learning_rate": NAN}, "training.learning_rate must be > 0", []),
+        ("training", {"clip_norm": NAN}, "training.clip_norm must be > 0", []),
+        ("threshold", {"ratio_pivot": NAN}, "ratio_pivot must be > 0", []),
+        ("threshold", {"thr_min": NAN}, "thr_min must be > 0", []),
+        ("threshold", {"thr_max": NAN}, "exceeds thr_max nan", []),
+        ("threshold", {"scale": NAN}, "scale must be > 0", []),
+        ("threshold", {"base": NAN}, "threshold.base: schedule value must be a number", []),
+        (
+            "threshold",
+            {"ratio_weight": [{"start": 0, "value": NAN}]},
+            "threshold.ratio_weight: schedule value must be a number",
+            [],
+        ),
+        (
+            "training",
+            {"lr_schedule": NAN},
+            "training.lr_schedule: schedule value must be a number",
+            [],
+        ),
     ],
-    ids=["unknown-key", "int", "list", "string", "null", "list-kind"],
+    ids=[
+        "unknown-key",
+        "int",
+        "list",
+        "string",
+        "null",
+        "list-kind",
+        "negative-data-seed",
+        "negative-training-seed",
+        "negative-shared-seed",
+        "negative-seed-flag",
+        "zero-hidden-units",
+        "zero-features",
+        "nan-learning-rate",
+        "nan-clip-norm",
+        "nan-ratio-pivot",
+        "nan-thr-min",
+        "nan-thr-max",
+        "nan-scale",
+        "nan-base",
+        "nan-ratio-weight-span",
+        "nan-lr-schedule",
+    ],
 )
-def test_run_rejects_unknown_key(tmp_path, capsys, section, value, message):
+def test_run_rejects_unknown_key(tmp_path, capsys, section, value, message, flags):
     # A dict value is merged into the section, anything else replaces it.
+    # json writes NaN as the bare token NaN, which json.loads reads back.
     cfg = minimal_config(tmp_path / "run")
     if isinstance(value, dict):
         cfg[section].update(value)
     else:
         cfg[section] = value
     config = write_config(tmp_path, cfg)
-    assert main(["run", str(config), "--quiet"]) == 2
+    assert main(["run", str(config), "--quiet", *flags]) == 2
     assert message in capsys.readouterr().err
 
 

@@ -149,6 +149,41 @@ def test_split_reconstruction_identity():
 def test_split_length_mismatch():
     with pytest.raises(StructuralError):
         split_by_mask(np.zeros(3), _mask([1, 0]))
+    with pytest.raises(StructuralError):
+        split_by_mask(np.zeros((2, 3)), _mask([1, 0]))
+    with pytest.raises(StructuralError):
+        split_by_mask(np.zeros((2, 2, 2)), _mask([1, 0]))
+
+
+@pytest.mark.parametrize("density", [0.0, 0.3, 1.0])
+def test_split_stacked_matches_row_by_row_split(density):
+    rng = np.random.default_rng(12)
+    grads = rng.standard_normal((5, 40))
+    mask = BitMask(rng.random(40) < density)
+    sent, kept = split_by_mask(grads, mask)
+    assert sent.values.shape == (5, mask.popcount())
+    for k in range(5):
+        row_sent, row_kept = split_by_mask(grads[k], mask)
+        assert np.array_equal(sent.indices, row_sent.indices)
+        assert sent.values[k].tobytes() == row_sent.values.tobytes()
+        assert kept[k].tobytes() == row_kept.tobytes()
+    assert np.array_equal(sent.densify() + kept, grads)  # exact
+
+
+def test_split_out_zeroes_sent_entries_in_place():
+    rng = np.random.default_rng(13)
+    grads = rng.standard_normal((3, 9))
+    original = grads.copy()
+    mask = _mask([1, 0, 0, 1, 1, 0, 0, 0, 1])
+    sent, kept = split_by_mask(grads, mask, out=grads)
+    assert kept is grads
+    assert np.array_equal(sent.values, original[:, mask.bits])
+    assert np.array_equal(grads, np.where(mask.bits, 0.0, original))
+    # A separate ``out`` leaves the input alone.
+    target = np.full((3, 9), 7.0)
+    split_by_mask(original, mask, out=target)
+    assert np.array_equal(target, grads)
+    assert not np.array_equal(original, grads)
 
 
 @given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.booleans()), min_size=1, max_size=80))
@@ -181,6 +216,20 @@ def test_sparse_validation():
         SparseGradient(np.array([0, 7]), np.array([1.0, 2.0]), 5)  # out of range
     with pytest.raises(StructuralError):
         SparseGradient(np.array([0]), np.array([1.0, 2.0]), 5)  # count mismatch
+    with pytest.raises(StructuralError):
+        SparseGradient(np.array([0]), np.ones((2, 2)), 5)  # stacked count mismatch
+    with pytest.raises(StructuralError):
+        SparseGradient(np.array([0]), np.ones((2, 1, 1)), 5)  # not a stack of rows
+
+
+def test_sparse_stacked_block_densifies_row_by_row():
+    sg = SparseGradient(np.array([1, 4]), np.array([[0.5, -1.0], [2.0, 0.0]]), 6)
+    assert sg.nnz == 2
+    assert sg.payload_bytes() == 16  # one row's entries
+    assert sg.densify().tolist() == [
+        [0.0, 0.5, 0.0, 0.0, -1.0, 0.0],
+        [0.0, 2.0, 0.0, 0.0, 0.0, 0.0],
+    ]
 
 
 # --- compression_ratio ---------------------------------------------------------

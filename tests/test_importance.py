@@ -303,3 +303,55 @@ def test_mask_threshold_count_mismatch():
     imp = _imp([0.1, 0.2])
     with pytest.raises(StructuralError):
         build_local_mask(imp, [0.1, 0.2], _stream())
+
+
+def reference_masks(imp, thr, streams):
+    """The mask rule with every draw taken from the reference stream
+    ``ParamStream(seed, node, step).layer(j)``, one node and layer at a time."""
+    layout = imp.layout
+    scores = imp.scores.reshape(-1, layout.total_length)
+    thr = np.asarray(thr, dtype=float).reshape(scores.shape[0], layout.n_layers)
+    masks = []
+    for k, stream in enumerate(streams):
+        bits = np.empty(layout.total_length, dtype=bool)
+        for j in range(layout.n_layers):
+            s, t = scores[k, layout.slice_of(j)], thr[k, j]
+            u = stream.layer(j).random(s.shape[0]) if 0 < t < math.inf else np.zeros(s.shape)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                bits[layout.slice_of(j)] = (s >= t) | (u < s / t)
+        masks.append(bits)
+    return masks
+
+
+@pytest.mark.parametrize("seed, step", [(0, 0), (2**32, 2**32 - 1), (2**200, 2**40)])
+def test_mask_draws_match_reference_streams(seed, step):
+    # 17 nodes, four layers; one node's layers sit at 0 and at infinity, where
+    # nothing is drawn.
+    rng = np.random.default_rng(seed % 1000 + step % 1000)
+    layout = LayerLayout.from_sizes([("a", 40), ("b", 1), ("c", 300), ("d", 7)])
+    n = 17
+    imp = compute_importance(
+        rng.random((n, layout.total_length)) * 0.02, np.ones(layout.total_length), layout
+    )
+    thr = rng.uniform(0.005, 0.02, (n, layout.n_layers))
+    thr[3] = [0.0, math.inf, 0.0, math.inf]
+    streams = [ParamStream(seed, k, step) for k in range(n)]
+    masks = build_local_mask(imp, thr, streams)
+    expected = reference_masks(imp, thr, streams)
+    assert all(np.array_equal(m.bits, e) for m, e in zip(masks, expected))
+    # Some but not all below-threshold entries were drawn in.
+    below = imp.scores < np.repeat(thr, layout.lengths, axis=1)
+    drawn = np.stack([m.bits for m in masks]) & below
+    assert 0 < drawn.sum() < below.sum()
+    # One node alone gets its row of the stacked result.
+    single = build_local_mask(
+        compute_importance(imp.scores[5], np.ones(layout.total_length), layout), thr[5], streams[5]
+    )
+    assert np.array_equal(single.bits, masks[5].bits)
+
+
+def test_mask_rejects_streams_of_different_seeds_or_steps():
+    imp = compute_importance(np.full((2, 3), 0.005), np.ones(3), SINGLE)
+    for other in (ParamStream(1, 1, 0), ParamStream(0, 1, 1)):
+        with pytest.raises(StructuralError, match="share their seed and step"):
+            build_local_mask(imp, [[0.01], [0.01]], [ParamStream(0, 0, 0), other])

@@ -8,7 +8,6 @@ from ringprune import (
     ConfigError,
     LinkStats,
     MaskAgreementConfig,
-    ProtocolError,
     RingTopology,
     SparseGradient,
     StructuralError,
@@ -100,12 +99,13 @@ def hop_dense_oracle(contributions, topo, step):
 
 
 def hop_sparse_oracle(contributions, topo, step):
-    """Shared-index sparse all-reduce moved hop by hop: (indices, sums, stats)."""
-    idx = contributions[0].indices
+    """Shared-index sparse all-reduce of a node-stacked block, moved hop by
+    hop: (indices, sums, stats)."""
+    idx = contributions.indices
     cuts = np.searchsorted(idx, np.asarray(topo.chunk_bounds))
     chunked = [
-        [np.array(sg.values[cuts[c]: cuts[c + 1]]) for c in range(topo.n_nodes)]
-        for sg in contributions
+        [np.array(row[cuts[c]: cuts[c + 1]]) for c in range(topo.n_nodes)]
+        for row in contributions.values
     ]
     stats = LinkStats()
     _ring_exchange(
@@ -307,28 +307,21 @@ def test_agreement_rejects_length_mismatch():
 # --- sparse all-reduce -------------------------------------------------------------
 
 
-def _sparse(indices, values, total):
-    return SparseGradient(np.asarray(indices), np.asarray(values, dtype=float), total)
+def _sparse(indices, rows, total):
+    """A node-stacked block: one index set, one row of values per node."""
+    return SparseGradient(np.asarray(indices), np.asarray(rows, dtype=float), total)
 
 
 def test_sparse_mean_two_nodes():
     topo = RingTopology.create(2, 4)
-    a = _sparse([0, 2], [1.0, 3.0], 4)
-    b = _sparse([0, 2], [3.0, 1.0], 4)
-    total, _ = sparse_allreduce([a, b], topo)
+    total, _ = sparse_allreduce(_sparse([0, 2], [[1.0, 3.0], [3.0, 1.0]], 4), topo)
     assert total.indices.tolist() == [0, 2]
     assert total.values.tolist() == [4.0, 4.0]
 
 
 def test_sparse_zero_contribution_node():
     topo = RingTopology.create(4, 8)
-    idx = [1, 5]
-    parts = [
-        _sparse(idx, [4.0, 8.0], 8),
-        _sparse(idx, [0.0, 0.0], 8),
-        _sparse(idx, [4.0, 8.0], 8),
-        _sparse(idx, [4.0, 8.0], 8),
-    ]
+    parts = _sparse([1, 5], [[4.0, 8.0], [0.0, 0.0], [4.0, 8.0], [4.0, 8.0]], 8)
     total, _ = sparse_allreduce(parts, topo)
     assert total.values.tolist() == [12.0, 24.0]
 
@@ -340,7 +333,7 @@ def test_sparse_density_preserved_and_matches_dense_oracle():
     idx = np.flatnonzero(mask_bits)
     topo = RingTopology.create(n, length)
     dense_vecs = [rng.standard_normal(length) * mask_bits for _ in range(n)]
-    parts = [SparseGradient(idx, v[idx], length) for v in dense_vecs]
+    parts = SparseGradient(idx, np.stack(dense_vecs)[:, idx], length)
     total, _ = sparse_allreduce(parts, topo)
     assert total.nnz == idx.shape[0]  # density exactly that of the mask
     dense_sum, _ = dense_allreduce(dense_vecs, topo)
@@ -348,18 +341,19 @@ def test_sparse_density_preserved_and_matches_dense_oracle():
     assert np.array_equal(total.densify(), dense_sum)
 
 
-def test_sparse_rejects_index_mismatch():
-    topo = RingTopology.create(2, 4)
-    with pytest.raises(ProtocolError):
-        sparse_allreduce(
-            [_sparse([0, 2], [1.0, 1.0], 4), _sparse([0, 3], [1.0, 1.0], 4)], topo
-        )
+def test_sparse_rejects_wrong_row_count_or_length():
+    topo = RingTopology.create(3, 4)
+    with pytest.raises(StructuralError, match="got 2 contribution rows for 3 nodes"):
+        sparse_allreduce(_sparse([0, 2], [[1.0, 1.0], [1.0, 1.0]], 4), topo)
+    with pytest.raises(StructuralError, match="got 1 contribution rows for 3 nodes"):
+        sparse_allreduce(_sparse([0, 2], [1.0, 1.0], 4), topo)
+    with pytest.raises(StructuralError, match="total_length 5"):
+        sparse_allreduce(_sparse([0, 2], [[1.0, 1.0]] * 3, 5), topo)
 
 
 def test_sparse_byte_accounting_is_nnz_scaled():
     topo = RingTopology.create(2, 8)
-    idx = [0, 1, 4, 5]
-    parts = [_sparse(idx, [1.0] * 4, 8), _sparse(idx, [2.0] * 4, 8)]
+    parts = _sparse([0, 1, 4, 5], [[1.0] * 4, [2.0] * 4], 8)
     _, stats = sparse_allreduce(parts, topo)
     # Each chunk holds 2 entries of 8 bytes; each node sends one chunk per phase.
     assert stats.bytes_for(phase=PHASE_SCATTER) == 2 * 2 * 8
@@ -439,7 +433,7 @@ def test_collectives_match_hop_by_hop_oracle(n, length):
     assert stats.records == oracle_stats.records
 
     shared = np.flatnonzero(rng.random(length) < 0.3)
-    parts = [SparseGradient(shared, v[shared], length) for v in vecs]
+    parts = SparseGradient(shared, np.stack(vecs)[:, shared], length)
     reduced, stats = sparse_allreduce(parts, topo, step=step)
     idx, values, oracle_stats = hop_sparse_oracle(parts, topo, step)
     assert np.array_equal(reduced.indices, idx)
@@ -488,7 +482,7 @@ def test_dense_vs_sparse_bytes_track_compression():
     for step in range(steps):
         vecs = [rng.standard_normal(length) for _ in range(n)]
         _, dstats = dense_allreduce(vecs, topo, step=step)
-        parts = [SparseGradient(idx, v[idx], length) for v in vecs]
+        parts = SparseGradient(idx, np.stack(vecs)[:, idx], length)
         _, sstats = sparse_allreduce(parts, topo, step=step)
         dense_total += dstats.total_bytes()
         sparse_total += sstats.total_bytes()

@@ -491,6 +491,36 @@ def test_compressed_per_step_conservation_exact():
                 )
 
 
+def test_compressed_step_splits_all_residuals_in_place():
+    # One split of the (N, P) residuals under the shared mask: the sent
+    # entries are zeroed in the state's own buffer, and the outcome keeps
+    # node 0's sent row only.
+    rng = np.random.default_rng(24)
+    n, length = 5, 30
+    layout = LayerLayout.from_sizes([("a", 12), ("b", 18)])
+    grads = rng.standard_normal((n, length)) * 0.005
+    task = FixedGradientTask(layout, lambda node, step: grads[node], np.ones(length))
+    cfg = TrainingConfig(momentum=0.0, learning_rate=0.01, n_nodes=n, seed=6)
+    state = init_state(task, cfg)
+    accum = state.accum
+    outcome = compressed_step(
+        state,
+        fixed_policy(0.03),
+        MaskAgreementConfig(n_selected_nodes=2, shared_seed=8),
+        cfg,
+        0,
+        0,
+        task=task,
+        topo=RingTopology.create(n, length),
+    )
+    shared = outcome.shared_mask.bits
+    assert 0 < shared.sum() < length
+    assert state.accum is accum
+    assert np.array_equal(state.accum, np.where(shared, 0.0, grads))
+    assert outcome.sent.values.shape == (int(shared.sum()),)
+    assert np.array_equal(outcome.sent.values, grads[0, shared])
+
+
 def test_compressed_infinite_threshold_freezes_everything():
     # With an unreachable threshold nothing is ever selected, so weights
     # stay put and every staleness counter equals the step count.

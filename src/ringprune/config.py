@@ -255,6 +255,11 @@ def resolve_experiment(
         ),
         shared_seed=_expect_seed(mask_section["shared_seed"], "mask_agreement.shared_seed"),
     )
+    if task.n_samples < training.n_nodes:
+        raise ConfigError(
+            f"task.n_samples: {task.n_samples} is below training.n_nodes {training.n_nodes}, "
+            "which would leave a node without samples"
+        )
     if mask_cfg.n_selected_nodes > training.n_nodes:
         raise ConfigError(
             f"mask_agreement.n_selected_nodes: {mask_cfg.n_selected_nodes} exceeds "

@@ -16,9 +16,9 @@ sees the additions of the hop-by-hop ring in the same order.
 The messages are those of the scatter-reduce and allgather schedules, 2(N-1)
 per node: at scatter hop s node k forwards its partial of chunk k - s, and
 at allgather hop s the finished chunk k + 1 - s. Their payload bytes follow
-from per-chunk entry counts and are recorded in :class:`LinkStats`; on a
-ring the sending node identifies the link, since node k only ever sends to
-k+1.
+from per-chunk entry counts and are recorded in :class:`LinkStats`, one
+block of arrays per phase; on a ring the sending node identifies the link,
+since node k only ever sends to k+1.
 """
 
 from __future__ import annotations
@@ -28,15 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import (
-    INDEX_BYTES,
-    VALUE_BYTES,
-    BitMask,
-    SparseGradient,
-    decode_mask,
-    encode_mask,
-    or_masks,
-)
+from .codec import INDEX_BYTES, VALUE_BYTES, BitMask, SparseGradient
+from .codec import decode_mask, encode_mask, or_masks
 from .errors import ConfigError, StructuralError
 from .seeds import SELECT_STREAM, substream
 
@@ -104,55 +97,80 @@ class MaskAgreementConfig:
 
 
 class LinkStats:
-    """Per-message byte accounting for ring traffic."""
+    """Ring traffic, stored as columns.
 
-    __slots__ = ("records",)
+    Each :meth:`record_messages` call appends one block: a step, a phase and
+    two equal-length int64 arrays, the senders and the payload bytes of its
+    messages. Queries sum the arrays. :attr:`records` is a read-only view
+    that expands the blocks into one (step, sender, phase, payload_bytes)
+    tuple per message, in recording order.
+    """
+
+    __slots__ = ("_blocks",)
 
     def __init__(self) -> None:
-        # (step, sender, phase, payload_bytes), one record per message
-        self.records: list[tuple[int, int, str, int]] = []
+        self._blocks: list[tuple[int, str, np.ndarray, np.ndarray]] = []
 
-    def record(self, step: int, sender: int, phase: str, payload_bytes: int) -> None:
-        if payload_bytes < 0:
-            raise StructuralError("payload_bytes must be >= 0")
-        self.records.append((int(step), int(sender), phase, int(payload_bytes)))
-
-    def record_hop(self, step: int, phase: str, sizes: np.ndarray) -> None:
-        """Record one message from every node; node k sends ``sizes[k]`` bytes."""
+    def record_messages(self, step: int, phase: str, senders, sizes) -> None:
+        """``senders[i]`` sends one message of ``sizes[i]`` bytes; the arrays are kept."""
+        senders, sizes = np.asarray(senders, dtype=np.int64), np.asarray(sizes, dtype=np.int64)
+        if senders.ndim != 1 or senders.shape != sizes.shape:
+            raise StructuralError(f"senders {senders.shape} and sizes {sizes.shape} differ")
         if np.any(sizes < 0):
             raise StructuralError("payload_bytes must be >= 0")
-        step = int(step)
-        self.records.extend(
-            (step, sender, phase, nbytes) for sender, nbytes in enumerate(sizes.tolist())
-        )
+        self._blocks.append((int(step), phase, senders, sizes))
+
+    def record(self, step: int, sender: int, phase: str, payload_bytes: int) -> None:
+        self.record_messages(step, phase, [sender], [payload_bytes])
 
     def extend(self, other: "LinkStats") -> None:
-        self.records.extend(other.records)
+        self._blocks.extend(other._blocks)
+
+    @property
+    def records(self) -> tuple[tuple[int, int, str, int], ...]:
+        return tuple(
+            (step, sender, phase, nbytes)
+            for step, phase, senders, sizes in self._blocks
+            for sender, nbytes in zip(senders.tolist(), sizes.tolist())
+        )
+
+    def _sizes(self, phases, node: int | None):
+        """Per block of ``phases`` (all if None), the bytes ``node`` (any if None) sent."""
+        for _step, phase, senders, sizes in self._blocks:
+            if phases is None or phase in phases:
+                yield sizes if node is None else sizes[senders == node]
 
     def total_bytes(self) -> int:
-        return sum(r[3] for r in self.records)
+        return self.bytes_for()
 
     def bytes_for(self, phase: str | None = None, node: int | None = None) -> int:
-        return sum(
-            r[3]
-            for r in self.records
-            if (phase is None or r[2] == phase) and (node is None or r[1] == node)
-        )
+        return sum(int(s.sum()) for s in self._sizes(None if phase is None else (phase,), node))
 
     def message_count(self, node: int | None = None, phases: tuple[str, ...] = REDUCE_PHASES) -> int:
-        return sum(
-            1
-            for r in self.records
-            if r[2] in phases and (node is None or r[1] == node)
-        )
+        return sum(s.shape[0] for s in self._sizes(phases, node))
 
     def aggregated_rows(self) -> list[tuple[int, int, str, int]]:
-        """Byte totals summed per (step, node, phase), sorted."""
-        totals: dict[tuple[int, int, str], int] = {}
-        for step, sender, phase, nbytes in self.records:
-            key = (step, sender, phase)
-            totals[key] = totals.get(key, 0) + nbytes
-        return [(s, n, p, b) for (s, n, p), b in sorted(totals.items())]
+        """Byte totals summed per (step, node, phase), sorted; a key has a row
+        when at least one message, of any size, was sent under it."""
+        blocks = self._blocks
+        names = sorted({b[1] for b in blocks})
+        lengths = [b[2].shape[0] for b in blocks]
+        empty = np.zeros(0, dtype=np.int64)
+        # per message: step, sender, and the phase's rank, which sorts as its name does
+        keys = np.empty((3, sum(lengths)), dtype=np.int64)
+        keys[0] = np.repeat(np.array([b[0] for b in blocks], dtype=np.int64), lengths)
+        keys[1] = np.concatenate([empty] + [b[2] for b in blocks])
+        keys[2] = np.repeat(np.array([names.index(b[1]) for b in blocks], dtype=np.int64), lengths)
+        order = np.lexsort(keys[::-1])
+        keys = keys[:, order]
+        first = np.zeros(keys.shape[1], dtype=bool)
+        first[:1] = True
+        for row in keys:
+            first[1:] |= row[1:] != row[:-1]
+        starts = np.flatnonzero(first)
+        totals = np.add.reduceat(np.concatenate([empty] + [b[3] for b in blocks])[order], starts)
+        row_steps, row_nodes, row_codes = keys[:, starts].tolist()
+        return list(zip(row_steps, row_nodes, [names[c] for c in row_codes], totals.tolist()))
 
 
 @dataclass(frozen=True)
@@ -177,12 +195,10 @@ def bandwidth_report(stats: LinkStats) -> BandwidthReport:
 
 
 def write_bandwidth_csv(stats: LinkStats, path) -> None:
-    report = bandwidth_report(stats)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(BANDWIDTH_CSV_HEADER)
-        for step, node, phase, nbytes in report.rows:
-            writer.writerow([step, node, phase, nbytes])
+        writer.writerows(stats.aggregated_rows())
 
 
 def _stack_vectors(contributions, topo: RingTopology) -> np.ndarray:
@@ -212,9 +228,9 @@ def _rotate_chunks(rows: np.ndarray, bounds) -> np.ndarray:
     return rotated
 
 
-def _ring_reduce(rows, bounds, counts, stats, step, entry_bytes) -> np.ndarray:
-    """Owner-first sum of ``rows`` (one per node) over chunks ``bounds``, with
-    the scatter-reduce and allgather messages recorded in ``stats``.
+def _ring_reduce(rows, bounds, counts, step, entry_bytes) -> tuple[np.ndarray, LinkStats]:
+    """Owner-first sum of ``rows`` (one per node) over chunks ``bounds``, and
+    the scatter-reduce and allgather messages, one block per phase.
 
     ``counts[s, c]`` is the number of entries in chunk c's partial once it
     holds s + 1 contributions; row N-1 is the finished chunk. At scatter hop s
@@ -225,13 +241,16 @@ def _ring_reduce(rows, bounds, counts, stats, step, entry_bytes) -> np.ndarray:
     for row in rotated[1:]:
         total += row
     n = rows.shape[0]
+    # (N-1, N) size tables, row s = hop s, column k = sender k
     senders = np.arange(n)
-    for s in range(n - 1):
-        stats.record_hop(step, PHASE_SCATTER, entry_bytes * counts[s, (senders - s) % n])
-    finished = counts[n - 1]
-    for s in range(n - 1):
-        stats.record_hop(step, PHASE_ALLGATHER, entry_bytes * finished[(senders + 1 - s) % n])
-    return total
+    hops = senders[: n - 1, None]
+    scatter = counts[hops, (senders - hops) % n]
+    allgather = counts[n - 1][(senders + 1 - hops) % n]
+    block_senders = np.tile(senders, n - 1)
+    stats = LinkStats()
+    stats.record_messages(step, PHASE_SCATTER, block_senders, entry_bytes * scatter.ravel())
+    stats.record_messages(step, PHASE_ALLGATHER, block_senders, entry_bytes * allgather.ravel())
+    return total, stats
 
 
 def _fixed_counts(bounds, n: int) -> np.ndarray:
@@ -252,17 +271,10 @@ def dense_allreduce(
     returned vector is the one every node ends up holding.
     """
     rows = _stack_vectors(contributions, topo)
-    stats = LinkStats()
     # Padding entries are zeros: they only add to the message bytes.
-    total = _ring_reduce(
-        rows,
-        np.minimum(topo.chunk_bounds, topo.length),
-        _fixed_counts(topo.chunk_bounds, topo.n_nodes),
-        stats,
-        step,
-        value_bytes,
-    )
-    return total, stats
+    bounds = np.minimum(topo.chunk_bounds, topo.length)
+    counts = _fixed_counts(topo.chunk_bounds, topo.n_nodes)
+    return _ring_reduce(rows, bounds, counts, step, value_bytes)
 
 
 def select_broadcast_nodes(n_nodes: int, cfg: MaskAgreementConfig, step: int) -> tuple[int, ...]:
@@ -310,9 +322,8 @@ def mask_agreement_round(
     received: list[BitMask] = []
     for origin in selected:
         enc = encode_mask(masks[origin])
-        nbytes = len(enc.payload)
-        for hop in range(n - 1):
-            stats.record(step, (origin + hop) % n, PHASE_MASK, nbytes)
+        senders = (origin + np.arange(n - 1)) % n
+        stats.record_messages(step, PHASE_MASK, senders, np.full(n - 1, len(enc.payload)))
         received.append(decode_mask(enc))
     return or_masks(received), stats
 
@@ -347,15 +358,8 @@ def sparse_allreduce(
     # Chunk c carries the sparse entries whose parameter index falls in the
     # chunk's range; those are contiguous in the sorted index list.
     cuts = np.searchsorted(idx, np.asarray(topo.chunk_bounds))
-    stats = LinkStats()
-    total = _ring_reduce(
-        values,
-        cuts,
-        _fixed_counts(cuts, topo.n_nodes),
-        stats,
-        step,
-        value_bytes + index_bytes,
-    )
+    counts = _fixed_counts(cuts, topo.n_nodes)
+    total, stats = _ring_reduce(values, cuts, counts, step, value_bytes + index_bytes)
     return SparseGradient(indices=idx, values=total, total_length=topo.length), stats
 
 
@@ -395,9 +399,7 @@ def naive_sparse_allreduce(
     """
     rows = _stack_vectors(contributions, topo)
     if len(local_masks) != topo.n_nodes:
-        raise StructuralError(
-            f"got {len(local_masks)} masks for {topo.n_nodes} nodes"
-        )
+        raise StructuralError(f"got {len(local_masks)} masks for {topo.n_nodes} nodes")
     for m in local_masks:
         if m.length != topo.length:
             raise StructuralError(
@@ -415,9 +417,7 @@ def naive_sparse_allreduce(
         ],
         axis=1,
     )
-    stats = LinkStats()
-    total = _ring_reduce(
-        np.where(bits, rows, 0.0), bounds, counts, stats, step, value_bytes + index_bytes
-    )
+    sent = np.where(bits, rows, 0.0)
+    total, stats = _ring_reduce(sent, bounds, counts, step, value_bytes + index_bytes)
     idx = np.flatnonzero(running[-1])
     return SparseGradient(indices=idx, values=total[idx], total_length=topo.length), stats

@@ -66,6 +66,8 @@ class LinearRegressionTask(SyntheticTask):
     def __post_init__(self) -> None:
         if self.n_samples < 1 or self.n_features < 1:
             raise ConfigError("linear task needs n_samples >= 1 and n_features >= 1")
+        if not np.isfinite(self.noise):
+            raise ConfigError(f"noise must be finite, got {self.noise}")
         rng = substream(self.data_seed, DATA_STREAM)
         self.features = rng.standard_normal((self.n_samples, self.n_features))
         true_coef = rng.standard_normal(self.n_features)
@@ -128,8 +130,12 @@ class MlpClassificationTask(SyntheticTask):
     def __post_init__(self) -> None:
         if self.n_classes < 2:
             raise ConfigError("classification needs n_classes >= 2")
-        if self.n_features < 1 or self.hidden_units < 1:
-            raise ConfigError("classification needs n_features >= 1 and hidden_units >= 1")
+        if self.n_samples < 1 or self.n_features < 1 or self.hidden_units < 1:
+            raise ConfigError(
+                "classification needs n_samples >= 1, n_features >= 1 and hidden_units >= 1"
+            )
+        if not np.isfinite(self.center_scale):
+            raise ConfigError(f"center_scale must be finite, got {self.center_scale}")
         if not 0.0 <= self.label_noise < 1.0:
             raise ConfigError("label_noise must be in [0, 1)")
         rng = substream(self.data_seed, DATA_STREAM)

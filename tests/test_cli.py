@@ -165,6 +165,7 @@ def test_run_rejects_negative_learning_rate(tmp_path, capsys):
 
 
 NAN = float("nan")
+INF = float("inf")
 MLP = "mlp_classification_synthetic"
 
 
@@ -188,6 +189,17 @@ MLP = "mlp_classification_synthetic"
         ("training", {}, "training.seed: expected a non-negative integer", ["--seed", "-1"]),
         ("task", {"kind": MLP, "hidden_units": 0}, "hidden_units >= 1", []),
         ("task", {"kind": MLP, "n_features": 0}, "n_features >= 1", []),
+        ("task", {"kind": MLP, "n_samples": 0}, "n_samples >= 1", []),
+        (
+            "task",
+            {"n_samples": 1},
+            "task.n_samples: 1 is below training.n_nodes 2, which would leave a node",
+            [],
+        ),
+        ("task", {"kind": MLP, "center_scale": NAN}, "center_scale must be finite, got nan", []),
+        ("task", {"kind": MLP, "center_scale": -INF}, "center_scale must be finite, got -inf", []),
+        ("task", {"noise": NAN}, "noise must be finite, got nan", []),
+        ("task", {"noise": INF}, "noise must be finite, got inf", []),
         ("training", {"learning_rate": NAN}, "training.learning_rate must be > 0", []),
         ("training", {"clip_norm": NAN}, "training.clip_norm must be > 0", []),
         ("threshold", {"ratio_pivot": NAN}, "ratio_pivot must be > 0", []),
@@ -221,6 +233,12 @@ MLP = "mlp_classification_synthetic"
         "negative-seed-flag",
         "zero-hidden-units",
         "zero-features",
+        "zero-mlp-samples",
+        "fewer-samples-than-nodes",
+        "nan-center-scale",
+        "inf-center-scale",
+        "nan-noise",
+        "inf-noise",
         "nan-learning-rate",
         "nan-clip-norm",
         "nan-ratio-pivot",

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringprune import (
     INDEX_BYTES,
@@ -14,13 +16,16 @@ from ringprune import (
     bandwidth_report,
     dense_allreduce,
     dgc_union_contrast,
+    encode_mask,
     mask_agreement_round,
     naive_sparse_allreduce,
     or_masks,
     select_broadcast_nodes,
     sparse_allreduce,
 )
-from ringprune.ring import PHASE_ALLGATHER, PHASE_MASK, PHASE_SCATTER
+from ringprune.ring import PHASE_ALLGATHER, PHASE_MASK, PHASE_SCATTER, REDUCE_PHASES
+
+PHASES = (PHASE_SCATTER, PHASE_ALLGATHER, PHASE_MASK)
 
 
 def ring_order_sum_oracle(contributions, topo):
@@ -145,6 +150,27 @@ def hop_naive_oracle(contributions, local_masks, topo, step):
     final_mask = _agreed([np.concatenate([c[1] for c in node])[: topo.length] for node in chunked])
     idx = np.flatnonzero(final_mask)
     return idx, final_vals[idx], stats
+
+
+def mask_round_oracle(masks, cfg, step):
+    """Mask-round accounting one ``record`` per hop: each broadcast mask is
+    forwarded by its origin and then by the next N-2 nodes."""
+    n = len(masks)
+    stats = LinkStats()
+    for origin in select_broadcast_nodes(n, cfg, step):
+        nbytes = len(encode_mask(masks[origin]).payload)
+        for hop in range(n - 1):
+            stats.record(step, (origin + hop) % n, PHASE_MASK, nbytes)
+    return stats
+
+
+def reference_rows(records):
+    """Per-message records summed per (step, node, phase) in a dict, sorted."""
+    totals = {}
+    for step, sender, phase, nbytes in records:
+        key = (step, sender, phase)
+        totals[key] = totals.get(key, 0) + nbytes
+    return [(s, n, p, b) for (s, n, p), b in sorted(totals.items())]
 
 
 def selection_oracle(shared_seed, step, n_nodes, n_selected):
@@ -290,6 +316,23 @@ def test_agreement_byte_accounting():
     _, stats = mask_agreement_round(masks, cfg, step=4)
     assert stats.bytes_for(phase=PHASE_MASK) == 2 * (6 - 1) * 13
     assert stats.message_count(phases=(PHASE_MASK,)) == 2 * 5
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 64])
+def test_agreement_records_match_per_hop_oracle(n):
+    rng = np.random.default_rng(50 + n)
+    masks = _random_masks(rng, n, 37, 0.3)
+    for n_selected in sorted({1, min(2, n), n}):
+        cfg = MaskAgreementConfig(n_selected_nodes=n_selected, shared_seed=n)
+        _, stats = mask_agreement_round(masks, cfg, step=9)
+        assert stats.records == mask_round_oracle(masks, cfg, 9).records
+    # One broadcaster's mask is forwarded by N-1 nodes: the node before the
+    # origin sends no mask message and so has no mask_round row.
+    cfg = MaskAgreementConfig(n_selected_nodes=1, shared_seed=n)
+    (origin,) = select_broadcast_nodes(n, cfg, 9)
+    _, stats = mask_agreement_round(masks, cfg, step=9)
+    senders = [node for step, node, phase, _ in stats.aggregated_rows() if phase == PHASE_MASK]
+    assert senders == sorted(set(range(n)) - {(origin - 1) % n})
 
 
 def test_agreement_rejects_overselection():
@@ -446,6 +489,100 @@ def test_collectives_match_hop_by_hop_oracle(n, length):
     assert np.array_equal(reduced.indices, idx)
     assert reduced.values.tobytes() == values.tobytes()
     assert stats.records == oracle_stats.records
+
+
+def test_collectives_store_one_block_per_phase():
+    # A return to one stored record per message would fail here.
+    rng = np.random.default_rng(11)
+    n, length = 64, 300
+    topo = RingTopology.create(n, length)
+    vecs = [rng.standard_normal(length) for _ in range(n)]
+    shared = np.flatnonzero(rng.random(length) < 0.3)
+    masks = [BitMask(rng.random(length) < 0.1) for _ in range(n)]
+    parts = SparseGradient(shared, np.stack(vecs)[:, shared], length)
+    reduces = [
+        dense_allreduce(vecs, topo, step=4)[1],
+        sparse_allreduce(parts, topo, step=4)[1],
+        naive_sparse_allreduce(vecs, masks, topo, step=4)[1],
+    ]
+    for stats in reduces:
+        assert [(b[0], b[1], b[2].shape[0]) for b in stats._blocks] == [
+            (4, PHASE_SCATTER, n * (n - 1)),
+            (4, PHASE_ALLGATHER, n * (n - 1)),
+        ]
+    cfg = MaskAgreementConfig(n_selected_nodes=3, shared_seed=2)
+    _, stats = mask_agreement_round(masks, cfg, step=4)
+    assert [(b[0], b[1], b[2].shape[0]) for b in stats._blocks] == [(4, PHASE_MASK, n - 1)] * 3
+
+
+def test_linkstats_rejects_negative_or_mismatched_sizes():
+    stats = LinkStats()
+    with pytest.raises(StructuralError, match="payload_bytes must be >= 0"):
+        stats.record_messages(0, PHASE_MASK, [0, 1, 2], [3, -1, 0])
+    with pytest.raises(StructuralError, match="payload_bytes must be >= 0"):
+        stats.record(0, 1, PHASE_SCATTER, -5)
+    with pytest.raises(StructuralError):
+        stats.record_messages(0, PHASE_MASK, [0, 1], [3])
+    with pytest.raises(StructuralError):
+        stats.record_messages(0, PHASE_MASK, [[0, 1]], [[3, 4]])
+    assert stats.records == ()
+
+
+# (step, phase, [(sender, bytes), ...], how): small ranges, so (step, node,
+# phase) keys repeat and zero-byte messages are common.
+_blocks = st.lists(
+    st.tuples(
+        st.integers(0, 3),
+        st.sampled_from(PHASES),
+        st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3)), max_size=6),
+        st.sampled_from(("record", "record_messages", "extend")),
+    ),
+    max_size=10,
+)
+
+
+@given(_blocks)
+@settings(max_examples=200, deadline=None)
+def test_linkstats_queries_match_per_message_reference(blocks):
+    stats = LinkStats()
+    reference = []
+    for step, phase, messages, how in blocks:
+        senders = [k for k, _ in messages]
+        sizes = [b for _, b in messages]
+        if how == "record":
+            for sender, nbytes in messages:
+                stats.record(step, sender, phase, nbytes)
+        elif how == "record_messages":
+            stats.record_messages(step, phase, senders, sizes)
+        else:
+            other = LinkStats()
+            other.record_messages(step, phase, senders, sizes)
+            stats.extend(other)
+        reference += [(step, sender, phase, nbytes) for sender, nbytes in messages]
+
+    assert stats.records == tuple(reference)
+    assert stats.total_bytes() == sum(r[3] for r in reference)
+    for phase in (None, *PHASES):
+        for node in (None, *range(5)):
+            assert stats.bytes_for(phase=phase, node=node) == sum(
+                r[3]
+                for r in reference
+                if (phase is None or r[2] == phase) and (node is None or r[1] == node)
+            )
+    for phases in (REDUCE_PHASES, (PHASE_MASK,), PHASES):
+        for node in (None, *range(5)):
+            assert stats.message_count(node=node, phases=phases) == sum(
+                1 for r in reference if r[2] in phases and (node is None or r[1] == node)
+            )
+    rows = reference_rows(reference)
+    assert stats.aggregated_rows() == rows
+    report = bandwidth_report(stats)
+    assert report.rows == tuple(rows)
+    per_node = {}
+    for _, node, _, nbytes in rows:
+        per_node[node] = per_node.get(node, 0) + nbytes
+    assert report.per_node_bytes == dict(sorted(per_node.items()))
+    assert report.total_bytes == sum(r[3] for r in reference)
 
 
 # --- bandwidth report ------------------------------------------------------------------

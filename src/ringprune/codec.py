@@ -59,10 +59,6 @@ class BitMask:
         return hash((self.length, self.bits.tobytes()))
 
     @classmethod
-    def zeros(cls, length: int) -> "BitMask":
-        return cls(np.zeros(int(length), dtype=bool))
-
-    @classmethod
     def ones(cls, length: int) -> "BitMask":
         return cls(np.ones(int(length), dtype=bool))
 
@@ -117,10 +113,6 @@ class SparseGradient:
         dense = np.zeros(self.values.shape[:-1] + (self.total_length,), dtype=np.float64)
         dense[..., self.indices] = self.values
         return dense
-
-    def payload_bytes(self, value_bytes: int = VALUE_BYTES, index_bytes: int = INDEX_BYTES) -> int:
-        """Wire bytes of one row's entries."""
-        return self.nnz * (value_bytes + index_bytes)
 
 
 def encoded_size(bit_length: int) -> int:

@@ -11,7 +11,7 @@ reproduces the CSVs byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -25,35 +25,18 @@ MANIFEST_NAME = "manifest.json"
 METRICS_NAME = "metrics.csv"
 BANDWIDTH_NAME = "bandwidth.csv"
 
-_TASK_DEFAULTS = {
-    "linear_regression_synthetic": {
-        "n_samples": 128,
-        "n_features": 8,
-        "noise": 0.1,
-        "data_seed": 0,
-    },
-    "mlp_classification_synthetic": {
-        "n_samples": 2048,
-        "n_features": 20,
-        "hidden_units": 48,
-        "n_classes": 4,
-        "center_scale": 2.0,
-        "label_noise": 0.1,
-        "data_seed": 0,
-    },
-}
 
-_TRAINING_DEFAULTS = {
-    "momentum": 0.9,
-    "learning_rate": 0.05,
-    "lr_schedule": None,
-    "batch_size": 8,
-    "n_nodes": 4,
-    "clip_norm": None,
-    "seed": 0,
-    "epochs": 5,
-}
+def _dataclass_defaults(cls) -> dict:
+    """Field name -> default of a dataclass whose fields all have defaults."""
+    return {f.name: f.default for f in fields(cls)}
 
+
+_TASK_DEFAULTS = {kind: _dataclass_defaults(cls) for kind, cls in TASK_KINDS.items()}
+
+_TRAINING_DEFAULTS = _dataclass_defaults(TrainingConfig)
+
+# The threshold rule's base and ratio_weight have no dataclass default, and
+# the config's shared_seed default differs from MaskAgreementConfig's.
 _THRESHOLD_DEFAULTS = {
     "base": 0.01,
     "ratio_weight": 0.0,

@@ -18,14 +18,12 @@ separate calls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .codec import BitMask
 from .errors import ConfigError, InputError, StructuralError
 from .layout import LayerLayout
-from .seeds import ParamStream, generator_from_words, mask_stream_words
+from .seeds import generator_from_words, mask_stream_words
 
 # Guard for |weight| when scoring; keeps scores finite for zero weights
 # without disturbing the ranking of normal-magnitude ones.
@@ -121,16 +119,6 @@ class ThresholdPolicy:
             raise ConfigError("warmup_epochs must be >= 0")
         if not self.scale > 0:
             raise ConfigError(f"scale must be > 0, got {self.scale}")
-
-    @classmethod
-    def fixed(cls, threshold: float, *, warmup_epochs: int = 1, thr_max: float = 1.0) -> "ThresholdPolicy":
-        """Constant threshold for every layer and epoch (dispersion ignored)."""
-        return cls(
-            base=EpochSchedule.constant(threshold),
-            ratio_weight=EpochSchedule.constant(0.0),
-            thr_max=max(thr_max, threshold),
-            warmup_epochs=warmup_epochs,
-        )
 
 
 @dataclass(frozen=True)
@@ -243,21 +231,19 @@ def thresholds_for(imp: ImportanceVector, policy: ThresholdPolicy, epoch: int) -
 
 
 def build_local_mask(
-    imp: ImportanceVector,
-    thr_by_layer,
-    stream: ParamStream | Sequence[ParamStream],
+    imp: ImportanceVector, thr_by_layer, seed: int, step: int
 ) -> BitMask | list[BitMask]:
     """Send-candidate mask of one node, or of each node for stacked scores.
 
     A parameter is selected deterministically when its score reaches the
     layer threshold, and otherwise independently with probability
     score / threshold. A zero threshold selects the whole layer; an infinite
-    threshold selects nothing. Draws come from the per-layer substreams of
-    ``stream``, one stream per node, so the result is bit-reproducible for a
-    fixed seed. Stacked scores take (N, L) thresholds and N streams, which
-    must share one seed and step, and give one mask per node; the seed words
-    of all N x L substreams are derived in one pass (see
-    :func:`seeds.mask_stream_words`).
+    threshold selects nothing. Row k of stacked scores is node k, and a
+    one-dimensional call is node 0. Node k's draws in layer j come from the
+    mask stream keyed (seed, node k, step, layer j), so the result is
+    bit-reproducible for a fixed seed. Stacked scores take (N, L) thresholds
+    and give one mask per node; the seed words of all N x L streams are
+    derived in one pass (see :func:`seeds.mask_stream_words`).
     """
     layout = imp.layout
     rows = imp.scores.reshape(-1, layout.total_length)
@@ -268,12 +254,6 @@ def build_local_mask(
             f"and scores of shape {imp.scores.shape}"
         )
     thr = thr.reshape(rows.shape[0], layout.n_layers)
-    streams = [stream] if imp.scores.ndim == 1 else list(stream)
-    if len(streams) != rows.shape[0]:
-        raise StructuralError(f"{len(streams)} streams supplied for {rows.shape[0]} nodes")
-    seed, step = streams[0].seed, streams[0].step
-    if any(s.seed != seed or s.step != step for s in streams):
-        raise StructuralError("the streams of one mask pass must share their seed and step")
     bad = ~(thr >= 0)  # negative or NaN
     if bad.any():
         node, j = np.argwhere(bad)[0]
@@ -282,7 +262,7 @@ def build_local_mask(
     # the rule below selects all of a zero-threshold row (scores are >= 0)
     # and none of an infinite-threshold one (scores are finite).
     draws = (thr > 0) & np.isfinite(thr)
-    words = mask_stream_words(seed, step, [s.node for s in streams], layout.n_layers)
+    words = mask_stream_words(seed, step, range(rows.shape[0]), layout.n_layers)
     bits = np.empty(rows.shape, dtype=bool)
     for j in range(layout.n_layers):
         sl = layout.slice_of(j)

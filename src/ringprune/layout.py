@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import StructuralError
 
@@ -68,6 +68,3 @@ class LayerLayout:
             )
         start = self.offsets[layer_index]
         return slice(start, start + self.lengths[layer_index])
-
-    def sizes(self) -> Sequence[tuple[str, int]]:
-        return list(zip(self.names, self.lengths))

@@ -36,7 +36,6 @@ from .seeds import SELECT_STREAM, substream
 PHASE_SCATTER = "scatter_reduce"
 PHASE_ALLGATHER = "allgather"
 PHASE_MASK = "mask_round"
-REDUCE_PHASES = (PHASE_SCATTER, PHASE_ALLGATHER)
 
 BANDWIDTH_CSV_HEADER = ("step", "node", "phase", "bytes")
 
@@ -69,12 +68,6 @@ class RingTopology:
     @property
     def padded_length(self) -> int:
         return self.chunk_bounds[-1]
-
-    def successor(self, node: int) -> int:
-        return (node + 1) % self.n_nodes
-
-    def chunk_slice(self, chunk: int) -> slice:
-        return slice(self.chunk_bounds[chunk], self.chunk_bounds[chunk + 1])
 
 
 @dataclass(frozen=True)
@@ -120,9 +113,6 @@ class LinkStats:
             raise StructuralError("payload_bytes must be >= 0")
         self._blocks.append((int(step), phase, senders, sizes))
 
-    def record(self, step: int, sender: int, phase: str, payload_bytes: int) -> None:
-        self.record_messages(step, phase, [sender], [payload_bytes])
-
     def extend(self, other: "LinkStats") -> None:
         self._blocks.extend(other._blocks)
 
@@ -134,20 +124,16 @@ class LinkStats:
             for sender, nbytes in zip(senders.tolist(), sizes.tolist())
         )
 
-    def _sizes(self, phases, node: int | None):
-        """Per block of ``phases`` (all if None), the bytes ``node`` (any if None) sent."""
-        for _step, phase, senders, sizes in self._blocks:
-            if phases is None or phase in phases:
-                yield sizes if node is None else sizes[senders == node]
-
     def total_bytes(self) -> int:
         return self.bytes_for()
 
     def bytes_for(self, phase: str | None = None, node: int | None = None) -> int:
-        return sum(int(s.sum()) for s in self._sizes(None if phase is None else (phase,), node))
-
-    def message_count(self, node: int | None = None, phases: tuple[str, ...] = REDUCE_PHASES) -> int:
-        return sum(s.shape[0] for s in self._sizes(phases, node))
+        """Bytes sent under ``phase`` (any if None) by ``node`` (any if None)."""
+        return sum(
+            int((sizes if node is None else sizes[senders == node]).sum())
+            for _step, block_phase, senders, sizes in self._blocks
+            if phase is None or block_phase == phase
+        )
 
     def aggregated_rows(self) -> list[tuple[int, int, str, int]]:
         """Byte totals summed per (step, node, phase), sorted; a key has a row
@@ -171,27 +157,6 @@ class LinkStats:
         totals = np.add.reduceat(np.concatenate([empty] + [b[3] for b in blocks])[order], starts)
         row_steps, row_nodes, row_codes = keys[:, starts].tolist()
         return list(zip(row_steps, row_nodes, [names[c] for c in row_codes], totals.tolist()))
-
-
-@dataclass(frozen=True)
-class BandwidthReport:
-    """Aggregated traffic view: per-(step, node, phase) rows plus totals."""
-
-    rows: tuple[tuple[int, int, str, int], ...]
-    per_node_bytes: dict[int, int]
-    total_bytes: int
-
-
-def bandwidth_report(stats: LinkStats) -> BandwidthReport:
-    rows = tuple(stats.aggregated_rows())
-    per_node: dict[int, int] = {}
-    for _step, node, _phase, nbytes in rows:
-        per_node[node] = per_node.get(node, 0) + nbytes
-    return BandwidthReport(
-        rows=rows,
-        per_node_bytes=dict(sorted(per_node.items())),
-        total_bytes=sum(r[3] for r in rows),
-    )
 
 
 def write_bandwidth_csv(stats: LinkStats, path) -> None:
@@ -263,7 +228,6 @@ def dense_allreduce(
     topo: RingTopology,
     *,
     step: int = 0,
-    value_bytes: int = VALUE_BYTES,
 ) -> tuple[np.ndarray, LinkStats]:
     """Elementwise sum of all contributions, delivered to every node.
 
@@ -274,7 +238,7 @@ def dense_allreduce(
     # Padding entries are zeros: they only add to the message bytes.
     bounds = np.minimum(topo.chunk_bounds, topo.length)
     counts = _fixed_counts(topo.chunk_bounds, topo.n_nodes)
-    return _ring_reduce(rows, bounds, counts, step, value_bytes)
+    return _ring_reduce(rows, bounds, counts, step, VALUE_BYTES)
 
 
 def select_broadcast_nodes(n_nodes: int, cfg: MaskAgreementConfig, step: int) -> tuple[int, ...]:
@@ -333,8 +297,6 @@ def sparse_allreduce(
     topo: RingTopology,
     *,
     step: int = 0,
-    value_bytes: int = VALUE_BYTES,
-    index_bytes: int = INDEX_BYTES,
 ) -> tuple[SparseGradient, LinkStats]:
     """Sum of the nodes' sparse gradients on their shared index set.
 
@@ -359,25 +321,8 @@ def sparse_allreduce(
     # chunk's range; those are contiguous in the sorted index list.
     cuts = np.searchsorted(idx, np.asarray(topo.chunk_bounds))
     counts = _fixed_counts(cuts, topo.n_nodes)
-    total, stats = _ring_reduce(values, cuts, counts, step, value_bytes + index_bytes)
+    total, stats = _ring_reduce(values, cuts, counts, step, VALUE_BYTES + INDEX_BYTES)
     return SparseGradient(indices=idx, values=total, total_length=topo.length), stats
-
-
-def dgc_union_contrast(per_node_masks: list[BitMask], topo: RingTopology | None = None) -> float:
-    """Density after a reduce in which nodes picked indices independently.
-
-    Each hop of such a reduce unions the index sets it carries, so the final
-    density is that of the OR of all local masks, growing toward
-    min(1, N * d) as node count rises. ``topo`` is optional and only
-    validated against the mask count when given, so the single-node
-    degenerate case can be expressed.
-    """
-    masks = list(per_node_masks)
-    if topo is not None and len(masks) != topo.n_nodes:
-        raise StructuralError(
-            f"got {len(masks)} masks for {topo.n_nodes} nodes"
-        )
-    return or_masks(masks).density()
 
 
 def naive_sparse_allreduce(
@@ -386,8 +331,6 @@ def naive_sparse_allreduce(
     topo: RingTopology,
     *,
     step: int = 0,
-    value_bytes: int = VALUE_BYTES,
-    index_bytes: int = INDEX_BYTES,
 ) -> tuple[SparseGradient, LinkStats]:
     """Sparse reduce without mask agreement, for the densification contrast.
 
@@ -418,6 +361,6 @@ def naive_sparse_allreduce(
         axis=1,
     )
     sent = np.where(bits, rows, 0.0)
-    total, stats = _ring_reduce(sent, bounds, counts, step, value_bytes + index_bytes)
+    total, stats = _ring_reduce(sent, bounds, counts, step, VALUE_BYTES + INDEX_BYTES)
     idx = np.flatnonzero(running[-1])
     return SparseGradient(indices=idx, values=total[idx], total_length=topo.length), stats

@@ -5,20 +5,18 @@ Every random draw in the simulator comes from a numpy Generator keyed by a
 and node steps can execute in any order without changing results.
 
 The mask-draw streams of one step, one per (node, layer), are the streams
-``ParamStream(seed, node, step).layer(j)`` describes. Constructing them one
+``substream(seed, MASK_STREAM, node, step, layer)``. Constructing them one
 ``SeedSequence`` at a time costs more than the draws themselves, so
 :func:`mask_stream_words` derives the PCG64 seed words of all of a step's
 streams at once, restating numpy's ``SeedSequence`` mixing over uint32
 arrays, and :func:`generator_from_words` builds each generator from its
-words. ``ParamStream`` stays the reference the derivation is tested
-against; a numpy release that changed the ``SeedSequence`` algorithm would
-change every stream (including ``ParamStream``'s), which the pinned run
-digests in the tests catch.
+words. The tests check the derivation against the ``SeedSequence``
+streams; a numpy release that changed the ``SeedSequence`` algorithm would
+change every stream, which the pinned run digests in the tests catch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -51,22 +49,6 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     """Generator for the stream identified by ``key`` under ``seed``."""
     spawn_key = tuple(int(k) for k in key)
     return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=spawn_key))
-
-
-@dataclass(frozen=True)
-class ParamStream:
-    """Per-(node, step) family of mask-draw streams, one substream per layer.
-
-    Partitioning by layer means layers can be processed in any order, or in
-    parallel, with bit-identical results.
-    """
-
-    seed: int
-    node: int
-    step: int
-
-    def layer(self, layer_index: int) -> np.random.Generator:
-        return substream(self.seed, MASK_STREAM, self.node, self.step, layer_index)
 
 
 def _uint32_words(value: int) -> list[int]:

@@ -103,12 +103,6 @@ class LinearRegressionTask(SyntheticTask):
         idx = np.arange(self.n_samples)
         return self.loss_sum(weights, idx) / self.n_samples, None
 
-    def least_squares_weights(self) -> np.ndarray:
-        design = np.column_stack([self.features, np.ones(self.n_samples)])
-        solution, *_ = np.linalg.lstsq(design, self.targets, rcond=None)
-        return solution
-
-
 @dataclass
 class MlpClassificationTask(SyntheticTask):
     """Two-layer tanh classifier on Gaussian class blobs.

@@ -7,7 +7,7 @@ One training super-step runs compute, mask agreement, reduce, and update as
 lock-step phases. The pruned pipeline:
 
 1. compute each node's (1/NB)-scaled mini-batch gradient, optionally
-   clipped, one node at a time;
+   clipped, one node at a time (the dense baseline takes the same gradients);
 2. fold them into the residual rows, u <- momentum * u + g, in one pass;
 3. score all rows against the current weights, pick per-(node, layer)
    thresholds, and build every node's local candidate mask, one call each
@@ -29,7 +29,8 @@ bit-identical to the dense baseline for every node count.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +60,7 @@ from .ring import (
     naive_sparse_allreduce,
     sparse_allreduce,
 )
-from .seeds import INIT_STREAM, ParamStream, substream
+from .seeds import INIT_STREAM, substream
 
 MODE_DENSE = "dense"
 MODE_COMPRESSED = "compressed"
@@ -100,6 +101,12 @@ class TrainingConfig:
             raise ConfigError(
                 f"training.learning_rate must be > 0, got {self.learning_rate}"
             )
+        if self.lr_schedule is not None:
+            for _start, _end, value in self.lr_schedule.spans:
+                if not 0 <= value < math.inf:
+                    raise ConfigError(
+                        f"training.lr_schedule must be finite and >= 0, got {value}"
+                    )
         if self.batch_size < 1:
             raise ConfigError(f"training.batch_size must be >= 1, got {self.batch_size}")
         if self.n_nodes < 2:
@@ -184,19 +191,17 @@ def baseline_dense_step(
 
     The per-node buffer holds the momentum velocity in this mode.
     """
-    grads = [local_gradient(task, state.weights, k, cfg, step) for k in range(cfg.n_nodes)]
-    total, stats = dense_allreduce(grads, topo, step=step)
+    total, stats = dense_allreduce(_node_gradients(state, cfg, step, task), topo, step=step)
     state.accum = cfg.momentum * state.accum + total
     state.weights = state.weights - cfg.lr_at(epoch) * state.accum[0]
     return StepOutcome(stats=stats)
 
 
-def _fold_gradients(state: TrainState, cfg: TrainingConfig, step: int, task) -> None:
-    """Steps 1-2 of the pruned pipeline: every node's gradient, clipped,
-    folded into its residual row, u <- momentum * u + g.
+def _node_gradients(state: TrainState, cfg: TrainingConfig, step: int, task) -> np.ndarray:
+    """Every node's gradient, clipped when ``clip_norm`` is set, as (N, P) rows.
 
     Gradients and their clipping run per node, since a batched matmul or a
-    2-D norm can round differently; the fold runs once over (N, P).
+    2-D norm can round differently.
     """
     grads = np.empty_like(state.accum)
     for k in range(cfg.n_nodes):
@@ -204,8 +209,7 @@ def _fold_gradients(state: TrainState, cfg: TrainingConfig, step: int, task) -> 
         if cfg.clip_norm is not None:
             grad = clip_gradient(grad, cfg.clip_norm)
         grads[k] = grad
-    state.accum *= cfg.momentum
-    state.accum += grads
+    return grads
 
 
 def _local_masks(
@@ -216,20 +220,22 @@ def _local_masks(
     epoch: int,
     task,
 ) -> list[BitMask]:
-    """Steps 1-3 of the pruned pipeline: fold the gradients, then score,
-    threshold and mask all nodes in one pass over the (N, P) residuals.
+    """Steps 1-3 of the pruned pipeline: fold the gradients into the residual
+    rows, u <- momentum * u + g, then score, threshold and mask all nodes in
+    one pass over the (N, P) residuals.
 
     Warm-up thresholds are 0 whatever the scores, so warm-up skips scoring
     and makes every entry a candidate.
     """
-    _fold_gradients(state, cfg, step, task)
+    grads = _node_gradients(state, cfg, step, task)
+    state.accum *= cfg.momentum
+    state.accum += grads
     if epoch < policy.warmup_epochs:
         check_finite(state.accum, state.weights)
         return [BitMask.ones(task.layout.total_length)] * cfg.n_nodes
     imp = compute_importance(state.accum, state.weights, task.layout)
     thresholds = thresholds_for(imp, policy, epoch)
-    streams = [ParamStream(cfg.seed, k, step) for k in range(cfg.n_nodes)]
-    return build_local_mask(imp, thresholds, streams)
+    return build_local_mask(imp, thresholds, cfg.seed, step)
 
 
 def compressed_step(
@@ -285,29 +291,6 @@ def dgc_contrast_step(
     return StepOutcome(stats=stats, shared_mask=BitMask(union_bits), sent=total)
 
 
-def closed_form_weight_change(
-    grad_history: list[np.ndarray], momentum: float, learning_rate: float
-) -> np.ndarray:
-    """Weight change after applying a gradient history with momentum.
-
-    Starting from zero velocity, T steps of velocity = m * velocity + g_j
-    move the weights by -lr * sum_j (sum_{tau=0}^{T-1-j} m^tau) g_j. Used as
-    a verification oracle for the iterated dense trajectory.
-    """
-    if not grad_history:
-        raise InputError("grad_history must contain at least one gradient")
-    horizon = len(grad_history)
-    delta = np.zeros_like(np.asarray(grad_history[0], dtype=np.float64))
-    for j, grad in enumerate(grad_history):
-        coefficient = 0.0
-        power = 1.0
-        for _ in range(horizon - j):
-            coefficient += power
-            power *= momentum
-        delta += coefficient * np.asarray(grad, dtype=np.float64)
-    return -learning_rate * delta
-
-
 @dataclass
 class StepMetrics:
     step: int
@@ -321,7 +304,6 @@ class StepMetrics:
     staleness_p50: int
     staleness_p90: int
     staleness_max: int
-    layer_density: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -331,9 +313,6 @@ class RunResult:
 
     def final_loss(self) -> float:
         return self.metrics[-1].loss
-
-    def final_accuracy(self) -> float | None:
-        return self.metrics[-1].accuracy
 
     def mean_compression_ratio(self) -> float:
         """Mean per-step payload compression over steps that sent anything.
@@ -358,14 +337,6 @@ def _staleness_percentiles(staleness: np.ndarray) -> tuple[int, int, int]:
     p50 = int(np.percentile(staleness, 50, method="lower"))
     p90 = int(np.percentile(staleness, 90, method="lower"))
     return p50, p90, int(staleness.max())
-
-
-def _layer_densities(mask: BitMask, layout) -> dict[str, float]:
-    return {
-        name: float(np.count_nonzero(mask.bits[layout.slice_of(j)]))
-        / layout.lengths[j]
-        for j, name in enumerate(layout.names)
-    }
 
 
 def run_experiment(
@@ -414,7 +385,6 @@ def run_experiment(
                 )
                 density: float | None = 1.0
                 ratio: float | None = 1.0
-                layer_density = {name: 1.0 for name in task.layout.names}
             else:
                 if mode == MODE_COMPRESSED:
                     outcome = compressed_step(
@@ -428,7 +398,6 @@ def run_experiment(
                 ratio = compression_ratio(
                     outcome.sent, 0, VALUE_BYTES, INDEX_BYTES, dense_bytes
                 )
-                layer_density = _layer_densities(outcome.shared_mask, task.layout)
             loss, accuracy = task.evaluate(state.weights)
             step += 1
             if not np.isfinite(loss):
@@ -451,7 +420,6 @@ def run_experiment(
                     staleness_p50=p50,
                     staleness_p90=p90,
                     staleness_max=pmax,
-                    layer_density=layer_density,
                 )
             )
     return RunResult(metrics=metrics, stats=all_stats)

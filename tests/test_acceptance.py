@@ -26,12 +26,10 @@ from ringprune import (
     TrainingConfig,
     baseline_dense_step,
     build_local_mask,
-    closed_form_weight_change,
     compressed_step,
     compute_importance,
     decode_mask,
     dense_allreduce,
-    dgc_union_contrast,
     encode_mask,
     init_state,
     mask_agreement_round,
@@ -41,8 +39,15 @@ from ringprune import (
 from ringprune.codec import encoded_size
 from ringprune.cli import main as cli_main
 from ringprune.ring import PHASE_MASK
-from ringprune.seeds import ParamStream
 from ringprune.trainer import MODE_COMPRESSED, MODE_DENSE
+
+from oracles import (
+    chunk_slice,
+    closed_form_weight_change,
+    dgc_union_contrast,
+    fixed_threshold_policy,
+    message_count,
+)
 
 
 def report(number: int, name: str, passed: bool, detail: str) -> None:
@@ -107,15 +112,16 @@ def test_criterion_1_sparsity_preservation():
     )
 
 
+@pytest.mark.parametrize("clip_norm", [None, 0.01])
 @pytest.mark.parametrize("n_nodes", [3, 4, 5, 6])
-def test_criterion_2_zero_threshold_equivalence(n_nodes):
+def test_criterion_2_zero_threshold_equivalence(n_nodes, clip_norm):
     task = LinearRegressionTask(n_samples=128, n_features=8, data_seed=202)
     cfg = TrainingConfig(
         momentum=0.0,
         learning_rate=0.05,
         batch_size=8,
         n_nodes=n_nodes,
-        clip_norm=None,
+        clip_norm=clip_norm,
         seed=21,
         epochs=50,
     )
@@ -142,7 +148,8 @@ def test_criterion_2_zero_threshold_equivalence(n_nodes):
         2,
         "zero-threshold equivalence",
         mismatch is None,
-        mismatch or f"{steps} steps bit-identical to the dense baseline (N={n_nodes})",
+        mismatch
+        or f"{steps} steps bit-identical to the dense baseline (N={n_nodes}, clip_norm={clip_norm})",
     )
 
 
@@ -213,11 +220,11 @@ def test_criterion_4_compression_and_accuracy_analog():
     thresholds = (0.005, 0.01, 0.05, 0.1)
 
     dense = run_experiment(
-        task, cfg, ThresholdPolicy.fixed(0.1, warmup_epochs=warmup), mask_cfg, MODE_DENSE
+        task, cfg, fixed_threshold_policy(0.1, warmup_epochs=warmup), mask_cfg, MODE_DENSE
     )
     fixed_results = {}
     for thr in thresholds:
-        policy = ThresholdPolicy.fixed(thr, warmup_epochs=warmup)
+        policy = fixed_threshold_policy(thr, warmup_epochs=warmup)
         fixed_results[thr] = run_experiment(task, cfg, policy, mask_cfg, MODE_COMPRESSED)
 
     qualifying = {
@@ -262,7 +269,7 @@ def test_criterion_5_ring_correctness():
         # Independent sequential-sum oracle in the documented owner-first order.
         expected = np.zeros(length)
         for c in range(n):
-            sl = topo.chunk_slice(c)
+            sl = chunk_slice(topo, c)
             acc = contribs[c][sl].copy()
             for i in range(1, n):
                 acc = acc + contribs[(c + i) % n][sl]
@@ -270,7 +277,7 @@ def test_criterion_5_ring_correctness():
         if not np.array_equal(result, expected):
             failures.append(f"case {case}: sum mismatch (N={n}, L={length})")
             break
-        if any(stats.message_count(node=k) != 2 * (n - 1) for k in range(n)):
+        if any(message_count(stats, node=k) != 2 * (n - 1) for k in range(n)):
             failures.append(f"case {case}: message count != 2(N-1)")
             break
     report(
@@ -322,7 +329,7 @@ def test_criterion_7_probabilistic_inclusion():
         imp = compute_importance(
             np.full(trials, p * threshold), np.ones(trials), layout
         )
-        mask = build_local_mask(imp, [threshold], ParamStream(700 + i, 0, 0))
+        mask = build_local_mask(imp, [threshold], 700 + i, 0)
         sigma = math.sqrt(p * (1 - p) / trials)
         deviation = abs(mask.density() - p)
         details.append(f"p={p}: {mask.density():.4f} ({deviation / sigma:.2f} sigma)")

@@ -219,6 +219,18 @@ MLP = "mlp_classification_synthetic"
             "training.lr_schedule: schedule value must be a number",
             [],
         ),
+        (
+            "training",
+            {"lr_schedule": -0.05},
+            "training.lr_schedule must be finite and >= 0, got -0.05",
+            [],
+        ),
+        (
+            "training",
+            {"lr_schedule": [{"start": 0, "end": 1, "value": 0.1}, {"start": 1, "value": INF}]},
+            "training.lr_schedule must be finite and >= 0, got inf",
+            [],
+        ),
     ],
     ids=[
         "unknown-key",
@@ -248,6 +260,8 @@ MLP = "mlp_classification_synthetic"
         "nan-base",
         "nan-ratio-weight-span",
         "nan-lr-schedule",
+        "negative-lr-schedule",
+        "inf-lr-schedule",
     ],
 )
 def test_run_rejects_unknown_key(tmp_path, capsys, section, value, message, flags):

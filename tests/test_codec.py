@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringprune import (
+    INDEX_BYTES,
+    VALUE_BYTES,
     BitMask,
     CodecError,
     EncodedMask,
@@ -225,7 +227,7 @@ def test_sparse_validation():
 def test_sparse_stacked_block_densifies_row_by_row():
     sg = SparseGradient(np.array([1, 4]), np.array([[0.5, -1.0], [2.0, 0.0]]), 6)
     assert sg.nnz == 2
-    assert sg.payload_bytes() == 16  # one row's entries
+    assert sg.nnz * (VALUE_BYTES + INDEX_BYTES) == 16  # one row's entries
     assert sg.densify().tolist() == [
         [0.0, 0.5, 0.0, 0.0, -1.0, 0.0],
         [0.0, 2.0, 0.0, 0.0, 0.0, 0.0],

@@ -9,7 +9,6 @@ from ringprune import (
     InputError,
     LayerLayout,
     LayerStats,
-    ParamStream,
     StructuralError,
     ThresholdPolicy,
     build_local_mask,
@@ -17,6 +16,8 @@ from ringprune import (
     layer_stats,
     layer_threshold,
 )
+
+from oracles import ParamStream, reference_masks
 
 SINGLE = LayerLayout.from_sizes([("all", 3)])
 
@@ -237,31 +238,30 @@ def test_schedule_span_validation():
 # --- build_local_mask --------------------------------------------------------
 
 
-def _stream():
-    return ParamStream(seed=42, node=0, step=0)
+SEED, STEP = 42, 0
 
 
 def test_mask_at_or_above_threshold_deterministic():
     imp = _imp([0.02, 0.01])
-    mask = build_local_mask(imp, [0.01], _stream())
+    mask = build_local_mask(imp, [0.01], SEED, STEP)
     assert mask.bits.tolist() == [True, True]
 
 
 def test_mask_zero_score_never_selected():
     imp = _imp([0.0] * 50)
-    mask = build_local_mask(imp, [0.01], _stream())
+    mask = build_local_mask(imp, [0.01], SEED, STEP)
     assert mask.popcount() == 0
 
 
 def test_mask_zero_threshold_selects_all():
     imp = _imp([0.0, 0.5, 0.001])
-    mask = build_local_mask(imp, [0.0], _stream())
+    mask = build_local_mask(imp, [0.0], SEED, STEP)
     assert mask.popcount() == 3
 
 
 def test_mask_infinite_threshold_selects_none():
     imp = _imp([0.9, 0.5, 100.0])
-    mask = build_local_mask(imp, [math.inf], _stream())
+    mask = build_local_mask(imp, [math.inf], SEED, STEP)
     assert mask.popcount() == 0
 
 
@@ -270,7 +270,7 @@ def test_mask_probabilistic_inclusion_frequency():
     n = 10_000
     layout = LayerLayout.from_sizes([("all", n)])
     imp = compute_importance(np.full(n, 0.007), np.ones(n), layout)
-    mask = build_local_mask(imp, [0.01], _stream())
+    mask = build_local_mask(imp, [0.01], SEED, STEP)
     p = 0.7
     sigma = math.sqrt(p * (1 - p) / n)
     assert abs(mask.density() - p) < 3 * sigma
@@ -278,10 +278,10 @@ def test_mask_probabilistic_inclusion_frequency():
 
 def test_mask_reproducible_for_fixed_seed():
     imp = _imp(np.random.default_rng(3).random(500) * 0.02)
-    a = build_local_mask(imp, [0.01], ParamStream(7, 2, 11))
-    b = build_local_mask(imp, [0.01], ParamStream(7, 2, 11))
+    a = build_local_mask(imp, [0.01], 7, 11)
+    b = build_local_mask(imp, [0.01], 7, 11)
     assert a == b
-    c = build_local_mask(imp, [0.01], ParamStream(7, 2, 12))
+    c = build_local_mask(imp, [0.01], 7, 12)
     assert a != c  # different step, different draw
 
 
@@ -289,38 +289,20 @@ def test_mask_per_layer_thresholds():
     layout = LayerLayout.from_sizes([("a", 2), ("b", 2)])
     g = np.array([0.2, 0.0, 0.2, 0.0])
     imp = compute_importance(g, np.ones(4), layout)
-    mask = build_local_mask(imp, [0.1, math.inf], _stream())
+    mask = build_local_mask(imp, [0.1, math.inf], SEED, STEP)
     assert mask.bits.tolist() == [True, False, False, False]
 
 
 def test_mask_negative_threshold_rejected():
     imp = _imp([0.1])
     with pytest.raises(InputError):
-        build_local_mask(imp, [-0.5], _stream())
+        build_local_mask(imp, [-0.5], SEED, STEP)
 
 
 def test_mask_threshold_count_mismatch():
     imp = _imp([0.1, 0.2])
     with pytest.raises(StructuralError):
-        build_local_mask(imp, [0.1, 0.2], _stream())
-
-
-def reference_masks(imp, thr, streams):
-    """The mask rule with every draw taken from the reference stream
-    ``ParamStream(seed, node, step).layer(j)``, one node and layer at a time."""
-    layout = imp.layout
-    scores = imp.scores.reshape(-1, layout.total_length)
-    thr = np.asarray(thr, dtype=float).reshape(scores.shape[0], layout.n_layers)
-    masks = []
-    for k, stream in enumerate(streams):
-        bits = np.empty(layout.total_length, dtype=bool)
-        for j in range(layout.n_layers):
-            s, t = scores[k, layout.slice_of(j)], thr[k, j]
-            u = stream.layer(j).random(s.shape[0]) if 0 < t < math.inf else np.zeros(s.shape)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                bits[layout.slice_of(j)] = (s >= t) | (u < s / t)
-        masks.append(bits)
-    return masks
+        build_local_mask(imp, [0.1, 0.2], SEED, STEP)
 
 
 @pytest.mark.parametrize("seed, step", [(0, 0), (2**32, 2**32 - 1), (2**200, 2**40)])
@@ -335,23 +317,15 @@ def test_mask_draws_match_reference_streams(seed, step):
     )
     thr = rng.uniform(0.005, 0.02, (n, layout.n_layers))
     thr[3] = [0.0, math.inf, 0.0, math.inf]
-    streams = [ParamStream(seed, k, step) for k in range(n)]
-    masks = build_local_mask(imp, thr, streams)
-    expected = reference_masks(imp, thr, streams)
+    masks = build_local_mask(imp, thr, seed, step)
+    expected = reference_masks(imp, thr, [ParamStream(seed, k, step) for k in range(n)])
     assert all(np.array_equal(m.bits, e) for m, e in zip(masks, expected))
     # Some but not all below-threshold entries were drawn in.
     below = imp.scores < np.repeat(thr, layout.lengths, axis=1)
     drawn = np.stack([m.bits for m in masks]) & below
     assert 0 < drawn.sum() < below.sum()
-    # One node alone gets its row of the stacked result.
+    # A one-row call is node 0 and gets node 0's row of the stacked result.
     single = build_local_mask(
-        compute_importance(imp.scores[5], np.ones(layout.total_length), layout), thr[5], streams[5]
+        compute_importance(imp.scores[0], np.ones(layout.total_length), layout), thr[0], seed, step
     )
-    assert np.array_equal(single.bits, masks[5].bits)
-
-
-def test_mask_rejects_streams_of_different_seeds_or_steps():
-    imp = compute_importance(np.full((2, 3), 0.005), np.ones(3), SINGLE)
-    for other in (ParamStream(1, 1, 0), ParamStream(0, 1, 1)):
-        with pytest.raises(StructuralError, match="share their seed and step"):
-            build_local_mask(imp, [[0.01], [0.01]], [ParamStream(0, 0, 0), other])
+    assert np.array_equal(single.bits, masks[0].bits)

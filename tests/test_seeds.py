@@ -4,11 +4,12 @@ import pytest
 from ringprune.errors import InputError, StructuralError
 from ringprune.seeds import (
     MASK_STREAM,
-    ParamStream,
     _SeedWords,
     generator_from_words,
     mask_stream_words,
 )
+
+from oracles import ParamStream
 
 # Seeds and steps on both sides of each 32-bit word boundary: one-word,
 # two-word and multi-word integers, below, at and beyond the pool size of 4

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ringprune import (
+    BitMask,
     ConfigError,
     DivergenceError,
     EpochSchedule,
@@ -10,14 +11,11 @@ from ringprune import (
     LinearRegressionTask,
     MaskAgreementConfig,
     MlpClassificationTask,
-    ParamStream,
     RingTopology,
     ThresholdPolicy,
     TrainingConfig,
     baseline_dense_step,
-    build_local_mask,
     clip_gradient,
-    closed_form_weight_change,
     compressed_step,
     compute_importance,
     dgc_contrast_step,
@@ -28,6 +26,8 @@ from ringprune import (
     thresholds_for,
 )
 from ringprune.trainer import MODE_COMPRESSED, MODE_DENSE, MODE_DGC_CONTRAST, _local_masks
+
+from oracles import ParamStream, closed_form_weight_change, fixed_threshold_policy, reference_masks
 
 
 class FixedGradientTask:
@@ -60,7 +60,7 @@ def warmup_policy():
 
 
 def fixed_policy(threshold):
-    return ThresholdPolicy.fixed(threshold, warmup_epochs=0)
+    return fixed_threshold_policy(threshold, warmup_epochs=0)
 
 
 # --- clip_gradient --------------------------------------------------------------
@@ -183,8 +183,9 @@ def test_baseline_matches_single_process_oracle():
 
 def per_node_local_masks(state, policy, cfg, step, epoch, task):
     """Steps 1-3 of the pruned pipeline as the trainer ran them before the
-    lock-step pass, one loop iteration per node: the oracle for
-    ``_local_masks``. Also returns each node's thresholds."""
+    lock-step pass, one loop iteration per node, with each node's draws from
+    its reference stream: the oracle for ``_local_masks``. Also returns each
+    node's thresholds."""
     local_masks = []
     node_thresholds = []
     for k in range(cfg.n_nodes):
@@ -195,7 +196,8 @@ def per_node_local_masks(state, policy, cfg, step, epoch, task):
         imp = compute_importance(state.accum[k], state.weights, task.layout)
         thresholds = thresholds_for(imp, policy, epoch)
         node_thresholds.append(thresholds)
-        local_masks.append(build_local_mask(imp, thresholds, ParamStream(cfg.seed, k, step)))
+        (bits,) = reference_masks(imp, thresholds, [ParamStream(cfg.seed, k, step)])
+        local_masks.append(BitMask(bits))
     return local_masks, node_thresholds
 
 
@@ -655,7 +657,7 @@ def test_run_is_deterministic():
     cfg = TrainingConfig(
         momentum=0.9, learning_rate=0.05, batch_size=8, n_nodes=2, epochs=3, seed=15
     )
-    policy = ThresholdPolicy.fixed(0.02, warmup_epochs=1)
+    policy = fixed_threshold_policy(0.02, warmup_epochs=1)
     mask_cfg = MaskAgreementConfig(n_selected_nodes=2, shared_seed=21)
     a = run_experiment(task, cfg, policy, mask_cfg, MODE_COMPRESSED)
     b = run_experiment(task, cfg, policy, mask_cfg, MODE_COMPRESSED)
@@ -670,7 +672,7 @@ def test_run_modes_emit_schema_fields():
     cfg = TrainingConfig(
         momentum=0.9, learning_rate=0.02, batch_size=8, n_nodes=2, epochs=2, seed=17
     )
-    policy = ThresholdPolicy.fixed(0.05, warmup_epochs=1)
+    policy = fixed_threshold_policy(0.05, warmup_epochs=1)
     mask_cfg = MaskAgreementConfig(n_selected_nodes=1, shared_seed=23)
     for mode in (MODE_DENSE, MODE_COMPRESSED, MODE_DGC_CONTRAST):
         result = run_experiment(task, cfg, policy, mask_cfg, mode)
@@ -678,7 +680,6 @@ def test_run_modes_emit_schema_fields():
         assert row.mode == mode
         assert row.bytes_total > 0
         assert row.accuracy is not None
-        assert set(row.layer_density) == set(task.layout.names)
 
 
 # --- local_gradient ------------------------------------------------------------------

@@ -17,7 +17,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .importance import SCHEDULE_OPEN_END, EpochSchedule, ThresholdPolicy
 from .ring import MaskAgreementConfig
-from .tasks import TASK_KINDS, SyntheticTask, make_task
+from .tasks import TASK_KINDS, SyntheticTask
 from .trainer import MODES, TrainingConfig
 
 MANIFEST_FORMAT = "ringprune-run-manifest"
@@ -25,32 +25,15 @@ MANIFEST_NAME = "manifest.json"
 METRICS_NAME = "metrics.csv"
 BANDWIDTH_NAME = "bandwidth.csv"
 
-
-def _dataclass_defaults(cls) -> dict:
-    """Field name -> default of a dataclass whose fields all have defaults."""
-    return {f.name: f.default for f in fields(cls)}
-
-
-_TASK_DEFAULTS = {kind: _dataclass_defaults(cls) for kind, cls in TASK_KINDS.items()}
-
-_TRAINING_DEFAULTS = _dataclass_defaults(TrainingConfig)
-
-# The threshold rule's base and ratio_weight have no dataclass default, and
-# the config's shared_seed default differs from MaskAgreementConfig's.
-_THRESHOLD_DEFAULTS = {
-    "base": 0.01,
-    "ratio_weight": 0.0,
-    "ratio_pivot": 1.0,
-    "thr_min": 1e-6,
-    "thr_max": 1.0,
-    "warmup_epochs": 1,
-    "scale": 1.0,
+# The only defaults that are not the dataclass's own: the threshold rule's
+# base and ratio_weight have no dataclass default, and the config's
+# shared_seed default differs from MaskAgreementConfig's.
+_CONFIG_DEFAULTS = {
+    ThresholdPolicy: {"base": 0.01, "ratio_weight": 0.0},
+    MaskAgreementConfig: {"shared_seed": 1234},
 }
 
-_MASK_DEFAULTS = {
-    "n_selected_nodes": 2,
-    "shared_seed": 1234,
-}
+_SEED_FIELDS = ("seed", "data_seed", "shared_seed")
 
 _TOP_LEVEL_KEYS = ("task", "training", "threshold", "mask_agreement", "mode", "out_dir")
 
@@ -82,16 +65,7 @@ def _section(raw: dict, name: str) -> dict:
     return section
 
 
-def _merge_defaults(section: dict, defaults: dict, path: str) -> dict:
-    _reject_unknown(section, defaults, path)
-    merged = dict(defaults)
-    merged.update(section)
-    return merged
-
-
-def _expect_number(value, path: str, *, allow_none: bool = False):
-    if value is None and allow_none:
-        return None
+def _expect_number(value, path: str):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
     return value
@@ -135,19 +109,56 @@ def _parse_schedule(value, path: str) -> EpochSchedule:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _schedule_json(schedule: EpochSchedule | None):
-    if schedule is None:
-        return None
-    spans = []
-    for start, end, value in schedule.spans:
-        spans.append(
-            {
-                "start": start,
-                "end": None if end == SCHEDULE_OPEN_END else end,
-                "value": value,
-            }
-        )
-    return spans
+_PARSERS = {
+    "int": _expect_int,
+    "float": lambda value, path: float(_expect_number(value, path)),
+    "EpochSchedule": _parse_schedule,
+}
+
+
+def _parse_field(f, value, path: str):
+    """``value`` parsed by the annotation of dataclass field ``f``."""
+    annotation = f.type
+    if annotation.endswith(" | None"):
+        if value is None:
+            return None
+        annotation = annotation.removesuffix(" | None")
+    if f.name in _SEED_FIELDS:
+        return _expect_seed(value, path)
+    return _PARSERS[annotation](value, path)
+
+
+def _build(cls, section: dict, path: str):
+    """Dataclass ``cls`` from a config section.
+
+    The dataclass declares each field: its name, the annotation its value is
+    parsed by, and the default an absent key takes unless
+    ``_CONFIG_DEFAULTS`` names another. Range checks are left to the
+    dataclass's ``__post_init__``.
+    """
+    declared = fields(cls)
+    _reject_unknown(section, [f.name for f in declared], path)
+    defaults = _CONFIG_DEFAULTS.get(cls, {})
+    values = {}
+    for f in declared:
+        value = section.get(f.name, defaults.get(f.name, f.default))
+        values[f.name] = _parse_field(f, value, f"{path}.{f.name}")
+    return cls(**values)
+
+
+def _manifest_fields(obj) -> dict:
+    """Field name -> JSON value of a built config object; a schedule is
+    written as its list of spans (end null means open-ended)."""
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, EpochSchedule):
+            value = [
+                {"start": start, "end": None if end == SCHEDULE_OPEN_END else end, "value": val}
+                for start, end, val in value.spans
+            ]
+        out[f.name] = value
+    return out
 
 
 def resolve_experiment(
@@ -177,67 +188,15 @@ def resolve_experiment(
         raise ConfigError(
             f"task.kind: unknown kind '{kind}'; expected one of {sorted(TASK_KINDS)}"
         )
-    task_fields = _merge_defaults(
-        {k: v for k, v in task_section.items() if k != "kind"},
-        _TASK_DEFAULTS[kind],
-        "task",
-    )
-    _expect_seed(task_fields["data_seed"], "task.data_seed")
-    task = make_task(kind, **task_fields)
+    task_section = {k: v for k, v in task_section.items() if k != "kind"}
+    task = _build(TASK_KINDS[kind], task_section, "task")
+    training_section = _section(raw, "training")
+    if seed_override is not None:
+        training_section = {**training_section, "seed": seed_override}
+    training = _build(TrainingConfig, training_section, "training")
+    policy = _build(ThresholdPolicy, _section(raw, "threshold"), "threshold")
+    mask_cfg = _build(MaskAgreementConfig, _section(raw, "mask_agreement"), "mask_agreement")
 
-    training_section = _merge_defaults(
-        _section(raw, "training"), _TRAINING_DEFAULTS, "training"
-    )
-    lr_schedule = training_section["lr_schedule"]
-    schedule_obj = (
-        None if lr_schedule is None else _parse_schedule(lr_schedule, "training.lr_schedule")
-    )
-    training = TrainingConfig(
-        momentum=float(_expect_number(training_section["momentum"], "training.momentum")),
-        learning_rate=float(
-            _expect_number(training_section["learning_rate"], "training.learning_rate")
-        ),
-        lr_schedule=schedule_obj,
-        batch_size=_expect_int(training_section["batch_size"], "training.batch_size"),
-        n_nodes=_expect_int(training_section["n_nodes"], "training.n_nodes"),
-        clip_norm=_expect_number(
-            training_section["clip_norm"], "training.clip_norm", allow_none=True
-        ),
-        seed=_expect_seed(
-            seed_override if seed_override is not None else training_section["seed"],
-            "training.seed",
-        ),
-        epochs=_expect_int(training_section["epochs"], "training.epochs"),
-    )
-
-    threshold_section = _merge_defaults(
-        _section(raw, "threshold"), _THRESHOLD_DEFAULTS, "threshold"
-    )
-    policy = ThresholdPolicy(
-        base=_parse_schedule(threshold_section["base"], "threshold.base"),
-        ratio_weight=_parse_schedule(
-            threshold_section["ratio_weight"], "threshold.ratio_weight"
-        ),
-        ratio_pivot=float(
-            _expect_number(threshold_section["ratio_pivot"], "threshold.ratio_pivot")
-        ),
-        thr_min=float(_expect_number(threshold_section["thr_min"], "threshold.thr_min")),
-        thr_max=float(_expect_number(threshold_section["thr_max"], "threshold.thr_max")),
-        warmup_epochs=_expect_int(
-            threshold_section["warmup_epochs"], "threshold.warmup_epochs"
-        ),
-        scale=float(_expect_number(threshold_section["scale"], "threshold.scale")),
-    )
-
-    mask_section = _merge_defaults(
-        _section(raw, "mask_agreement"), _MASK_DEFAULTS, "mask_agreement"
-    )
-    mask_cfg = MaskAgreementConfig(
-        n_selected_nodes=_expect_int(
-            mask_section["n_selected_nodes"], "mask_agreement.n_selected_nodes"
-        ),
-        shared_seed=_expect_seed(mask_section["shared_seed"], "mask_agreement.shared_seed"),
-    )
     if task.n_samples < training.n_nodes:
         raise ConfigError(
             f"task.n_samples: {task.n_samples} is below training.n_nodes {training.n_nodes}, "
@@ -274,30 +233,10 @@ def resolve_experiment(
         raise ConfigError("out_dir: expected a non-empty string")
 
     resolved = {
-        "task": {"kind": kind, **task_fields},
-        "training": {
-            "momentum": training.momentum,
-            "learning_rate": training.learning_rate,
-            "lr_schedule": _schedule_json(training.lr_schedule),
-            "batch_size": training.batch_size,
-            "n_nodes": training.n_nodes,
-            "clip_norm": training.clip_norm,
-            "seed": training.seed,
-            "epochs": training.epochs,
-        },
-        "threshold": {
-            "base": _schedule_json(policy.base),
-            "ratio_weight": _schedule_json(policy.ratio_weight),
-            "ratio_pivot": policy.ratio_pivot,
-            "thr_min": policy.thr_min,
-            "thr_max": policy.thr_max,
-            "warmup_epochs": policy.warmup_epochs,
-            "scale": policy.scale,
-        },
-        "mask_agreement": {
-            "n_selected_nodes": mask_cfg.n_selected_nodes,
-            "shared_seed": mask_cfg.shared_seed,
-        },
+        "task": {"kind": kind, **_manifest_fields(task)},
+        "training": _manifest_fields(training),
+        "threshold": _manifest_fields(policy),
+        "mask_agreement": _manifest_fields(mask_cfg),
         "mode": mode,
         "out_dir": out_dir,
     }

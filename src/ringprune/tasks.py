@@ -218,11 +218,3 @@ TASK_KINDS = {
     "linear_regression_synthetic": LinearRegressionTask,
     "mlp_classification_synthetic": MlpClassificationTask,
 }
-
-
-def make_task(kind: str, **fields) -> SyntheticTask:
-    if kind not in TASK_KINDS:
-        raise ConfigError(
-            f"unknown task kind '{kind}'; expected one of {sorted(TASK_KINDS)}"
-        )
-    return TASK_KINDS[kind](**fields)

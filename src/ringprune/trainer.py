@@ -127,8 +127,10 @@ class TrainState:
     """The ring's training state.
 
     ``weights`` (P,) is every node's replica. Row k of ``accum`` (N, P) is
-    node k's residual buffer (the momentum velocity in dense mode), and row k
-    of ``staleness`` (N, P) counts the steps since node k last sent each entry.
+    node k's residual buffer, and row k of ``staleness`` (N, P) counts the
+    steps since node k last sent each entry. In dense mode every node holds
+    the same momentum velocity, so it is kept once, in row 0 of ``accum``;
+    the other rows stay zero.
     """
 
     weights: np.ndarray
@@ -189,11 +191,14 @@ def baseline_dense_step(
 ) -> StepOutcome:
     """Vanilla momentum SGD: velocity = m * velocity + sum of node gradients.
 
-    The per-node buffer holds the momentum velocity in this mode.
+    The velocity, the same on every node, is updated in place in row 0 of
+    ``state.accum``.
     """
     total, stats = dense_allreduce(_node_gradients(state, cfg, step, task), topo, step=step)
-    state.accum = cfg.momentum * state.accum + total
-    state.weights = state.weights - cfg.lr_at(epoch) * state.accum[0]
+    velocity = state.accum[0]
+    velocity *= cfg.momentum
+    velocity += total
+    state.weights = state.weights - cfg.lr_at(epoch) * velocity
     return StepOutcome(stats=stats)
 
 
@@ -313,21 +318,6 @@ class RunResult:
 
     def final_loss(self) -> float:
         return self.metrics[-1].loss
-
-    def mean_compression_ratio(self) -> float:
-        """Mean per-step payload compression over steps that sent anything.
-
-        Steps with an empty payload have unbounded per-step ratios; excluding
-        them can only lower the mean, so this is a conservative summary.
-        """
-        ratios = [
-            m.compression_ratio
-            for m in self.metrics
-            if m.compression_ratio is not None and np.isfinite(m.compression_ratio)
-        ]
-        if not ratios:
-            return float("nan")
-        return float(np.mean(ratios))
 
     def total_bytes(self) -> int:
         return sum(m.bytes_total for m in self.metrics)

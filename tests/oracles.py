@@ -62,6 +62,22 @@ def fixed_threshold_policy(
     )
 
 
+def mean_compression_ratio(result) -> float:
+    """Mean per-step payload compression of a run over steps that sent anything.
+
+    Steps with an empty payload have unbounded per-step ratios; excluding
+    them can only lower the mean, so this is a conservative summary.
+    """
+    ratios = [
+        m.compression_ratio
+        for m in result.metrics
+        if m.compression_ratio is not None and np.isfinite(m.compression_ratio)
+    ]
+    if not ratios:
+        return float("nan")
+    return float(np.mean(ratios))
+
+
 def closed_form_weight_change(
     grad_history: list[np.ndarray], momentum: float, learning_rate: float
 ) -> np.ndarray:

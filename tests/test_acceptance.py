@@ -46,6 +46,7 @@ from oracles import (
     closed_form_weight_change,
     dgc_union_contrast,
     fixed_threshold_policy,
+    mean_compression_ratio,
     message_count,
 )
 
@@ -230,7 +231,7 @@ def test_criterion_4_compression_and_accuracy_analog():
     qualifying = {
         thr: res
         for thr, res in fixed_results.items()
-        if res.mean_compression_ratio() >= 20.0
+        if mean_compression_ratio(res) >= 20.0
         and res.final_loss() <= 1.05 * dense.final_loss()
     }
     best_thr = min(fixed_results, key=lambda thr: fixed_results[thr].final_loss())
@@ -247,7 +248,7 @@ def test_criterion_4_compression_and_accuracy_analog():
     detail = (
         f"dense loss {dense.final_loss():.5f}; "
         + "; ".join(
-            f"thr {thr}: ratio {res.mean_compression_ratio():.1f}x loss {res.final_loss():.5f}"
+            f"thr {thr}: ratio {mean_compression_ratio(res):.1f}x loss {res.final_loss():.5f}"
             for thr, res in fixed_results.items()
         )
         + f"; layer-wise loss {layerwise.final_loss():.5f} vs best fixed {best_loss:.5f}"

@@ -13,6 +13,8 @@ from ringprune.cli import main
 from ringprune.config import resolve_experiment
 from ringprune.errors import ConfigError
 
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
 
 def minimal_config(out_dir, mode="compressed", **training):
     cfg = {
@@ -63,8 +65,7 @@ def test_run_writes_three_files(tmp_path):
 def test_module_entry_point_runs_from_checkout(tmp_path):
     out = tmp_path / "run"
     config = write_config(tmp_path, minimal_config(out))
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     done = subprocess.run(
         [sys.executable, "-m", "ringprune", "run", str(config), "--quiet"],
         env=env,
@@ -231,6 +232,12 @@ MLP = "mlp_classification_synthetic"
             "training.lr_schedule must be finite and >= 0, got inf",
             [],
         ),
+        ("task", {"n_samples": "12"}, "task.n_samples: expected an integer", []),
+        ("task", {"n_samples": None}, "task.n_samples: expected an integer", []),
+        ("task", {"kind": MLP, "hidden_units": 2.5}, "task.hidden_units: expected an integer", []),
+        ("task", {"kind": MLP, "n_classes": "3"}, "task.n_classes: expected an integer", []),
+        ("task", {"kind": MLP, "center_scale": "3"}, "task.center_scale: expected a number", []),
+        ("task", {"kind": "resnet"}, "task.kind: unknown kind 'resnet'", []),
     ],
     ids=[
         "unknown-key",
@@ -262,6 +269,12 @@ MLP = "mlp_classification_synthetic"
         "nan-lr-schedule",
         "negative-lr-schedule",
         "inf-lr-schedule",
+        "string-n-samples",
+        "null-n-samples",
+        "float-hidden-units",
+        "string-n-classes",
+        "string-center-scale",
+        "unknown-kind",
     ],
 )
 def test_run_rejects_unknown_key(tmp_path, capsys, section, value, message, flags):
@@ -450,14 +463,32 @@ def test_compare_rejects_unfinished_dir(tmp_path, capsys):
 
 
 def test_resolver_fills_defaults_and_roundtrips():
-    raw = {"task": {"kind": "linear_regression_synthetic"}, "mode": "dense"}
-    experiment = resolve_experiment(raw)
-    resolved = experiment.resolved
-    assert resolved["training"]["n_nodes"] == 4
-    assert resolved["threshold"]["warmup_epochs"] == 1
-    # Resolving the resolved form is a fixed point.
-    again = resolve_experiment(json.loads(json.dumps(resolved)))
-    assert again.resolved == resolved
+    # Each raw config, and the float-typed fields its resolved form must
+    # hold as floats (the second writes integers into them).
+    cases = [
+        ({"task": {"kind": "linear_regression_synthetic"}, "mode": "dense"}, {}),
+        (
+            {"task": {"kind": MLP, "center_scale": 2}, "training": {"clip_norm": 1}},
+            {("task", "center_scale"): 2.0, ("training", "clip_norm"): 1.0},
+        ),
+    ]
+    for raw, floats in cases:
+        resolved = resolve_experiment(raw).resolved
+        assert resolved["training"]["n_nodes"] == 4
+        assert resolved["threshold"]["warmup_epochs"] == 1
+        for (section, key), value in floats.items():
+            assert resolved[section][key] == value
+            assert type(resolved[section][key]) is float
+        # Resolving the resolved form is a fixed point.
+        again = resolve_experiment(json.loads(json.dumps(resolved)))
+        assert again.resolved == resolved
+
+
+def test_reference_config_lists_the_defaults():
+    """configs/reference.json holds every field at its default value."""
+    reference = json.loads((REPO_ROOT / "configs" / "reference.json").read_text())
+    defaults = resolve_experiment({"task": {"kind": MLP}})
+    assert resolve_experiment(reference).resolved == defaults.resolved
 
 
 def test_resolver_rejects_schedule_gap():

@@ -1,8 +1,6 @@
 import numpy as np
-import pytest
 
-from ringprune import LinearRegressionTask, MlpClassificationTask, make_task
-from ringprune.errors import ConfigError
+from ringprune import LinearRegressionTask, MlpClassificationTask
 
 
 def least_squares_weights(task):
@@ -124,10 +122,3 @@ def test_mlp_label_noise_floor():
     noisy = MlpClassificationTask(n_samples=512, label_noise=0.2, data_seed=9)
     flipped = np.mean(clean.labels != noisy.labels)
     assert 0.1 < flipped < 0.3
-
-
-def test_make_task_factory():
-    task = make_task("linear_regression_synthetic", n_samples=16)
-    assert isinstance(task, LinearRegressionTask)
-    with pytest.raises(ConfigError):
-        make_task("unknown_kind")

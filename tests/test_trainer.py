@@ -120,7 +120,7 @@ def test_lr_schedule_overrides_constant():
 
 
 def test_baseline_one_step_arithmetic():
-    # Node gradients sum to 0.5; velocity = 0.9 * 0 + 0.5; w = 1 - 0.1 * 0.5.
+    # Node gradients sum to 0.5; velocity (row 0) = 0.9 * 0 + 0.5; w = 1 - 0.1 * 0.5.
     layout = LayerLayout.from_sizes([("w", 1)])
     task = FixedGradientTask(
         layout,
@@ -132,8 +132,7 @@ def test_baseline_one_step_arithmetic():
     topo = RingTopology.create(2, 1)
     baseline_dense_step(state, cfg, 0, task=task, topo=topo)
     assert state.weights[0] == pytest.approx(0.95)
-    for k in range(2):
-        assert state.accum[k, 0] == pytest.approx(0.5)
+    assert state.accum[0, 0] == pytest.approx(0.5)
 
 
 def test_baseline_zero_step_size_freezes_weights():

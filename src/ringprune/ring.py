@@ -167,18 +167,18 @@ def write_bandwidth_csv(stats: LinkStats, path) -> None:
 
 
 def _stack_vectors(contributions, topo: RingTopology) -> np.ndarray:
-    """One float64 row per node, validated against the topology."""
-    vecs = [np.asarray(v, dtype=np.float64) for v in contributions]
-    if len(vecs) != topo.n_nodes:
+    """One float64 row per node, validated against the topology. An (N, P)
+    float64 array is used as it is, without a copy."""
+    try:
+        rows = np.asarray(contributions, dtype=np.float64)
+    except ValueError as exc:  # ragged rows
+        raise StructuralError(f"contributions do not form one row per node: {exc}") from exc
+    if rows.shape != (topo.n_nodes, topo.length):
         raise StructuralError(
-            f"got {len(vecs)} contributions for {topo.n_nodes} nodes"
+            f"contributions of shape {rows.shape} do not match "
+            f"{topo.n_nodes} nodes of vector length {topo.length}"
         )
-    for v in vecs:
-        if v.ndim != 1 or v.shape[0] != topo.length:
-            raise StructuralError(
-                f"contribution shape {v.shape} does not match vector length {topo.length}"
-            )
-    return np.stack(vecs)
+    return rows
 
 
 def _rotate_chunks(rows: np.ndarray, bounds) -> np.ndarray:

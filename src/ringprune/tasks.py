@@ -19,34 +19,56 @@ from .layout import LayerLayout
 from .seeds import DATA_STREAM, substream
 
 
+# Float64 elements allowed in the widest activation of one gradient_sum
+# call (nodes x batch x width; 256 KiB). Stacking nodes into one call saves
+# per-call overhead, but past about this size the temporaries leave the
+# cache and the stacked call runs slower than one node at a time.
+GRADIENT_CHUNK_ELEMENTS = 1 << 15
+
+
 class SyntheticTask:
     """Shared sharding and batching plumbing.
 
-    Node k's shard is every k-th sample; a step's batch walks the shard
-    cyclically starting at position step * batch_size. Both choices are
-    deliberate: they need no extra randomness, and a single process can
-    reproduce the union of all nodes' batches exactly.
+    Node k's shard is samples k, k + N, k + 2N, ...; a step's batch walks
+    the shard cyclically starting at position step * batch_size. Both
+    choices are deliberate: they need no extra randomness, and a single
+    process can reproduce the union of all nodes' batches exactly.
     """
 
     layout: LayerLayout
     n_samples: int
 
-    def shard_indices(self, node: int, n_nodes: int) -> np.ndarray:
-        return np.arange(node, self.n_samples, n_nodes)
-
-    def batch_indices(self, node: int, step: int, n_nodes: int, batch_size: int) -> np.ndarray:
-        shard = self.shard_indices(node, n_nodes)
-        positions = (step * batch_size + np.arange(batch_size)) % shard.shape[0]
-        return shard[positions]
+    def batch_indices(self, step: int, n_nodes: int, batch_size: int) -> np.ndarray:
+        """Every node's sample rows for one step, as (N, B): node k's shard
+        holds ceil((S - k) / N) samples, and row k, column j is shard
+        position (step * B + j) mod that size, i.e. sample
+        k + N * ((step * B + j) % ceil((S - k) / N))."""
+        nodes = np.arange(n_nodes)[:, None]
+        shard_sizes = (self.n_samples - nodes + n_nodes - 1) // n_nodes
+        positions = (step * batch_size + np.arange(batch_size)) % shard_sizes
+        return nodes + n_nodes * positions
 
     def node_gradient(
-        self, weights: np.ndarray, node: int, step: int, n_nodes: int, batch_size: int
+        self, weights: np.ndarray, step: int, n_nodes: int, batch_size: int
     ) -> np.ndarray:
-        """Mini-batch gradient scaled by 1 / (n_nodes * batch_size)."""
-        idx = self.batch_indices(node, step, n_nodes, batch_size)
-        return self.gradient_sum(weights, idx) / float(n_nodes * batch_size)
+        """Every node's mini-batch gradient scaled by 1 / (n_nodes *
+        batch_size), as (N, P) rows.
 
-    # Subclasses provide: gradient_sum, loss_sum, init_weights, evaluate.
+        Nodes go to ``gradient_sum`` in chunks whose widest activation stays
+        within ``GRADIENT_CHUNK_ELEMENTS``, one node per call at the least.
+        """
+        idx = self.batch_indices(step, n_nodes, batch_size)
+        chunk = max(1, GRADIENT_CHUNK_ELEMENTS // (batch_size * self.activation_width))
+        grads = np.empty((n_nodes, self.layout.total_length))
+        for start in range(0, n_nodes, chunk):
+            grads[start : start + chunk] = self.gradient_sum(weights, idx[start : start + chunk])
+        grads /= float(n_nodes * batch_size)
+        return grads
+
+    # Subclasses provide: activation_width, gradient_sum, loss_sum,
+    # init_weights, evaluate. gradient_sum takes sample rows of shape
+    # (..., B) and returns one batch-summed (P,) gradient per batch of B
+    # rows; a (B,) index vector is the one-batch case of the same code.
 
 
 @dataclass
@@ -93,11 +115,16 @@ class LinearRegressionTask(SyntheticTask):
         residual = self._predict(weights, idx) - self.targets[idx]
         return float(0.5 * np.sum(residual**2))
 
+    @property
+    def activation_width(self) -> int:
+        return self.n_features
+
     def gradient_sum(self, weights: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        x = self.features[idx]
         residual = self._predict(weights, idx) - self.targets[idx]
-        grad_coef = self.features[idx].T @ residual
-        grad_intercept = np.sum(residual)
-        return np.concatenate([grad_coef, [grad_intercept]])
+        grad_coef = (np.swapaxes(x, -1, -2) @ residual[..., None])[..., 0]
+        grad_intercept = residual.sum(axis=-1, keepdims=True)
+        return np.concatenate([grad_coef, grad_intercept], axis=-1)
 
     def evaluate(self, weights: np.ndarray) -> tuple[float, float | None]:
         idx = np.arange(self.n_samples)
@@ -181,28 +208,37 @@ class MlpClassificationTask(SyntheticTask):
 
     @staticmethod
     def _log_softmax(logits: np.ndarray) -> np.ndarray:
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        return shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
     def loss_sum(self, weights: np.ndarray, idx: np.ndarray) -> float:
         _, _, logits = self._forward(weights, idx)
         log_probs = self._log_softmax(logits)
         return float(-np.sum(log_probs[np.arange(idx.shape[0]), self.labels[idx]]))
 
+    @property
+    def activation_width(self) -> int:
+        return max(self.n_features, self.hidden_units, self.n_classes)
+
     def gradient_sum(self, weights: np.ndarray, idx: np.ndarray) -> np.ndarray:
         x, hidden, logits = self._forward(weights, idx)
         _, _, output_w, _ = self._unpack(weights)
-        probs = np.exp(self._log_softmax(logits))
-        dlogits = probs
-        dlogits[np.arange(idx.shape[0]), self.labels[idx]] -= 1.0
-        grad_output_w = hidden.T @ dlogits
-        grad_output_b = dlogits.sum(axis=0)
+        dlogits = np.exp(self._log_softmax(logits))
+        rows = dlogits.reshape(-1, self.n_classes)
+        rows[np.arange(rows.shape[0]), self.labels[idx].ravel()] -= 1.0
+        grad_output_w = np.swapaxes(hidden, -1, -2) @ dlogits
+        grad_output_b = dlogits.sum(axis=-2)
         dhidden = dlogits @ output_w.T
         dpre = dhidden * (1.0 - hidden**2)
-        grad_hidden_w = x.T @ dpre
-        grad_hidden_b = dpre.sum(axis=0)
+        grad_hidden_w = np.swapaxes(x, -1, -2) @ dpre
+        grad_hidden_b = dpre.sum(axis=-2)
+        lead = idx.shape[:-1]
         return np.concatenate(
-            [grad_hidden_w.ravel(), grad_hidden_b, grad_output_w.ravel(), grad_output_b]
+            [
+                g.reshape(lead + (-1,))
+                for g in (grad_hidden_w, grad_hidden_b, grad_output_w, grad_output_b)
+            ],
+            axis=-1,
         )
 
     def evaluate(self, weights: np.ndarray) -> tuple[float, float | None]:

@@ -6,8 +6,9 @@ node, the residual buffer and the staleness counters, is one row per node.
 One training super-step runs compute, mask agreement, reduce, and update as
 lock-step phases. The pruned pipeline:
 
-1. compute each node's (1/NB)-scaled mini-batch gradient, optionally
-   clipped, one node at a time (the dense baseline takes the same gradients);
+1. compute every node's (1/NB)-scaled mini-batch gradient as (N, P) rows,
+   in one task call, then clip each row when ``clip_norm`` is set (the
+   dense baseline takes the same gradients);
 2. fold them into the residual rows, u <- momentum * u + g, in one pass;
 3. score all rows against the current weights, pick per-(node, layer)
    thresholds, and build every node's local candidate mask, one call each
@@ -148,18 +149,6 @@ def init_state(task, cfg: TrainingConfig) -> TrainState:
     )
 
 
-def local_gradient(
-    task, weights: np.ndarray, node: int, cfg: TrainingConfig, step: int
-) -> np.ndarray:
-    """Node ``node``'s (1/NB)-scaled mini-batch gradient for one step."""
-    grad = task.node_gradient(weights, node, step, cfg.n_nodes, cfg.batch_size)
-    if grad.shape != weights.shape:
-        raise ProtocolError(
-            f"task gradient shape {grad.shape} does not match weights {weights.shape}"
-        )
-    return grad
-
-
 def clip_gradient(grad: np.ndarray, clip_norm: float) -> np.ndarray:
     """Rescale to L2 norm clip_norm when the gradient exceeds it."""
     if clip_norm <= 0:
@@ -203,17 +192,23 @@ def baseline_dense_step(
 
 
 def _node_gradients(state: TrainState, cfg: TrainingConfig, step: int, task) -> np.ndarray:
-    """Every node's gradient, clipped when ``clip_norm`` is set, as (N, P) rows.
+    """Every node's (1/NB)-scaled gradient as (N, P) rows, from one task
+    call, with each row clipped when ``clip_norm`` is set.
 
-    Gradients and their clipping run per node, since a batched matmul or a
-    2-D norm can round differently.
+    The task stacks the nodes' batches into shared matmul calls; each row is
+    bit-identical to that node's gradient computed alone (the tests hold the
+    per-node loop as the oracle). Clipping stays per row, since a 2-D norm
+    can round differently.
     """
-    grads = np.empty_like(state.accum)
-    for k in range(cfg.n_nodes):
-        grad = local_gradient(task, state.weights, k, cfg, step)
-        if cfg.clip_norm is not None:
-            grad = clip_gradient(grad, cfg.clip_norm)
-        grads[k] = grad
+    grads = task.node_gradient(state.weights, step, cfg.n_nodes, cfg.batch_size)
+    if grads.shape != state.accum.shape:
+        raise ProtocolError(
+            f"task gradient shape {grads.shape} does not match {state.accum.shape} "
+            "(one row per node)"
+        )
+    if cfg.clip_norm is not None:
+        for row in grads:
+            row[:] = clip_gradient(row, cfg.clip_norm)
     return grads
 
 

@@ -12,7 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ringprune import EpochSchedule, InputError, StructuralError, ThresholdPolicy, or_masks
+from ringprune import (
+    EpochSchedule,
+    InputError,
+    StructuralError,
+    ThresholdPolicy,
+    clip_gradient,
+    or_masks,
+)
 from ringprune.ring import PHASE_ALLGATHER, PHASE_SCATTER
 from ringprune.seeds import MASK_STREAM, substream
 
@@ -48,6 +55,33 @@ def reference_masks(imp, thr, streams):
                 bits[layout.slice_of(j)] = (s >= t) | (u < s / t)
         masks.append(bits)
     return masks
+
+
+def batch_indices(task, node: int, step: int, n_nodes: int, batch_size: int) -> np.ndarray:
+    """Node ``node``'s batch, walked cyclically through its shard (samples
+    node, node + N, node + 2N, ...) from position step * batch_size: the
+    reference for one row of ``SyntheticTask.batch_indices``."""
+    shard = np.arange(node, task.n_samples, n_nodes)
+    positions = (step * batch_size + np.arange(batch_size)) % shard.shape[0]
+    return shard[positions]
+
+
+def local_gradient(task, weights: np.ndarray, node: int, cfg, step: int) -> np.ndarray:
+    """Node ``node``'s (1/NB)-scaled mini-batch gradient, computed alone."""
+    idx = batch_indices(task, node, step, cfg.n_nodes, cfg.batch_size)
+    return task.gradient_sum(weights, idx) / float(cfg.n_nodes * cfg.batch_size)
+
+
+def node_gradients(task, weights: np.ndarray, cfg, step: int) -> np.ndarray:
+    """Every node's gradient, clipped when ``cfg.clip_norm`` is set, one node
+    at a time: the reference for the trainer's batched gradient rows."""
+    grads = np.empty((cfg.n_nodes, weights.shape[0]))
+    for k in range(cfg.n_nodes):
+        grad = local_gradient(task, weights, k, cfg, step)
+        if cfg.clip_norm is not None:
+            grad = clip_gradient(grad, cfg.clip_norm)
+        grads[k] = grad
+    return grads
 
 
 def fixed_threshold_policy(

@@ -69,8 +69,8 @@ class PresetGradientTask:
     def init_weights(self, rng):
         return self._initial.copy()
 
-    def node_gradient(self, weights, node, step, n_nodes, batch_size):
-        return np.asarray(self._fn(node, step), dtype=float)
+    def node_gradient(self, weights, step, n_nodes, batch_size):
+        return np.stack([np.asarray(self._fn(k, step), dtype=float) for k in range(n_nodes)])
 
     def evaluate(self, weights):
         return float(np.sum(weights**2)), None

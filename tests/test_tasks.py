@@ -2,6 +2,8 @@ import numpy as np
 
 from ringprune import LinearRegressionTask, MlpClassificationTask
 
+from oracles import batch_indices
+
 
 def least_squares_weights(task):
     """The linear task's exact minimiser, intercept last."""
@@ -32,22 +34,40 @@ def test_generation_deterministic_per_seed():
 
 
 def test_shards_partition_dataset():
+    # 103 samples over 4 nodes: shards of 26, 26, 26 and 25, so a batch of
+    # 26 covers each shard once.
     task = LinearRegressionTask(n_samples=103)
-    shards = [task.shard_indices(k, 4) for k in range(4)]
-    merged = np.sort(np.concatenate(shards))
-    assert np.array_equal(merged, np.arange(103))
+    rows = task.batch_indices(0, 4, 26)
+    assert np.array_equal(np.unique(rows), np.arange(103))
+    for k in range(4):
+        assert np.all(rows[k] % 4 == k)
 
 
 def test_batches_cycle_within_shard():
     task = LinearRegressionTask(n_samples=64)
-    shard = set(task.shard_indices(1, 4).tolist())
     for step in range(10):
-        batch = task.batch_indices(1, step, 4, 8)
-        assert set(batch.tolist()) <= shard
-        assert batch.shape == (8,)
+        rows = task.batch_indices(step, 4, 8)
+        assert rows.shape == (4, 8)
+        assert np.all(rows % 4 == np.arange(4)[:, None])
     assert np.array_equal(
-        task.batch_indices(1, 0, 4, 8), task.batch_indices(1, 2, 4, 8)
-    )  # shard of 16 wraps after 2 steps
+        task.batch_indices(0, 4, 8), task.batch_indices(2, 4, 8)
+    )  # shards of 16 wrap after 2 steps
+
+
+def test_batch_rows_match_shard_walk():
+    """The closed-form (N, B) batch rows equal each node's walk through its
+    own shard, for sample counts that N does and does not divide."""
+    for n_samples in (5, 64, 103, 2051):
+        task = LinearRegressionTask(n_samples=n_samples)
+        for n_nodes in (2, 3, 5):
+            for batch_size in (1, 8, 13):
+                for step in (0, 1, 5, 17, 1000):
+                    rows = task.batch_indices(step, n_nodes, batch_size)
+                    expected = [
+                        batch_indices(task, k, step, n_nodes, batch_size)
+                        for k in range(n_nodes)
+                    ]
+                    assert np.array_equal(rows, np.stack(expected))
 
 
 def test_linear_gradient_zero_at_least_squares_optimum():
@@ -62,7 +82,7 @@ def test_linear_hand_computed_gradient():
     task = LinearRegressionTask(n_samples=1, n_features=1, noise=0.0)
     task.features = np.array([[1.0]])
     task.targets = np.array([2.0])
-    grad = task.node_gradient(np.zeros(2), node=0, step=0, n_nodes=1, batch_size=1)
+    (grad,) = task.node_gradient(np.zeros(2), step=0, n_nodes=1, batch_size=1)
     assert grad[0] == -2.0
     assert grad[1] == -2.0  # intercept sees the same residual
 
@@ -97,9 +117,10 @@ def test_mlp_gradient_matches_finite_differences():
 def test_mlp_gradient_scaling():
     task = MlpClassificationTask(n_samples=64, data_seed=7)
     w = task.init_weights(np.random.default_rng(0))
-    idx = task.batch_indices(0, 0, 4, 8)
+    idx = task.batch_indices(0, 4, 8)
     raw = task.gradient_sum(w, idx)
-    scaled = task.node_gradient(w, node=0, step=0, n_nodes=4, batch_size=8)
+    scaled = task.node_gradient(w, step=0, n_nodes=4, batch_size=8)
+    assert raw.shape == scaled.shape == (4, task.layout.total_length)
     assert np.array_equal(scaled, raw / 32.0)
 
 

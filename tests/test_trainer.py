@@ -11,6 +11,7 @@ from ringprune import (
     LinearRegressionTask,
     MaskAgreementConfig,
     MlpClassificationTask,
+    ProtocolError,
     RingTopology,
     ThresholdPolicy,
     TrainingConfig,
@@ -21,18 +22,30 @@ from ringprune import (
     dgc_contrast_step,
     init_state,
     layer_stats,
-    local_gradient,
     run_experiment,
     thresholds_for,
 )
-from ringprune.trainer import MODE_COMPRESSED, MODE_DENSE, MODE_DGC_CONTRAST, _local_masks
+from ringprune.trainer import (
+    MODE_COMPRESSED,
+    MODE_DENSE,
+    MODE_DGC_CONTRAST,
+    _local_masks,
+    _node_gradients,
+)
 
-from oracles import ParamStream, closed_form_weight_change, fixed_threshold_policy, reference_masks
+from oracles import (
+    ParamStream,
+    batch_indices,
+    closed_form_weight_change,
+    fixed_threshold_policy,
+    node_gradients,
+    reference_masks,
+)
 
 
 class FixedGradientTask:
-    """Stub task whose per-node gradients are preset, for driving the step
-    functions with hand-chosen values."""
+    """Stub task whose per-(node, step) gradients are preset, for driving the
+    step functions with hand-chosen values."""
 
     def __init__(self, layout, grads, initial_weights):
         self.layout = layout
@@ -43,8 +56,11 @@ class FixedGradientTask:
     def init_weights(self, rng):
         return self._initial.copy()
 
-    def node_gradient(self, weights, node, step, n_nodes, batch_size):
+    def preset(self, node, step):
         return np.asarray(self._grads(node, step), dtype=float)
+
+    def node_gradient(self, weights, step, n_nodes, batch_size):
+        return np.stack([self.preset(k, step) for k in range(n_nodes)])
 
     def evaluate(self, weights):
         return float(np.sum(weights**2)), None
@@ -166,7 +182,7 @@ def test_baseline_matches_single_process_oracle():
     vel = np.zeros_like(w)
     for step in range(100):
         union = np.concatenate(
-            [task.batch_indices(k, step, 4, 4) for k in range(4)]
+            [batch_indices(task, k, step, 4, 4) for k in range(4)]
         )
         total = task.gradient_sum(w, union) / 16.0
         vel = 0.9 * vel + total
@@ -188,7 +204,7 @@ def per_node_local_masks(state, policy, cfg, step, epoch, task):
     local_masks = []
     node_thresholds = []
     for k in range(cfg.n_nodes):
-        grad = local_gradient(task, state.weights, k, cfg, step)
+        grad = task.preset(k, step)
         if cfg.clip_norm is not None:
             grad = clip_gradient(grad, cfg.clip_norm)
         state.accum[k] = cfg.momentum * state.accum[k] + grad
@@ -681,12 +697,103 @@ def test_run_modes_emit_schema_fields():
         assert row.accuracy is not None
 
 
-# --- local_gradient ------------------------------------------------------------------
+# --- node gradients ------------------------------------------------------------------
+
+
+GRADIENT_TASKS = {
+    "mlp-20x48": lambda: MlpClassificationTask(n_samples=2051, data_seed=47),
+    # a batch of 8 x 1024 activations is 8,192 elements: 4 nodes per call
+    "mlp-64x1024": lambda: MlpClassificationTask(
+        n_samples=2051, n_features=64, hidden_units=1024, data_seed=47
+    ),
+    "mlp-7x9": lambda: MlpClassificationTask(
+        n_samples=2051, n_features=7, hidden_units=9, n_classes=3, data_seed=47
+    ),
+    "linear": lambda: LinearRegressionTask(n_samples=2051, data_seed=47),
+}
+
+
+def record_gradient_calls(task) -> list:
+    """Wrap ``task.gradient_sum`` to record each call's index shape."""
+    calls = []
+    gradient_sum = task.gradient_sum
+
+    def recording(weights, idx):
+        calls.append(idx.shape)
+        return gradient_sum(weights, idx)
+
+    task.gradient_sum = recording
+    return calls
+
+
+@pytest.mark.parametrize("clipped", [False, True])
+@pytest.mark.parametrize("n_nodes", [2, 3, 5, 17, 64])
+@pytest.mark.parametrize("shape", sorted(GRADIENT_TASKS))
+def test_batched_gradients_match_per_node_loop(shape, n_nodes, clipped):
+    """The trainer's one-call gradient rows are bit-identical to the per-node
+    loop. 2051 samples split unevenly over every N here. This rests on the
+    BLAS computing each slice of a stacked matmul as it computes a lone 2-D
+    product, which holds for the pinned numpy and OpenBLAS but is not
+    promised: another BLAS can break it, and then this test fails."""
+    task = GRADIENT_TASKS[shape]()
+    cfg = TrainingConfig(n_nodes=n_nodes, batch_size=8, seed=5)
+    state = init_state(task, cfg)
+    state.weights = state.weights + 0.1  # non-zero linear intercept and biases
+    calls = record_gradient_calls(task)
+    for step in (0, 5, 17):
+        if clipped:
+            norms = np.linalg.norm(task.node_gradient(state.weights, step, n_nodes, 8), axis=1)
+            cfg = TrainingConfig(
+                n_nodes=n_nodes, batch_size=8, seed=5, clip_norm=float(np.median(norms))
+            )
+        calls.clear()
+        got = _node_gradients(state, cfg, step, task)
+        batched_calls = list(calls)
+        expected = node_gradients(task, state.weights, cfg, step)
+        assert np.array_equal(got, expected), (
+            f"batched gradient rows differ from the per-node loop at step {step} "
+            f"(max |diff| {np.max(np.abs(got - expected))}): this BLAS rounds a "
+            "stacked matmul's slices differently from lone 2-D products"
+        )
+        chunk = 4 if shape == "mlp-64x1024" else n_nodes
+        assert batched_calls == [
+            (min(chunk, n_nodes - start), 8) for start in range(0, n_nodes, chunk)
+        ]
+        if clipped:
+            assert np.any(norms > cfg.clip_norm) and np.any(norms <= cfg.clip_norm)
+
+
+def test_gradient_chunks_follow_activation_size():
+    """At ring64-pruned's shape every node shares one call; at wide4-pruned's
+    (batch 64 x hidden 1024) each node gets its own."""
+    cases = [
+        (MlpClassificationTask(n_samples=4096), 64, 8, [(64, 8)]),
+        (
+            MlpClassificationTask(n_samples=4096, n_features=64, hidden_units=1024),
+            4,
+            64,
+            [(1, 64)] * 4,
+        ),
+    ]
+    for task, n_nodes, batch_size, expected in cases:
+        calls = record_gradient_calls(task)
+        weights = task.init_weights(np.random.default_rng(0))
+        task.node_gradient(weights, 0, n_nodes, batch_size)
+        assert calls == expected
 
 
 def test_local_gradient_shape_checked():
     layout = LayerLayout.from_sizes([("w", 3)])
-    task = FixedGradientTask(layout, lambda n, s: np.zeros(4), np.zeros(3))
     cfg = TrainingConfig(n_nodes=2)
-    with pytest.raises(Exception):
-        local_gradient(task, np.zeros(3), 0, cfg, 0)
+    state = init_state(FixedGradientTask(layout, lambda n, s: np.zeros(3), np.zeros(3)), cfg)
+    wrong_length = FixedGradientTask(layout, lambda n, s: np.zeros(4), np.zeros(3))
+    with pytest.raises(ProtocolError, match=r"\(2, 4\) does not match \(2, 3\)"):
+        _node_gradients(state, cfg, 0, wrong_length)
+
+    class OneRowTask(FixedGradientTask):
+        def node_gradient(self, weights, step, n_nodes, batch_size):
+            return self.preset(0, step)
+
+    one_row = OneRowTask(layout, lambda n, s: np.zeros(3), np.zeros(3))
+    with pytest.raises(ProtocolError, match=r"\(3,\) does not match \(2, 3\)"):
+        _node_gradients(state, cfg, 0, one_row)

@@ -139,24 +139,33 @@ class LinkStats:
         """Byte totals summed per (step, node, phase), sorted; a key has a row
         when at least one message, of any size, was sent under it."""
         blocks = self._blocks
+        if not blocks:
+            return []
         names = sorted({b[1] for b in blocks})
-        lengths = [b[2].shape[0] for b in blocks]
-        empty = np.zeros(0, dtype=np.int64)
-        # per message: step, sender, and the phase's rank, which sorts as its name does
-        keys = np.empty((3, sum(lengths)), dtype=np.int64)
-        keys[0] = np.repeat(np.array([b[0] for b in blocks], dtype=np.int64), lengths)
-        keys[1] = np.concatenate([empty] + [b[2] for b in blocks])
-        keys[2] = np.repeat(np.array([names.index(b[1]) for b in blocks], dtype=np.int64), lengths)
-        order = np.lexsort(keys[::-1])
-        keys = keys[:, order]
-        first = np.zeros(keys.shape[1], dtype=bool)
-        first[:1] = True
-        for row in keys:
-            first[1:] |= row[1:] != row[:-1]
-        starts = np.flatnonzero(first)
-        totals = np.add.reduceat(np.concatenate([empty] + [b[3] for b in blocks])[order], starts)
-        row_steps, row_nodes, row_codes = keys[:, starts].tolist()
-        return list(zip(row_steps, row_nodes, [names[c] for c in row_codes], totals.tolist()))
+        steps, step_ranks = np.unique([b[0] for b in blocks], return_inverse=True)
+        senders = np.concatenate([b[2] for b in blocks])
+        n_phases = len(names)
+        per_step = (int(senders.max(initial=-1)) + 1) * n_phases
+        # One integer key per message: (step rank, sender, phase rank) in
+        # mixed radix, so keys sort as the rows do (a phase's rank sorts as
+        # its name does).
+        block_keys = step_ranks * per_step + [names.index(b[1]) for b in blocks]
+        keys = np.repeat(block_keys, [b[2].shape[0] for b in blocks])
+        keys += senders * n_phases
+        n_keys = len(steps) * per_step
+        present = np.flatnonzero(np.bincount(keys, minlength=n_keys))
+        # float64 sums are exact while every total stays below 2**53 bytes
+        totals = np.bincount(keys, np.concatenate([b[3] for b in blocks]), n_keys)
+        step_rank, rest = np.divmod(present, per_step)
+        nodes, codes = np.divmod(rest, n_phases)
+        return list(
+            zip(
+                steps[step_rank].tolist(),
+                nodes.tolist(),
+                [names[c] for c in codes.tolist()],
+                totals[present].astype(np.int64).tolist(),
+            )
+        )
 
 
 def write_bandwidth_csv(stats: LinkStats, path) -> None:

@@ -6,6 +6,14 @@ groups exercise the layer-wise threshold machinery. Dataset generation,
 sharding, and batch selection are all deterministic functions of the task
 seed, the node id, and the step, so distributed runs can be replayed and
 cross-checked against single-process oracles.
+
+The classifier's evaluation and gradient run in place: one forward pass
+writes the bias and the tanh into the matmul's own result, evaluation
+multiplies the dataset itself (no gathered copy) and takes the log-softmax
+at the labels only, and the gradient writes its four layer groups into one
+preallocated (..., P) output. They keep the floating-point operations and
+their order of the plain formulas, so every output is bit-identical to
+those.
 """
 
 from __future__ import annotations
@@ -65,10 +73,10 @@ class SyntheticTask:
         grads /= float(n_nodes * batch_size)
         return grads
 
-    # Subclasses provide: activation_width, gradient_sum, loss_sum,
-    # init_weights, evaluate. gradient_sum takes sample rows of shape
-    # (..., B) and returns one batch-summed (P,) gradient per batch of B
-    # rows; a (B,) index vector is the one-batch case of the same code.
+    # Subclasses provide: activation_width, gradient_sum, init_weights,
+    # evaluate. gradient_sum takes sample rows of shape (..., B) and returns
+    # one batch-summed (P,) gradient per batch of B rows; a (B,) index
+    # vector is the one-batch case of the same code.
 
 
 @dataclass
@@ -106,12 +114,12 @@ class LinearRegressionTask(SyntheticTask):
     def init_weights(self, rng: np.random.Generator) -> np.ndarray:
         return 0.1 * rng.standard_normal(self.layout.total_length)
 
-    def _predict(self, weights: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    def _predict(self, weights: np.ndarray, idx: np.ndarray | slice) -> np.ndarray:
         coef = weights[: self.n_features]
         intercept = weights[self.n_features]
         return self.features[idx] @ coef + intercept
 
-    def loss_sum(self, weights: np.ndarray, idx: np.ndarray) -> float:
+    def loss_sum(self, weights: np.ndarray, idx: np.ndarray | slice) -> float:
         residual = self._predict(weights, idx) - self.targets[idx]
         return float(0.5 * np.sum(residual**2))
 
@@ -127,8 +135,7 @@ class LinearRegressionTask(SyntheticTask):
         return np.concatenate([grad_coef, grad_intercept], axis=-1)
 
     def evaluate(self, weights: np.ndarray) -> tuple[float, float | None]:
-        idx = np.arange(self.n_samples)
-        return self.loss_sum(weights, idx) / self.n_samples, None
+        return self.loss_sum(weights, slice(None)) / self.n_samples, None
 
 @dataclass
 class MlpClassificationTask(SyntheticTask):
@@ -192,62 +199,62 @@ class MlpClassificationTask(SyntheticTask):
         )
 
     def _unpack(self, weights: np.ndarray):
+        """The four layer groups of ``weights`` (..., P), as views of shapes
+        (..., d, h), (..., h), (..., h, c) and (..., c)."""
         d, h, c = self.n_features, self.hidden_units, self.n_classes
-        hidden_w = weights[: d * h].reshape(d, h)
-        hidden_b = weights[d * h: d * h + h]
-        output_w = weights[d * h + h: d * h + h + h * c].reshape(h, c)
-        output_b = weights[d * h + h + h * c:]
+        lead = weights.shape[:-1]
+        hidden_w = weights[..., : d * h].reshape(lead + (d, h))
+        hidden_b = weights[..., d * h: d * h + h]
+        output_w = weights[..., d * h + h: d * h + h + h * c].reshape(lead + (h, c))
+        output_b = weights[..., d * h + h + h * c:]
         return hidden_w, hidden_b, output_w, output_b
 
-    def _forward(self, weights: np.ndarray, idx: np.ndarray):
+    def _forward(self, weights: np.ndarray, x: np.ndarray):
+        """Hidden activations and logits of the sample rows ``x``, each
+        computed in one fresh buffer that the caller may overwrite."""
         hidden_w, hidden_b, output_w, output_b = self._unpack(weights)
-        x = self.features[idx]
-        hidden = np.tanh(x @ hidden_w + hidden_b)
-        logits = hidden @ output_w + output_b
-        return x, hidden, logits
-
-    @staticmethod
-    def _log_softmax(logits: np.ndarray) -> np.ndarray:
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
-
-    def loss_sum(self, weights: np.ndarray, idx: np.ndarray) -> float:
-        _, _, logits = self._forward(weights, idx)
-        log_probs = self._log_softmax(logits)
-        return float(-np.sum(log_probs[np.arange(idx.shape[0]), self.labels[idx]]))
+        hidden = x @ hidden_w
+        hidden += hidden_b
+        np.tanh(hidden, out=hidden)
+        logits = hidden @ output_w
+        logits += output_b
+        return hidden, logits
 
     @property
     def activation_width(self) -> int:
         return max(self.n_features, self.hidden_units, self.n_classes)
 
     def gradient_sum(self, weights: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        x, hidden, logits = self._forward(weights, idx)
-        _, _, output_w, _ = self._unpack(weights)
-        dlogits = np.exp(self._log_softmax(logits))
+        x = self.features[idx]
+        hidden, dlogits = self._forward(weights, x)
+        # softmax as exp(log_softmax): exp(shifted) / sum is not bit-identical
+        dlogits -= dlogits.max(axis=-1, keepdims=True)
+        dlogits -= np.log(np.sum(np.exp(dlogits), axis=-1, keepdims=True))
+        np.exp(dlogits, out=dlogits)
         rows = dlogits.reshape(-1, self.n_classes)
         rows[np.arange(rows.shape[0]), self.labels[idx].ravel()] -= 1.0
-        grad_output_w = np.swapaxes(hidden, -1, -2) @ dlogits
-        grad_output_b = dlogits.sum(axis=-2)
-        dhidden = dlogits @ output_w.T
-        dpre = dhidden * (1.0 - hidden**2)
-        grad_hidden_w = np.swapaxes(x, -1, -2) @ dpre
-        grad_hidden_b = dpre.sum(axis=-2)
-        lead = idx.shape[:-1]
-        return np.concatenate(
-            [
-                g.reshape(lead + (-1,))
-                for g in (grad_hidden_w, grad_hidden_b, grad_output_w, grad_output_b)
-            ],
-            axis=-1,
-        )
+        out = np.empty(idx.shape[:-1] + (self.layout.total_length,))
+        grad_hidden_w, grad_hidden_b, grad_output_w, grad_output_b = self._unpack(out)
+        np.matmul(np.swapaxes(hidden, -1, -2), dlogits, out=grad_output_w)
+        np.sum(dlogits, axis=-2, out=grad_output_b)
+        _, _, output_w, _ = self._unpack(weights)
+        dpre = dlogits @ output_w.T
+        # 1 - hidden**2, in hidden's buffer
+        np.square(hidden, out=hidden)
+        np.subtract(1.0, hidden, out=hidden)
+        dpre *= hidden
+        np.matmul(np.swapaxes(x, -1, -2), dpre, out=grad_hidden_w)
+        np.sum(dpre, axis=-2, out=grad_hidden_b)
+        return out
 
     def evaluate(self, weights: np.ndarray) -> tuple[float, float | None]:
-        idx = np.arange(self.n_samples)
-        _, _, logits = self._forward(weights, idx)
-        log_probs = self._log_softmax(logits)
-        loss = float(-np.mean(log_probs[np.arange(self.n_samples), self.labels]))
+        _, logits = self._forward(weights, self.features)
         accuracy = float(np.mean(np.argmax(logits, axis=1) == self.labels))
-        return loss, accuracy
+        # shift in place, then take the log-softmax at the labels only
+        logits -= logits.max(axis=-1, keepdims=True)
+        lse = np.log(np.sum(np.exp(logits), axis=-1))
+        log_probs = logits[np.arange(self.n_samples), self.labels] - lse
+        return float(-np.mean(log_probs)), accuracy
 
 
 TASK_KINDS = {

@@ -84,6 +84,74 @@ def node_gradients(task, weights: np.ndarray, cfg, step: int) -> np.ndarray:
     return grads
 
 
+def mlp_layers(task, weights: np.ndarray):
+    """The MLP's hidden weight (d, h) and bias, and output weight (h, c) and
+    bias, cut from ``weights`` by the task's layout."""
+    d, h, c = task.n_features, task.hidden_units, task.n_classes
+    hidden_w, hidden_b, output_w, output_b = (
+        weights[task.layout.slice_of(j)] for j in range(4)
+    )
+    return hidden_w.reshape(d, h), hidden_b, output_w.reshape(h, c), output_b
+
+
+def mlp_forward(task, weights: np.ndarray, idx: np.ndarray):
+    """The MLP's sample rows, hidden activations and logits, each a fresh
+    array: the reference forward pass of ``MlpClassificationTask``."""
+    hidden_w, hidden_b, output_w, output_b = mlp_layers(task, weights)
+    x = task.features[idx]
+    hidden = np.tanh(x @ hidden_w + hidden_b)
+    logits = hidden @ output_w + output_b
+    return x, hidden, logits
+
+
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+
+
+def mlp_loss_sum(task, weights: np.ndarray, idx: np.ndarray) -> float:
+    """Summed cross-entropy of the (B,) sample rows ``idx``."""
+    _, _, logits = mlp_forward(task, weights, idx)
+    log_probs = log_softmax(logits)
+    return float(-np.sum(log_probs[np.arange(idx.shape[0]), task.labels[idx]]))
+
+
+def mlp_evaluate(task, weights: np.ndarray) -> tuple[float, float]:
+    """Mean cross-entropy and accuracy over the whole dataset, from the full
+    (S, C) log-softmax: the reference for ``MlpClassificationTask.evaluate``."""
+    idx = np.arange(task.n_samples)
+    _, _, logits = mlp_forward(task, weights, idx)
+    log_probs = log_softmax(logits)
+    loss = float(-np.mean(log_probs[idx, task.labels]))
+    accuracy = float(np.mean(np.argmax(logits, axis=1) == task.labels))
+    return loss, accuracy
+
+
+def mlp_gradient_sum(task, weights: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Batch-summed gradients of the (..., B) sample rows ``idx``, one (P,)
+    row per batch, from fresh temporaries joined by ``np.concatenate``: the
+    reference for ``MlpClassificationTask.gradient_sum``."""
+    x, hidden, logits = mlp_forward(task, weights, idx)
+    _, _, output_w, _ = mlp_layers(task, weights)
+    dlogits = np.exp(log_softmax(logits))
+    rows = dlogits.reshape(-1, task.n_classes)
+    rows[np.arange(rows.shape[0]), task.labels[idx].ravel()] -= 1.0
+    grad_output_w = np.swapaxes(hidden, -1, -2) @ dlogits
+    grad_output_b = dlogits.sum(axis=-2)
+    dhidden = dlogits @ output_w.T
+    dpre = dhidden * (1.0 - hidden**2)
+    grad_hidden_w = np.swapaxes(x, -1, -2) @ dpre
+    grad_hidden_b = dpre.sum(axis=-2)
+    lead = idx.shape[:-1]
+    return np.concatenate(
+        [
+            g.reshape(lead + (-1,))
+            for g in (grad_hidden_w, grad_hidden_b, grad_output_w, grad_output_b)
+        ],
+        axis=-1,
+    )
+
+
 def fixed_threshold_policy(
     threshold: float, *, warmup_epochs: int = 1, thr_max: float = 1.0
 ) -> ThresholdPolicy:

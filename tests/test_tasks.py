@@ -1,8 +1,15 @@
 import numpy as np
+import pytest
 
 from ringprune import LinearRegressionTask, MlpClassificationTask
 
-from oracles import batch_indices
+from oracles import (
+    batch_indices,
+    mlp_evaluate,
+    mlp_forward,
+    mlp_gradient_sum,
+    mlp_loss_sum,
+)
 
 
 def least_squares_weights(task):
@@ -12,15 +19,16 @@ def least_squares_weights(task):
     return solution
 
 
-def central_difference(task, weights, idx, param_indices, h=1e-5):
-    """Finite-difference oracle for the batch-sum gradient."""
+def central_difference(loss_sum, weights, idx, param_indices, h=1e-5):
+    """Finite-difference oracle for the batch-sum gradient of
+    ``loss_sum(weights, idx)``."""
     out = []
     for p in param_indices:
         up = weights.copy()
         up[p] += h
         down = weights.copy()
         down[p] -= h
-        out.append((task.loss_sum(up, idx) - task.loss_sum(down, idx)) / (2 * h))
+        out.append((loss_sum(up, idx) - loss_sum(down, idx)) / (2 * h))
     return np.array(out)
 
 
@@ -94,7 +102,7 @@ def test_linear_gradient_matches_finite_differences():
     idx = np.arange(32)
     grad = task.gradient_sum(weights, idx)
     probe = rng.choice(task.layout.total_length, size=5, replace=False)
-    fd = central_difference(task, weights, idx, probe)
+    fd = central_difference(task.loss_sum, weights, idx, probe)
     assert np.allclose(grad[probe], fd, rtol=1e-6, atol=1e-8)
 
 
@@ -107,11 +115,38 @@ def test_mlp_gradient_matches_finite_differences():
     idx = np.arange(32)
     grad = task.gradient_sum(weights, idx)
     probe = rng.choice(task.layout.total_length, size=100, replace=False)
-    fd = central_difference(task, weights, idx, probe)
+    fd = central_difference(
+        lambda w, rows: mlp_loss_sum(task, w, rows), weights, idx, probe
+    )
     rel = np.abs(grad[probe] - fd) / np.maximum(
         np.maximum(np.abs(grad[probe]), np.abs(fd)), 1e-8
     )
     assert rel.max() < 1e-4
+
+
+@pytest.mark.parametrize(
+    "d, h, c", [(20, 48, 4), (64, 1024, 4), (7, 9, 3), (7, 9, 2)]
+)
+def test_mlp_matches_reference_formulas(d, h, c):
+    """evaluate and gradient_sum are bit-identical to the plain formulas in
+    ``oracles`` (fresh temporaries, full log-softmax, concatenated pieces),
+    with tanh saturated or not and for stacked and lone batch rows."""
+    task = MlpClassificationTask(
+        n_samples=2051, n_features=d, hidden_units=h, n_classes=c, data_seed=3
+    )
+    rng = np.random.default_rng(11)
+    init = task.init_weights(rng)
+    stacked = task.batch_indices(5, 5, 8)
+    saturated = 0
+    for weights in (init, rng.standard_normal(init.shape), 30.0 * init):
+        _, hidden, _ = mlp_forward(task, weights, np.arange(task.n_samples))
+        saturated += np.count_nonzero(np.abs(hidden) == 1.0)
+        assert task.evaluate(weights) == mlp_evaluate(task, weights)
+        for idx in (stacked, stacked[2]):
+            grad = task.gradient_sum(weights, idx)
+            assert grad.shape == idx.shape[:-1] + init.shape
+            assert np.array_equal(grad, mlp_gradient_sum(task, weights, idx))
+    assert saturated > 0
 
 
 def test_mlp_gradient_scaling():

@@ -10,14 +10,16 @@ score / threshold, which keeps long-unsent residuals from going stale.
 
 Every function here takes either one node's vector or a node-stacked array
 with one row per node, and reduces along the last axis. A one-dimensional
-call is the single-row case of the same code, so a ring of N nodes is scored,
-thresholded and masked in one pass per step with bit-identical results to N
+call is the single-row case of the same code, so any set of nodes is scored,
+thresholded and masked in one pass per step with bit-identical results to
 separate calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
+
 import numpy as np
 
 from .codec import BitMask
@@ -231,19 +233,25 @@ def thresholds_for(imp: ImportanceVector, policy: ThresholdPolicy, epoch: int) -
 
 
 def build_local_mask(
-    imp: ImportanceVector, thr_by_layer, seed: int, step: int
+    imp: ImportanceVector,
+    thr_by_layer,
+    seed: int,
+    step: int,
+    nodes: Sequence[int] | None = None,
 ) -> BitMask | list[BitMask]:
     """Send-candidate mask of one node, or of each node for stacked scores.
 
     A parameter is selected deterministically when its score reaches the
     layer threshold, and otherwise independently with probability
     score / threshold. A zero threshold selects the whole layer; an infinite
-    threshold selects nothing. Row k of stacked scores is node k, and a
-    one-dimensional call is node 0. Node k's draws in layer j come from the
-    mask stream keyed (seed, node k, step, layer j), so the result is
-    bit-reproducible for a fixed seed. Stacked scores take (N, L) thresholds
-    and give one mask per node; the seed words of all N x L streams are
-    derived in one pass (see :func:`seeds.mask_stream_words`).
+    threshold selects nothing. ``nodes`` names the node of each row, in row
+    order; without it row k is node k, and a one-dimensional call is node 0.
+    Node k's draws in layer j come from the mask stream keyed (seed, node k,
+    step, layer j), so a node's mask is the same whichever other rows are
+    built with it, and bit-reproducible for a fixed seed. Stacked scores
+    take (R, L) thresholds and give one mask per row; the seed words of all
+    R x L streams are derived in one pass (see
+    :func:`seeds.mask_stream_words`).
     """
     layout = imp.layout
     rows = imp.scores.reshape(-1, layout.total_length)
@@ -253,6 +261,10 @@ def build_local_mask(
             f"thresholds of shape {thr.shape} supplied for {layout.n_layers} layers "
             f"and scores of shape {imp.scores.shape}"
         )
+    if nodes is None:
+        nodes = range(rows.shape[0])
+    elif len(nodes) != rows.shape[0]:
+        raise StructuralError(f"got {len(nodes)} node ids for {rows.shape[0]} score rows")
     thr = thr.reshape(rows.shape[0], layout.n_layers)
     bad = ~(thr >= 0)  # negative or NaN
     if bad.any():
@@ -262,7 +274,7 @@ def build_local_mask(
     # the rule below selects all of a zero-threshold row (scores are >= 0)
     # and none of an infinite-threshold one (scores are finite).
     draws = (thr > 0) & np.isfinite(thr)
-    words = mask_stream_words(seed, step, range(rows.shape[0]), layout.n_layers)
+    words = mask_stream_words(seed, step, nodes, layout.n_layers)
     bits = np.empty(rows.shape, dtype=bool)
     for j in range(layout.n_layers):
         sl = layout.slice_of(j)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -272,31 +273,39 @@ def select_broadcast_nodes(n_nodes: int, cfg: MaskAgreementConfig, step: int) ->
 
 
 def mask_agreement_round(
-    local_masks: list[BitMask],
-    cfg: MaskAgreementConfig,
+    broadcast_masks: list[BitMask],
+    broadcasters: Sequence[int],
+    n_nodes: int,
     step: int,
 ) -> tuple[BitMask, LinkStats]:
-    """Agree on one shared mask by OR-combining broadcast masks.
+    """Agree on one shared mask by OR-combining the broadcasters' masks.
 
-    The selected nodes' masks are byte-packed, circulated around the ring
-    (each traverses the N-1 hops needed to visit every node), decoded, and
+    ``broadcasters`` are the nodes :func:`select_broadcast_nodes` drew, in
+    draw order, and ``broadcast_masks`` their local masks in the same order;
+    no other node's mask reaches the shared one, so no other is needed. Each
+    mask is byte-packed, circulated around the ring of ``n_nodes`` (it
+    traverses the N-1 hops needed to visit every node), decoded, and
     OR-combined. Every node ends the round holding the identical mask.
     """
-    masks = list(local_masks)
+    masks = list(broadcast_masks)
     if not masks:
-        raise StructuralError("mask agreement needs at least one local mask")
+        raise StructuralError("mask agreement needs at least one broadcast mask")
+    if len(masks) != len(broadcasters):
+        raise StructuralError(f"got {len(masks)} masks for {len(broadcasters)} broadcasters")
     length = masks[0].length
     for m in masks[1:]:
         if m.length != length:
             raise StructuralError(f"mask length mismatch: {m.length} vs {length}")
-    n = len(masks)
-    selected = select_broadcast_nodes(n, cfg, step)
     stats = LinkStats()
     received: list[BitMask] = []
-    for origin in selected:
-        enc = encode_mask(masks[origin])
-        senders = (origin + np.arange(n - 1)) % n
-        stats.record_messages(step, PHASE_MASK, senders, np.full(n - 1, len(enc.payload)))
+    for origin, mask in zip(broadcasters, masks):
+        if not 0 <= origin < n_nodes:
+            raise StructuralError(f"broadcaster {origin} is not a node of {n_nodes}")
+        enc = encode_mask(mask)
+        senders = (origin + np.arange(n_nodes - 1)) % n_nodes
+        stats.record_messages(
+            step, PHASE_MASK, senders, np.full(n_nodes - 1, len(enc.payload))
+        )
         received.append(decode_mask(enc))
     return or_masks(received), stats
 

@@ -10,12 +10,15 @@ lock-step phases. The pruned pipeline:
    in one task call, then clip each row when ``clip_norm`` is set (the
    dense baseline takes the same gradients);
 2. fold them into the residual rows, u <- momentum * u + g, in one pass;
-3. score all rows against the current weights, pick per-(node, layer)
-   thresholds, and build every node's local candidate mask, one call each
-   over the (N, P) residuals (warm-up skips the scoring: its thresholds are
-   0, so every entry is a candidate; the mask draws' N x L generators are
-   seeded from words derived for the whole step at once);
-4. agree on a shared mask (random broadcasters, OR-combine);
+3. draw the step's broadcasters, which depend on the shared seed and the
+   step alone; check every residual row for non-finite values; then score
+   only the broadcasters' rows against the current weights, pick their
+   per-(node, layer) thresholds and build their local candidate masks, one
+   call each. A node's mask depends only on its own row and its own mask
+   streams, and no other node's mask reaches the shared one, so the
+   non-broadcasters' masks are never built. Warm-up skips the scoring: its
+   thresholds are 0, so every entry is a candidate;
+4. agree on a shared mask: the broadcasters' masks, OR-combined;
 5. split all residual rows under the shared mask in one call: the sent
    entries form one (N, nnz) block on the shared index set and are zeroed
    in place, the rest stays as the residual;
@@ -32,6 +35,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -59,6 +63,7 @@ from .ring import (
     dense_allreduce,
     mask_agreement_round,
     naive_sparse_allreduce,
+    select_broadcast_nodes,
     sparse_allreduce,
 )
 from .seeds import INIT_STREAM, substream
@@ -219,10 +224,12 @@ def _local_masks(
     step: int,
     epoch: int,
     task,
+    nodes: Sequence[int] | None = None,
 ) -> list[BitMask]:
-    """Steps 1-3 of the pruned pipeline: fold the gradients into the residual
-    rows, u <- momentum * u + g, then score, threshold and mask all nodes in
-    one pass over the (N, P) residuals.
+    """Steps 1-3 of the pruned pipeline: fold the gradients into every
+    residual row, u <- momentum * u + g, check every row, then score,
+    threshold and mask the rows of ``nodes`` (all nodes when None) in one
+    pass. Returns one mask per requested node, in the order given.
 
     Warm-up thresholds are 0 whatever the scores, so warm-up skips scoring
     and makes every entry a candidate.
@@ -230,12 +237,14 @@ def _local_masks(
     grads = _node_gradients(state, cfg, step, task)
     state.accum *= cfg.momentum
     state.accum += grads
+    check_finite(state.accum, state.weights)
     if epoch < policy.warmup_epochs:
-        check_finite(state.accum, state.weights)
-        return [BitMask.ones(task.layout.total_length)] * cfg.n_nodes
-    imp = compute_importance(state.accum, state.weights, task.layout)
+        n_masks = cfg.n_nodes if nodes is None else len(nodes)
+        return [BitMask.ones(task.layout.total_length)] * n_masks
+    residuals = state.accum if nodes is None else state.accum[list(nodes)]
+    imp = compute_importance(residuals, state.weights, task.layout)
     thresholds = thresholds_for(imp, policy, epoch)
-    return build_local_mask(imp, thresholds, cfg.seed, step)
+    return build_local_mask(imp, thresholds, cfg.seed, step, nodes)
 
 
 def compressed_step(
@@ -250,8 +259,9 @@ def compressed_step(
     topo: RingTopology,
 ) -> StepOutcome:
     """One pruned super-step; see the module docstring for the pipeline."""
-    local_masks = _local_masks(state, policy, cfg, step, epoch, task)
-    shared, stats = mask_agreement_round(local_masks, mask_cfg, step)
+    broadcasters = select_broadcast_nodes(cfg.n_nodes, mask_cfg, step)
+    masks = _local_masks(state, policy, cfg, step, epoch, task, nodes=broadcasters)
+    shared, stats = mask_agreement_round(masks, broadcasters, cfg.n_nodes, step)
     sent, _ = split_by_mask(state.accum, shared, out=state.accum)
     total, reduce_stats = sparse_allreduce(sent, topo, step=step)
     stats.extend(reduce_stats)
@@ -282,7 +292,7 @@ def dgc_contrast_step(
     local_masks = _local_masks(state, policy, cfg, step, epoch, task)
     total, stats = naive_sparse_allreduce(state.accum, local_masks, topo, step=step)
     sent_bits = np.stack([mask.bits for mask in local_masks])
-    state.accum = np.where(sent_bits, 0.0, state.accum)
+    state.accum[sent_bits] = 0.0
     state.weights = state.weights - cfg.lr_at(epoch) * total.densify()
     state.staleness += 1
     state.staleness[sent_bits] = 0

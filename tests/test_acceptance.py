@@ -34,6 +34,7 @@ from ringprune import (
     init_state,
     mask_agreement_round,
     run_experiment,
+    select_broadcast_nodes,
     sparse_allreduce,
 )
 from ringprune.codec import encoded_size
@@ -90,7 +91,8 @@ def test_criterion_1_sparsity_preservation():
     for n in (2, 8, 32, 96):
         topo = RingTopology.create(n, length)
         cfg = MaskAgreementConfig(n_selected_nodes=2, shared_seed=55)
-        shared, _ = mask_agreement_round([shared_local] * n, cfg, step=0)
+        nodes = select_broadcast_nodes(n, cfg, 0)
+        shared, _ = mask_agreement_round([shared_local] * len(nodes), nodes, n, step=0)
         parts = SparseGradient(idx, rng.standard_normal((n, idx.shape[0])), length)
         mean, _ = sparse_allreduce(parts, topo, step=0)
         if shared.density() != target or mean.nnz / length != target:
@@ -366,7 +368,8 @@ def test_criterion_8_bandwidth_accounting():
         for step in range(steps):
             _, dstats = dense_allreduce(vectors, topo, step=step)
             dense_total += dstats.total_bytes()
-            shared, mstats = mask_agreement_round([local] * n, mask_cfg, step)
+            nodes = select_broadcast_nodes(n, mask_cfg, step)
+            shared, mstats = mask_agreement_round([local] * len(nodes), nodes, n, step)
             parts = SparseGradient(idx, np.stack(vectors)[:, idx], length)
             _, sstats = sparse_allreduce(parts, topo, step=step)
             mask_total += mstats.bytes_for(phase=PHASE_MASK)

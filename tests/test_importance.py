@@ -329,3 +329,49 @@ def test_mask_draws_match_reference_streams(seed, step):
         compute_importance(imp.scores[0], np.ones(layout.total_length), layout), thr[0], seed, step
     )
     assert np.array_equal(single.bits, masks[0].bits)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 64])
+@pytest.mark.parametrize("seed", [11, 2**200 + 5], ids=["one-word-seed", "multi-word-seed"])
+def test_mask_of_node_subset_matches_rows_of_all_node_build(n, seed):
+    # Building only some nodes' rows, keyed by their node ids, gives each of
+    # those nodes the mask the all-N build gives it, whatever the other rows
+    # and in whatever order the ids come.
+    rng = np.random.default_rng(n)
+    layout = LayerLayout.from_sizes([("a", 30), ("b", 1), ("c", 45)])
+    subsets = [(n - 1,), (0, n - 1), (n - 1, 0), tuple(rng.permutation(n))]
+    if n > 5:
+        subsets += [(5, 1), (63, 17, 0), tuple(rng.choice(n, 7, replace=False))]
+    for step in (0, 3, 2**33):
+        imp = compute_importance(
+            rng.random((n, layout.total_length)) * 0.02, np.ones(layout.total_length), layout
+        )
+        thr = rng.uniform(0.005, 0.02, (n, layout.n_layers))
+        thr[n // 2] = [0.0, math.inf, 0.01]
+        full = build_local_mask(imp, thr, seed, step)
+        for nodes in subsets:
+            rows = list(nodes)
+            sub_imp = compute_importance(
+                imp.scores[rows], np.ones(layout.total_length), layout
+            )
+            masks = build_local_mask(sub_imp, thr[rows], seed, step, nodes)
+            assert len(masks) == len(nodes)
+            for k, mask in zip(nodes, masks):
+                assert np.array_equal(mask.bits, full[k].bits), f"step {step}, node {k}"
+        # A lone node's row, given its id, is that node's mask too.
+        last = build_local_mask(
+            compute_importance(imp.scores[-1], np.ones(layout.total_length), layout),
+            thr[-1],
+            seed,
+            step,
+            (n - 1,),
+        )
+        assert np.array_equal(last.bits, full[-1].bits)
+
+
+def test_mask_node_ids_must_match_rows():
+    imp = compute_importance(np.full((2, 3), 0.1), np.ones(3), SINGLE)
+    with pytest.raises(StructuralError, match="3 node ids for 2 score rows"):
+        build_local_mask(imp, np.full((2, 1), 0.05), SEED, STEP, (0, 1, 2))
+    with pytest.raises(StructuralError, match="1 node ids for 2 score rows"):
+        build_local_mask(imp, np.full((2, 1), 0.05), SEED, STEP, (1,))

@@ -301,18 +301,25 @@ def _random_masks(rng, n, length, density):
     return [BitMask(rng.random(length) < density) for _ in range(n)]
 
 
+def agree(masks, cfg, step):
+    """The agreement round as the trainer runs it: draw the broadcasters,
+    then pass only their masks, in draw order."""
+    nodes = select_broadcast_nodes(len(masks), cfg, step)
+    return mask_agreement_round([masks[k] for k in nodes], nodes, len(masks), step)
+
+
 def test_agreement_all_selected_is_or_of_all():
     rng = np.random.default_rng(30)
     masks = _random_masks(rng, 4, 64, 0.3)
     cfg = MaskAgreementConfig(n_selected_nodes=4, shared_seed=7)
-    shared, _ = mask_agreement_round(masks, cfg, step=0)
+    shared, _ = agree(masks, cfg, step=0)
     assert shared == or_masks(masks)
 
 
 def test_agreement_single_selection_identical_masks():
     mask = BitMask(np.array([True, False, True, False]))
     cfg = MaskAgreementConfig(n_selected_nodes=1, shared_seed=3)
-    shared, _ = mask_agreement_round([mask] * 5, cfg, step=2)
+    shared, _ = agree([mask] * 5, cfg, step=2)
     assert shared == mask
 
 
@@ -341,7 +348,7 @@ def test_agreement_byte_accounting():
     length = 100  # 13 encoded bytes
     masks = _random_masks(rng, 6, length, 0.2)
     cfg = MaskAgreementConfig(n_selected_nodes=2, shared_seed=1)
-    _, stats = mask_agreement_round(masks, cfg, step=4)
+    _, stats = agree(masks, cfg, step=4)
     assert stats.bytes_for(phase=PHASE_MASK) == 2 * (6 - 1) * 13
     assert message_count(stats, phases=(PHASE_MASK,)) == 2 * 5
 
@@ -352,27 +359,38 @@ def test_agreement_records_match_per_hop_oracle(n):
     masks = _random_masks(rng, n, 37, 0.3)
     for n_selected in sorted({1, min(2, n), n}):
         cfg = MaskAgreementConfig(n_selected_nodes=n_selected, shared_seed=n)
-        _, stats = mask_agreement_round(masks, cfg, step=9)
+        _, stats = agree(masks, cfg, step=9)
         assert stats.records == mask_round_oracle(masks, cfg, 9).records
     # One broadcaster's mask is forwarded by N-1 nodes: the node before the
     # origin sends no mask message and so has no mask_round row.
     cfg = MaskAgreementConfig(n_selected_nodes=1, shared_seed=n)
     (origin,) = select_broadcast_nodes(n, cfg, 9)
-    _, stats = mask_agreement_round(masks, cfg, step=9)
+    _, stats = mask_agreement_round([masks[origin]], (origin,), n, step=9)
     senders = [node for step, node, phase, _ in stats.aggregated_rows() if phase == PHASE_MASK]
     assert senders == sorted(set(range(n)) - {(origin - 1) % n})
 
 
 def test_agreement_rejects_overselection():
-    masks = [BitMask(np.zeros(4, dtype=bool))] * 3
     with pytest.raises(ConfigError):
-        mask_agreement_round(masks, MaskAgreementConfig(n_selected_nodes=4), step=0)
+        select_broadcast_nodes(3, MaskAgreementConfig(n_selected_nodes=4), step=0)
 
 
 def test_agreement_rejects_length_mismatch():
     masks = [BitMask(np.zeros(4, dtype=bool)), BitMask(np.zeros(5, dtype=bool))]
     with pytest.raises(StructuralError):
-        mask_agreement_round(masks, MaskAgreementConfig(n_selected_nodes=1), step=0)
+        mask_agreement_round(masks, (0, 1), 3, step=0)
+
+
+def test_agreement_rejects_masks_that_do_not_match_the_broadcasters():
+    mask = BitMask(np.zeros(4, dtype=bool))
+    with pytest.raises(StructuralError, match="2 masks for 1 broadcasters"):
+        mask_agreement_round([mask, mask], (0,), 3, step=0)
+    with pytest.raises(StructuralError, match="1 masks for 2 broadcasters"):
+        mask_agreement_round([mask], (2, 0), 3, step=0)
+    with pytest.raises(StructuralError, match="at least one"):
+        mask_agreement_round([], (), 3, step=0)
+    with pytest.raises(StructuralError, match="broadcaster 3 is not a node of 3"):
+        mask_agreement_round([mask], (3,), 3, step=0)
 
 
 # --- sparse all-reduce -------------------------------------------------------------
@@ -539,7 +557,7 @@ def test_collectives_store_one_block_per_phase():
             (4, PHASE_ALLGATHER, n * (n - 1)),
         ]
     cfg = MaskAgreementConfig(n_selected_nodes=3, shared_seed=2)
-    _, stats = mask_agreement_round(masks, cfg, step=4)
+    _, stats = agree(masks, cfg, step=4)
     assert [(b[0], b[1], b[2].shape[0]) for b in stats._blocks] == [(4, PHASE_MASK, n - 1)] * 3
 
 

@@ -22,7 +22,9 @@ from ringprune import (
     dgc_contrast_step,
     init_state,
     layer_stats,
+    or_masks,
     run_experiment,
+    select_broadcast_nodes,
     thresholds_for,
 )
 from ringprune.trainer import (
@@ -580,6 +582,77 @@ def test_compressed_staleness_zero_iff_in_shared_mask():
         )
         zeroed = state.staleness[0] == 0
         assert np.array_equal(zeroed, outcome.shared_mask.bits)
+
+
+@pytest.mark.parametrize("case", ["layerwise", "warmup"])
+@pytest.mark.parametrize("n_nodes", [2, 3, 5, 17, 64])
+def test_compressed_step_matches_all_node_oracle(n_nodes, case):
+    # The oracle builds every node's local mask, as the pipeline did before
+    # it built the broadcasters' only, and OR-combines the drawn ones.
+    task = _lockstep_task(n_nodes)
+    policy = _lockstep_policy(case)
+    cfg = TrainingConfig(momentum=0.5, learning_rate=0.01, n_nodes=n_nodes, seed=31)
+    mask_cfg = MaskAgreementConfig(n_selected_nodes=min(2, n_nodes), shared_seed=n_nodes)
+    topo = RingTopology.create(n_nodes, LOCKSTEP_LAYOUT.total_length)
+    state = init_state(task, cfg)
+    oracle = init_state(task, cfg)
+    for step in range(2):
+        outcome = compressed_step(state, policy, mask_cfg, cfg, step, 0, task=task, topo=topo)
+        every_mask = _local_masks(oracle, policy, cfg, step, 0, task)
+        nodes = select_broadcast_nodes(n_nodes, mask_cfg, step)
+        expected = or_masks([every_mask[k] for k in nodes])
+        assert outcome.shared_mask == expected
+        oracle.accum[:, expected.bits] = 0.0
+        assert np.array_equal(state.accum, oracle.accum)
+        oracle.weights = state.weights.copy()
+    if case == "layerwise":
+        assert 0 < expected.popcount() < expected.length
+
+
+def test_pruned_step_scores_and_masks_only_the_broadcasters(monkeypatch):
+    # A return to scoring and masking all N rows would fail here.
+    import ringprune.trainer as trainer_module
+
+    def counting(fn, seen):
+        def counted(first, *args, **kwargs):
+            seen.append(getattr(first, "scores", first).shape[0])  # rows passed
+            return fn(first, *args, **kwargs)
+
+        return counted
+
+    rows = {"compute_importance": [], "thresholds_for": [], "build_local_mask": []}
+    for name, seen in rows.items():
+        monkeypatch.setattr(trainer_module, name, counting(getattr(trainer_module, name), seen))
+    n = 64
+    task = _lockstep_task(n)
+    cfg = TrainingConfig(momentum=0.5, n_nodes=n, seed=3)
+    mask_cfg = MaskAgreementConfig(n_selected_nodes=2, shared_seed=4)
+    topo = RingTopology.create(n, LOCKSTEP_LAYOUT.total_length)
+    state = init_state(task, cfg)
+    compressed_step(state, _lockstep_policy("warmup"), mask_cfg, cfg, 0, 0, task=task, topo=topo)
+    assert rows == {name: [] for name in rows}  # warm-up scores nothing
+    compressed_step(state, _lockstep_policy("layerwise"), mask_cfg, cfg, 1, 0, task=task, topo=topo)
+    assert rows == {name: [2] for name in rows}
+
+
+def test_pruned_step_rejects_nonfinite_residual_of_a_non_broadcaster():
+    # Only the broadcasters' rows are scored, but every row is checked.
+    n, step = 6, 1
+    mask_cfg = MaskAgreementConfig(n_selected_nodes=2, shared_seed=5)
+    broadcasters = select_broadcast_nodes(n, mask_cfg, step)
+    bad = max(set(range(n)) - set(broadcasters))
+    task = FixedGradientTask(
+        LayerLayout.from_sizes([("w", 3)]),
+        lambda node, s: [0.1, np.nan, 0.2] if (node, s) == (bad, step) else [0.1, 0.1, 0.1],
+        initial_weights=[1.0, 1.0, 1.0],
+    )
+    cfg = TrainingConfig(n_nodes=n)
+    policy = fixed_threshold_policy(0.05, warmup_epochs=1)
+    topo = RingTopology.create(n, 3)
+    state = init_state(task, cfg)
+    compressed_step(state, policy, mask_cfg, cfg, 0, 0, task=task, topo=topo)
+    with pytest.raises(InputError, match=f"node {bad}, index 1"):
+        compressed_step(state, policy, mask_cfg, cfg, step, 1, task=task, topo=topo)
 
 
 # --- dgc contrast step -------------------------------------------------------------

@@ -191,24 +191,17 @@ def split_by_mask(
     return sent, out
 
 
-def compression_ratio(
-    sent: SparseGradient,
-    enc_mask_bytes: int,
-    value_bytes_per_entry: int = VALUE_BYTES,
-    index_bytes_per_entry: int = INDEX_BYTES,
-    dense_bytes: int | None = None,
-) -> float:
-    """Dense payload bytes divided by sparse-encoded payload bytes.
+def compression_ratio(mask: BitMask) -> float:
+    """Dense payload bytes divided by the sparse payload bytes of sending the
+    entries of ``mask`` as (value, index) pairs.
 
     Larger means more compression; a value below 1 flags a densified payload
     that costs more on the wire than the dense gradient would. Returns +inf
-    when the sparse payload is empty and no mask bytes were spent.
+    when the mask is empty.
     """
-    if dense_bytes is None:
-        dense_bytes = sent.total_length * value_bytes_per_entry
-    if dense_bytes <= 0:
-        raise InputError(f"dense_bytes must be > 0, got {dense_bytes}")
-    sparse_bytes = sent.nnz * (value_bytes_per_entry + index_bytes_per_entry) + enc_mask_bytes
+    if mask.length == 0:
+        raise InputError("compression_ratio needs a mask of length > 0")
+    sparse_bytes = mask.popcount() * (VALUE_BYTES + INDEX_BYTES)
     if sparse_bytes == 0:
         return math.inf
-    return dense_bytes / sparse_bytes
+    return mask.length * VALUE_BYTES / sparse_bytes

@@ -1,10 +1,12 @@
 """Momentum SGD over the simulated ring, dense and pruned variants.
 
 Every node applies the same reduced update to the same starting weights, so
-the replicas are one weight vector in :class:`TrainState`; what differs per
-node, the residual buffer and the staleness counters, is one row per node.
-One training super-step runs compute, mask agreement, reduce, and update as
-lock-step phases. The pruned pipeline:
+the replicas are one weight vector in :class:`TrainState`. In the pruned
+modes each node's residual buffer differs, so it is one row per node; the
+dense baseline's momentum velocity is the same on every node and is kept
+once. Staleness is read from node 0 only, so only its last-send steps are
+kept. One training super-step runs compute, mask agreement, reduce, and
+update as lock-step phases. The pruned pipeline:
 
 1. compute every node's (1/NB)-scaled mini-batch gradient as (N, P) rows,
    in one task call, then clip each row when ``clip_norm`` is set (the
@@ -22,7 +24,8 @@ lock-step phases. The pruned pipeline:
 5. split all residual rows under the shared mask in one call: the sent
    entries form one (N, nnz) block on the shared index set and are zeroed
    in place, the rest stays as the residual;
-6. ring-reduce the sent block and apply the update.
+6. ring-reduce the sent block, apply the update and record the step as the
+   last send of every entry in the shared mask.
 
 The reduce hands back the sum of the sent contributions in the same
 owner-first order as the dense baseline's reduce of (1/NB)-scaled
@@ -39,15 +42,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .codec import (
-    INDEX_BYTES,
-    VALUE_BYTES,
-    BitMask,
-    SparseGradient,
-    compression_ratio,
-    split_by_mask,
-)
-from .errors import ConfigError, DivergenceError, InputError, ProtocolError
+from .codec import BitMask, compression_ratio, split_by_mask
+from .errors import ConfigError, DivergenceError, InputError, ProtocolError, StructuralError
 from .importance import (
     EpochSchedule,
     ThresholdPolicy,
@@ -132,26 +128,36 @@ class TrainingConfig:
 class TrainState:
     """The ring's training state.
 
-    ``weights`` (P,) is every node's replica. Row k of ``accum`` (N, P) is
-    node k's residual buffer, and row k of ``staleness`` (N, P) counts the
-    steps since node k last sent each entry. In dense mode every node holds
-    the same momentum velocity, so it is kept once, in row 0 of ``accum``;
-    the other rows stay zero.
+    ``weights`` (P,) is every node's replica. In the pruned modes row k of
+    ``accum`` (N, P) is node k's residual buffer; in dense mode ``accum``
+    (P,) is the momentum velocity, the same on every node. ``last_sent`` (P,)
+    holds, per entry, the number of steps done when node 0 last sent it (0
+    if never), so after ``step`` steps its staleness is ``step - last_sent``.
     """
 
     weights: np.ndarray
     accum: np.ndarray
-    staleness: np.ndarray
+    last_sent: np.ndarray
 
 
-def init_state(task, cfg: TrainingConfig) -> TrainState:
+def init_state(task, cfg: TrainingConfig, mode: str) -> TrainState:
     """All nodes start from identical weights and empty buffers."""
-    shape = (cfg.n_nodes, task.layout.total_length)
+    if mode not in MODES:
+        raise ConfigError(f"unknown mode '{mode}'; expected one of {MODES}")
+    length = task.layout.total_length
     return TrainState(
         weights=task.init_weights(substream(cfg.seed, INIT_STREAM)),
-        accum=np.zeros(shape),
-        staleness=np.zeros(shape, dtype=np.int64),
+        accum=np.zeros(length if mode == MODE_DENSE else (cfg.n_nodes, length)),
+        last_sent=np.zeros(length, dtype=np.int64),
     )
+
+
+def _check_accum(state: TrainState, shape: tuple[int, ...], step_kind: str) -> None:
+    if state.accum.shape != shape:
+        raise StructuralError(
+            f"{step_kind} step needs an accum of shape {shape}, got {state.accum.shape}: "
+            "the state was built for another mode"
+        )
 
 
 def clip_gradient(grad: np.ndarray, clip_norm: float) -> np.ndarray:
@@ -170,8 +176,6 @@ class StepOutcome:
 
     stats: LinkStats
     shared_mask: BitMask | None = None
-    # compressed: node 0's sent entries; dgc_contrast: the reduced sum
-    sent: SparseGradient | None = None
 
 
 def baseline_dense_step(
@@ -185,14 +189,15 @@ def baseline_dense_step(
 ) -> StepOutcome:
     """Vanilla momentum SGD: velocity = m * velocity + sum of node gradients.
 
-    The velocity, the same on every node, is updated in place in row 0 of
-    ``state.accum``.
+    The velocity, the same on every node, is ``state.accum``, updated in
+    place. Every entry is sent on every step.
     """
+    _check_accum(state, state.weights.shape, MODE_DENSE)
     total, stats = dense_allreduce(_node_gradients(state, cfg, step, task), topo, step=step)
-    velocity = state.accum[0]
-    velocity *= cfg.momentum
-    velocity += total
-    state.weights = state.weights - cfg.lr_at(epoch) * velocity
+    state.accum *= cfg.momentum
+    state.accum += total
+    state.weights = state.weights - cfg.lr_at(epoch) * state.accum
+    state.last_sent[:] = step + 1
     return StepOutcome(stats=stats)
 
 
@@ -206,10 +211,10 @@ def _node_gradients(state: TrainState, cfg: TrainingConfig, step: int, task) -> 
     can round differently.
     """
     grads = task.node_gradient(state.weights, step, cfg.n_nodes, cfg.batch_size)
-    if grads.shape != state.accum.shape:
+    shape = (cfg.n_nodes, state.weights.shape[0])
+    if grads.shape != shape:
         raise ProtocolError(
-            f"task gradient shape {grads.shape} does not match {state.accum.shape} "
-            "(one row per node)"
+            f"task gradient shape {grads.shape} does not match {shape} (one row per node)"
         )
     if cfg.clip_norm is not None:
         for row in grads:
@@ -234,6 +239,7 @@ def _local_masks(
     Warm-up thresholds are 0 whatever the scores, so warm-up skips scoring
     and makes every entry a candidate.
     """
+    _check_accum(state, (cfg.n_nodes, state.weights.shape[0]), "pruned")
     grads = _node_gradients(state, cfg, step, task)
     state.accum *= cfg.momentum
     state.accum += grads
@@ -266,11 +272,8 @@ def compressed_step(
     total, reduce_stats = sparse_allreduce(sent, topo, step=step)
     stats.extend(reduce_stats)
     state.weights = state.weights - cfg.lr_at(epoch) * total.densify()
-    state.staleness += 1
-    state.staleness[:, shared.bits] = 0
-    # Only node 0's row is kept, so the (N, nnz) block is freed with the step.
-    node0 = SparseGradient(sent.indices, sent.values[0].copy(), sent.total_length)
-    return StepOutcome(stats=stats, shared_mask=shared, sent=node0)
+    state.last_sent[shared.bits] = step + 1
+    return StepOutcome(stats=stats, shared_mask=shared)
 
 
 def dgc_contrast_step(
@@ -287,18 +290,18 @@ def dgc_contrast_step(
 
     Index sets union as partials travel the ring, so the applied update and
     the wire traffic densify with node count. The union plays the shared
-    mask's role for residual-free bookkeeping of what was applied.
+    mask's role for residual-free bookkeeping of what was applied; node 0's
+    last sends are those of its own mask.
     """
     local_masks = _local_masks(state, policy, cfg, step, epoch, task)
     total, stats = naive_sparse_allreduce(state.accum, local_masks, topo, step=step)
     sent_bits = np.stack([mask.bits for mask in local_masks])
     state.accum[sent_bits] = 0.0
     state.weights = state.weights - cfg.lr_at(epoch) * total.densify()
-    state.staleness += 1
-    state.staleness[sent_bits] = 0
+    state.last_sent[local_masks[0].bits] = step + 1
     union_bits = np.zeros(topo.length, dtype=bool)
     union_bits[total.indices] = True
-    return StepOutcome(stats=stats, shared_mask=BitMask(union_bits), sent=total)
+    return StepOutcome(stats=stats, shared_mask=BitMask(union_bits))
 
 
 @dataclass
@@ -346,13 +349,9 @@ def run_experiment(
     Emits an initial evaluation row (step 0) before any training, then one
     row per step. Aborts with DivergenceError on a non-finite loss.
     """
-    if mode not in MODES:
-        raise ConfigError(f"unknown mode '{mode}'; expected one of {MODES}")
-    length = task.layout.total_length
-    topo = RingTopology.create(cfg.n_nodes, length)
-    state = init_state(task, cfg)
+    state = init_state(task, cfg, mode)
+    topo = RingTopology.create(cfg.n_nodes, task.layout.total_length)
     steps_per_epoch = max(1, task.n_samples // (cfg.n_nodes * cfg.batch_size))
-    dense_bytes = length * VALUE_BYTES
 
     loss, accuracy = task.evaluate(state.weights)
     metrics = [
@@ -390,9 +389,7 @@ def run_experiment(
                         state, policy, cfg, step, epoch, task=task, topo=topo
                     )
                 density = outcome.shared_mask.density()
-                ratio = compression_ratio(
-                    outcome.sent, 0, VALUE_BYTES, INDEX_BYTES, dense_bytes
-                )
+                ratio = compression_ratio(outcome.shared_mask)
             loss, accuracy = task.evaluate(state.weights)
             step += 1
             if not np.isfinite(loss):
@@ -400,7 +397,7 @@ def run_experiment(
                     f"non-finite loss {loss} at step {step} (epoch {epoch}); "
                     "the run diverged"
                 )
-            p50, p90, pmax = _staleness_percentiles(state.staleness[0])
+            p50, p90, pmax = _staleness_percentiles(step - state.last_sent)
             all_stats.extend(outcome.stats)
             metrics.append(
                 StepMetrics(

@@ -135,8 +135,8 @@ def test_criterion_2_zero_threshold_equivalence(n_nodes, clip_norm):
     )
     mask_cfg = MaskAgreementConfig(n_selected_nodes=2, shared_seed=23)
     topo = RingTopology.create(cfg.n_nodes, task.layout.total_length)
-    dense_state = init_state(task, cfg)
-    pruned_state = init_state(task, cfg)
+    dense_state = init_state(task, cfg, MODE_DENSE)
+    pruned_state = init_state(task, cfg, MODE_COMPRESSED)
     steps = 200
     mismatch = None
     for step in range(steps):
@@ -174,7 +174,7 @@ def test_criterion_3_closed_form_weight_change():
         cfg = TrainingConfig(
             momentum=momentum, learning_rate=lr, n_nodes=2, seed=trial
         )
-        state = init_state(task, cfg)
+        state = init_state(task, cfg, MODE_DENSE)
         topo = RingTopology.create(2, length)
         start = state.weights.copy()
         for step in range(horizon):

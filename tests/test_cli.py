@@ -79,7 +79,8 @@ def test_module_entry_point_runs_from_checkout(tmp_path):
 # Two short runs that go through every branch of the pruned pipeline: a
 # compressed run at N = 64 whose layer-wise thresholds (ratio_weight > 0) fall
 # on both sides of ratio_pivot and clamp at thr_max, and a clipped
-# dgc_contrast run.
+# dgc_contrast run. A third, clipped dense run at N = 6 (not a power of two)
+# covers the baseline's momentum velocity.
 PINNED_RUNS = {
     "compressed64": (
         {
@@ -138,14 +139,41 @@ PINNED_RUNS = {
         "26d03370b06c26d3c7fb979f43311fcda3bf00f37c17bceacf33a1391674b22e",
         "75f9bdcc4c8b5baf84cc52953bb743ec3518dff29bc4fc61b0141c8fe6e19b93",
     ),
+    "dense6": (
+        {
+            "task": {
+                "kind": "mlp_classification_synthetic",
+                "n_samples": 480,
+                "n_features": 8,
+                "hidden_units": 12,
+                "n_classes": 3,
+                "data_seed": 7,
+            },
+            "training": {
+                "momentum": 0.9,
+                "learning_rate": 0.1,
+                "batch_size": 4,
+                "n_nodes": 6,
+                "seed": 13,
+                "epochs": 4,
+                "clip_norm": 0.3,
+            },
+            "threshold": {"base": 0.02, "warmup_epochs": 1},
+            "mask_agreement": {"n_selected_nodes": 2, "shared_seed": 5},
+            "mode": "dense",
+        },
+        "aa5c3c82aaded69ce3a791131ef2288d98effd506b354c4446b471606f4a8d38",
+        "670d54e54d1ecd99108aea0c0b562f45528a8b580e0e6857223b783f9b82c4f6",
+    ),
 }
 
 
 def test_artifacts_match_pinned_digests(tmp_path):
     """metrics.csv and bandwidth.csv are byte-identical to pinned runs.
 
-    The digests were recorded with the per-node scoring loop that the
-    lock-step pass replaced, on Python 3.11.7 with numpy 2.4.6; a refactor
+    The pruned digests were recorded with the per-node scoring loop that
+    the lock-step pass replaced, and the dense one with the velocity held
+    in row 0 of an (N, P) buffer, on Python 3.11.7 with numpy 2.4.6; a refactor
     that shifts one ulp or one draw changes them. Another numpy version may
     legitimately change them too (its reductions or generator can round
     differently): re-record them then, from the code before the change.

@@ -237,33 +237,33 @@ def test_sparse_stacked_block_densifies_row_by_row():
 # --- compression_ratio ---------------------------------------------------------
 
 
-def _sparse(nnz, total):
-    return SparseGradient(np.arange(nnz), np.ones(nnz), total)
+def _picks(count, total):
+    """A mask of ``total`` entries with ``count`` of them set, spread out."""
+    bits = np.zeros(total, dtype=bool)
+    bits[np.linspace(0, total - 1, count).astype(int)] = True
+    assert int(bits.sum()) == count
+    return BitMask(bits)
 
 
 def test_ratio_canonical_example():
-    # 1000 params, 4 B dense, 25 entries at 4+4 B, no mask: 4000 / 200 = 20x.
-    assert compression_ratio(_sparse(25, 1000), 0, 4, 4, 4000) == 20.0
+    # 1000 params, 4 B dense, 25 entries at 4+4 B: 4000 / 200 = 20x.
+    assert compression_ratio(_picks(25, 1000)) == 20.0
 
 
 def test_ratio_full_mask_is_densified():
-    ratio = compression_ratio(_sparse(1000, 1000), 0, 4, 4, 4000)
-    assert ratio < 1.0
+    ratio = compression_ratio(BitMask.ones(1000))
+    assert ratio == 0.5 and ratio < 1.0
 
 
 def test_ratio_empty_payload_is_infinite():
-    assert compression_ratio(_sparse(0, 1000), 0, 4, 4, 4000) == math.inf
-
-
-def test_ratio_counts_mask_overhead():
-    assert compression_ratio(_sparse(25, 1000), 125, 4, 4, 4000) == pytest.approx(4000 / 325)
+    assert compression_ratio(_picks(0, 1000)) == math.inf
 
 
 def test_ratio_requires_positive_dense_bytes():
     with pytest.raises(InputError):
-        compression_ratio(_sparse(1, 10), 0, 4, 4, 0)
+        compression_ratio(BitMask(np.zeros(0, dtype=bool)))
 
 
 def test_ratio_strictly_decreasing_in_nnz():
-    ratios = [compression_ratio(_sparse(k, 1000), 8, 4, 4, 4000) for k in range(1, 50)]
+    ratios = [compression_ratio(_picks(k, 1000)) for k in range(1, 50)]
     assert all(b < a for a, b in zip(ratios, ratios[1:]))

@@ -13,6 +13,7 @@ from ringprune import (
     MlpClassificationTask,
     ProtocolError,
     RingTopology,
+    StructuralError,
     ThresholdPolicy,
     TrainingConfig,
     baseline_dense_step,
@@ -81,6 +82,11 @@ def fixed_policy(threshold):
     return fixed_threshold_policy(threshold, warmup_epochs=0)
 
 
+def staleness(state, steps_done):
+    """Steps since node 0 last sent each entry, after ``steps_done`` steps."""
+    return steps_done - state.last_sent
+
+
 # --- clip_gradient --------------------------------------------------------------
 
 
@@ -134,11 +140,51 @@ def test_lr_schedule_overrides_constant():
     assert cfg.lr_at(2) == 0.05
 
 
+# --- state ---------------------------------------------------------------------------
+
+
+def test_init_state_holds_per_node_rows_only_in_pruned_modes():
+    layout = LayerLayout.from_sizes([("a", 3), ("b", 2)])
+    task = FixedGradientTask(layout, lambda n, s: np.zeros(5), np.ones(5))
+    cfg = TrainingConfig(n_nodes=4)
+    for mode, accum_shape in [
+        (MODE_DENSE, (5,)),
+        (MODE_COMPRESSED, (4, 5)),
+        (MODE_DGC_CONTRAST, (4, 5)),
+    ]:
+        state = init_state(task, cfg, mode)
+        assert state.weights.shape == (5,)
+        assert state.accum.shape == accum_shape and not state.accum.any()
+        assert state.last_sent.shape == (5,) and state.last_sent.dtype == np.int64
+        assert not state.last_sent.any()
+    with pytest.raises(ConfigError, match="unknown mode 'turbo'"):
+        init_state(task, cfg, "turbo")
+
+
+def test_steps_reject_a_state_built_for_another_mode():
+    layout = LayerLayout.from_sizes([("w", 3)])
+    task = FixedGradientTask(layout, lambda n, s: [0.1, 0.2, 0.3], np.ones(3))
+    cfg = TrainingConfig(n_nodes=2)
+    topo = RingTopology.create(2, 3)
+    mask_cfg = MaskAgreementConfig(n_selected_nodes=1)
+    dense = init_state(task, cfg, MODE_DENSE)
+    pruned = init_state(task, cfg, MODE_COMPRESSED)
+    with pytest.raises(StructuralError, match=r"dense step needs .* \(3,\), got \(2, 3\)"):
+        baseline_dense_step(pruned, cfg, 0, task=task, topo=topo)
+    with pytest.raises(StructuralError, match=r"pruned step needs .* \(2, 3\), got \(3,\)"):
+        compressed_step(dense, warmup_policy(), mask_cfg, cfg, 0, 0, task=task, topo=topo)
+    with pytest.raises(StructuralError, match="built for another mode"):
+        dgc_contrast_step(dense, warmup_policy(), cfg, 0, 0, task=task, topo=topo)
+    # A rejected step leaves the state as it was.
+    assert np.array_equal(pruned.weights, np.ones(3)) and not pruned.accum.any()
+    assert np.array_equal(dense.weights, np.ones(3)) and not dense.accum.any()
+
+
 # --- baseline dense step -------------------------------------------------------------
 
 
 def test_baseline_one_step_arithmetic():
-    # Node gradients sum to 0.5; velocity (row 0) = 0.9 * 0 + 0.5; w = 1 - 0.1 * 0.5.
+    # Node gradients sum to 0.5; velocity = 0.9 * 0 + 0.5; w = 1 - 0.1 * 0.5.
     layout = LayerLayout.from_sizes([("w", 1)])
     task = FixedGradientTask(
         layout,
@@ -146,11 +192,12 @@ def test_baseline_one_step_arithmetic():
         initial_weights=[1.0],
     )
     cfg = TrainingConfig(momentum=0.9, learning_rate=0.1, n_nodes=2, seed=0)
-    state = init_state(task, cfg)
+    state = init_state(task, cfg, MODE_DENSE)
     topo = RingTopology.create(2, 1)
     baseline_dense_step(state, cfg, 0, task=task, topo=topo)
     assert state.weights[0] == pytest.approx(0.95)
-    assert state.accum[0, 0] == pytest.approx(0.5)
+    assert state.accum.shape == (1,)
+    assert state.accum[0] == pytest.approx(0.5)
 
 
 def test_baseline_zero_step_size_freezes_weights():
@@ -161,7 +208,7 @@ def test_baseline_zero_step_size_freezes_weights():
         lr_schedule=EpochSchedule.constant(0.0),
         n_nodes=2,
     )
-    state = init_state(task, cfg)
+    state = init_state(task, cfg, MODE_DENSE)
     topo = RingTopology.create(2, 3)
     for step in range(5):
         baseline_dense_step(state, cfg, step, task=task, topo=topo)
@@ -175,7 +222,7 @@ def test_baseline_matches_single_process_oracle():
     cfg = TrainingConfig(
         momentum=0.9, learning_rate=0.05, batch_size=4, n_nodes=4, seed=3, epochs=1
     )
-    state = init_state(task, cfg)
+    state = init_state(task, cfg, MODE_DENSE)
     topo = RingTopology.create(4, task.layout.total_length)
 
     # Single-process oracle: momentum SGD on the concatenation of all four
@@ -278,8 +325,8 @@ def test_lockstep_pass_matches_per_node_oracle(n_nodes, case):
         seed=29,
         clip_norm=20.0 if case == "clipped" else None,
     )
-    batched = init_state(task, cfg)
-    oracle = init_state(task, cfg)
+    batched = init_state(task, cfg, MODE_COMPRESSED)
+    oracle = init_state(task, cfg, MODE_COMPRESSED)
     epoch = 0
     for step in range(2):  # the second step folds onto a non-zero residual
         masks = _local_masks(batched, policy, cfg, step, epoch, task)
@@ -321,7 +368,7 @@ def test_warmup_skips_scoring_but_rejects_nonfinite_residual():
         initial_weights=[1.0, 1.0, 1.0],
     )
     cfg = TrainingConfig(n_nodes=3)
-    state = init_state(task, cfg)
+    state = init_state(task, cfg, MODE_COMPRESSED)
     with pytest.raises(InputError, match="node 1, index 1"):
         _local_masks(state, warmup_policy(), cfg, 0, 0, task)
 
@@ -357,7 +404,7 @@ def test_closed_form_matches_iterated_baseline():
         initial_weights=rng.standard_normal(length),
     )
     cfg = TrainingConfig(momentum=0.9, learning_rate=0.07, n_nodes=2, seed=0)
-    state = init_state(task, cfg)
+    state = init_state(task, cfg, MODE_DENSE)
     topo = RingTopology.create(2, length)
     start = state.weights.copy()
     for step in range(horizon):
@@ -377,8 +424,8 @@ def test_compressed_warmup_equals_baseline_exactly():
     )
     mask_cfg = MaskAgreementConfig(n_selected_nodes=1, shared_seed=3)
     topo = RingTopology.create(2, task.layout.total_length)
-    dense_state = init_state(task, cfg)
-    pruned_state = init_state(task, cfg)
+    dense_state = init_state(task, cfg, MODE_DENSE)
+    pruned_state = init_state(task, cfg, MODE_COMPRESSED)
     policy = warmup_policy()
     for step in range(20):
         baseline_dense_step(dense_state, cfg, step, task=task, topo=topo)
@@ -389,7 +436,7 @@ def test_compressed_warmup_equals_baseline_exactly():
         assert (
             pruned_state.weights.tobytes() == dense_state.weights.tobytes()
         )  # bit-for-bit
-        assert int(pruned_state.staleness[0].max()) == 0
+        assert int(staleness(pruned_state, step + 1).max()) == 0
 
 
 def test_compressed_zero_gradients_change_nothing():
@@ -398,16 +445,16 @@ def test_compressed_zero_gradients_change_nothing():
     cfg = TrainingConfig(momentum=0.9, learning_rate=0.1, n_nodes=2, seed=1)
     mask_cfg = MaskAgreementConfig(n_selected_nodes=2, shared_seed=9)
     topo = RingTopology.create(2, 5)
-    state = init_state(task, cfg)
+    state = init_state(task, cfg, MODE_COMPRESSED)
     for step in range(7):
         outcome = compressed_step(
             state, fixed_policy(0.1), mask_cfg, cfg, step, 0, task=task, topo=topo
         )
-        assert outcome.sent.nnz == 0
+        assert outcome.shared_mask.popcount() == 0
     assert np.array_equal(state.weights, np.ones(5))
     assert np.array_equal(state.accum[0], np.zeros(5))
     # Nothing was ever in a shared mask, so staleness equals the step count.
-    assert np.array_equal(state.staleness[0], np.full(5, 7))
+    assert np.array_equal(staleness(state, 7), np.full(5, 7))
 
 
 def _reject_sample(seed, step, n_nodes, count):
@@ -442,7 +489,7 @@ def test_compressed_matches_scalar_transcript():
     cfg = TrainingConfig(momentum=momentum, learning_rate=eta, n_nodes=2, seed=4)
     mask_cfg = MaskAgreementConfig(n_selected_nodes=1, shared_seed=shared_seed)
     topo = RingTopology.create(2, length)
-    state = init_state(task, cfg)
+    state = init_state(task, cfg, MODE_COMPRESSED)
 
     # Scalar transcript, plain Python floats.
     w = [1.0] * length
@@ -474,12 +521,15 @@ def test_compressed_matches_scalar_transcript():
         assert state.weights.tolist() == w
         assert state.accum[0].tolist() == u[0]
         assert state.accum[1].tolist() == u[1]
-        assert state.staleness[0].tolist() == stale
+        assert staleness(state, step + 1).tolist() == stale
 
 
 def test_compressed_per_step_conservation_exact():
     # Integer-valued gradients and momentum 0.5 keep every quantity exactly
-    # representable: densify(sent) + kept must equal m * u_prev + g.
+    # representable. Each node's folded residual u = m * u_prev + g is split
+    # exactly: the kept residual is u off the shared mask and 0 on it, and
+    # the weights move by exactly -lr * (u0 + u1) on the mask and not at all
+    # off it, so nothing is lost or applied twice.
     rng = np.random.default_rng(23)
     length = 32
     layout = LayerLayout.from_sizes([("w", length)])
@@ -493,34 +543,38 @@ def test_compressed_per_step_conservation_exact():
         cfg = TrainingConfig(momentum=momentum, learning_rate=0.01, n_nodes=2, seed=6)
         mask_cfg = MaskAgreementConfig(n_selected_nodes=1, shared_seed=8)
         topo = RingTopology.create(2, length)
-        state = init_state(task, cfg)
+        state = init_state(task, cfg, MODE_COMPRESSED)
         for step in range(6):
-            u_prev = state.accum[0].copy()
+            u = [momentum * state.accum[k] + presets[(k, step)] for k in range(2)]
+            w_prev = state.weights.copy()
             outcome = compressed_step(
                 state, fixed_policy(1.5), mask_cfg, cfg, step, 0, task=task, topo=topo
             )
-            expected = momentum * u_prev + presets[(0, step)]
-            assert np.array_equal(
-                outcome.sent.densify() + state.accum[0], expected
-            )
+            mask = outcome.shared_mask.bits
+            assert 0 < mask.sum() < length  # both sides of the split are checked
+            for k in range(2):
+                assert np.array_equal(state.accum[k], np.where(mask, 0.0, u[k]))
+            applied = np.where(mask, u[0] + u[1], 0.0)
+            assert np.array_equal(state.weights, w_prev - cfg.learning_rate * applied)
             if momentum == 0.0:
-                # Each step is self-contained: sent + kept is exactly g.
-                assert np.array_equal(
-                    outcome.sent.densify() + state.accum[0], presets[(0, step)]
-                )
+                # Each step is self-contained: it applies exactly this
+                # step's gradients on the mask.
+                g = presets[(0, step)] + presets[(1, step)]
+                expected = w_prev - cfg.learning_rate * np.where(mask, g, 0.0)
+                assert np.array_equal(state.weights, expected)
 
 
 def test_compressed_step_splits_all_residuals_in_place():
     # One split of the (N, P) residuals under the shared mask: the sent
-    # entries are zeroed in the state's own buffer, and the outcome keeps
-    # node 0's sent row only.
+    # entries are zeroed in the state's own buffer, and their sum moves the
+    # weights on the mask only.
     rng = np.random.default_rng(24)
     n, length = 5, 30
     layout = LayerLayout.from_sizes([("a", 12), ("b", 18)])
     grads = rng.standard_normal((n, length)) * 0.005
     task = FixedGradientTask(layout, lambda node, step: grads[node], np.ones(length))
     cfg = TrainingConfig(momentum=0.0, learning_rate=0.01, n_nodes=n, seed=6)
-    state = init_state(task, cfg)
+    state = init_state(task, cfg, MODE_COMPRESSED)
     accum = state.accum
     outcome = compressed_step(
         state,
@@ -536,8 +590,8 @@ def test_compressed_step_splits_all_residuals_in_place():
     assert 0 < shared.sum() < length
     assert state.accum is accum
     assert np.array_equal(state.accum, np.where(shared, 0.0, grads))
-    assert outcome.sent.values.shape == (int(shared.sum()),)
-    assert np.array_equal(outcome.sent.values, grads[0, shared])
+    assert np.all(state.weights[~shared] == 1.0)
+    assert np.allclose(state.weights[shared], 1.0 - 0.01 * grads[:, shared].sum(axis=0))
 
 
 def test_compressed_infinite_threshold_freezes_everything():
@@ -557,15 +611,15 @@ def test_compressed_infinite_threshold_freezes_everything():
     cfg = TrainingConfig(momentum=0.9, learning_rate=0.05, batch_size=4, n_nodes=2, seed=8)
     mask_cfg = MaskAgreementConfig(n_selected_nodes=2, shared_seed=4)
     topo = RingTopology.create(2, task.layout.total_length)
-    state = init_state(task, cfg)
+    state = init_state(task, cfg, MODE_COMPRESSED)
     start = state.weights.copy()
     for step in range(6):
         outcome = compressed_step(
             state, policy, mask_cfg, cfg, step, 0, task=task, topo=topo
         )
-        assert outcome.sent.nnz == 0
+        assert outcome.shared_mask.popcount() == 0
     assert np.array_equal(state.weights, start)
-    assert np.all(state.staleness[0] == 6)
+    assert np.all(staleness(state, 6) == 6)
 
 
 def test_compressed_staleness_zero_iff_in_shared_mask():
@@ -575,12 +629,12 @@ def test_compressed_staleness_zero_iff_in_shared_mask():
     cfg = TrainingConfig(momentum=0.9, learning_rate=0.05, batch_size=4, n_nodes=2, seed=7)
     mask_cfg = MaskAgreementConfig(n_selected_nodes=1, shared_seed=2)
     topo = RingTopology.create(2, task.layout.total_length)
-    state = init_state(task, cfg)
+    state = init_state(task, cfg, MODE_COMPRESSED)
     for step in range(5):
         outcome = compressed_step(
             state, fixed_policy(0.05), mask_cfg, cfg, step, 0, task=task, topo=topo
         )
-        zeroed = state.staleness[0] == 0
+        zeroed = staleness(state, step + 1) == 0
         assert np.array_equal(zeroed, outcome.shared_mask.bits)
 
 
@@ -594,8 +648,8 @@ def test_compressed_step_matches_all_node_oracle(n_nodes, case):
     cfg = TrainingConfig(momentum=0.5, learning_rate=0.01, n_nodes=n_nodes, seed=31)
     mask_cfg = MaskAgreementConfig(n_selected_nodes=min(2, n_nodes), shared_seed=n_nodes)
     topo = RingTopology.create(n_nodes, LOCKSTEP_LAYOUT.total_length)
-    state = init_state(task, cfg)
-    oracle = init_state(task, cfg)
+    state = init_state(task, cfg, MODE_COMPRESSED)
+    oracle = init_state(task, cfg, MODE_COMPRESSED)
     for step in range(2):
         outcome = compressed_step(state, policy, mask_cfg, cfg, step, 0, task=task, topo=topo)
         every_mask = _local_masks(oracle, policy, cfg, step, 0, task)
@@ -628,7 +682,7 @@ def test_pruned_step_scores_and_masks_only_the_broadcasters(monkeypatch):
     cfg = TrainingConfig(momentum=0.5, n_nodes=n, seed=3)
     mask_cfg = MaskAgreementConfig(n_selected_nodes=2, shared_seed=4)
     topo = RingTopology.create(n, LOCKSTEP_LAYOUT.total_length)
-    state = init_state(task, cfg)
+    state = init_state(task, cfg, MODE_COMPRESSED)
     compressed_step(state, _lockstep_policy("warmup"), mask_cfg, cfg, 0, 0, task=task, topo=topo)
     assert rows == {name: [] for name in rows}  # warm-up scores nothing
     compressed_step(state, _lockstep_policy("layerwise"), mask_cfg, cfg, 1, 0, task=task, topo=topo)
@@ -649,7 +703,7 @@ def test_pruned_step_rejects_nonfinite_residual_of_a_non_broadcaster():
     cfg = TrainingConfig(n_nodes=n)
     policy = fixed_threshold_policy(0.05, warmup_epochs=1)
     topo = RingTopology.create(n, 3)
-    state = init_state(task, cfg)
+    state = init_state(task, cfg, MODE_COMPRESSED)
     compressed_step(state, policy, mask_cfg, cfg, 0, 0, task=task, topo=topo)
     with pytest.raises(InputError, match=f"node {bad}, index 1"):
         compressed_step(state, policy, mask_cfg, cfg, step, 1, task=task, topo=topo)
@@ -664,13 +718,39 @@ def test_dgc_step_updates_union_support_only():
     )
     cfg = TrainingConfig(momentum=0.9, learning_rate=0.05, batch_size=4, n_nodes=4, seed=9)
     topo = RingTopology.create(4, task.layout.total_length)
-    state = init_state(task, cfg)
+    state = init_state(task, cfg, MODE_DGC_CONTRAST)
     before = state.weights.copy()
     outcome = dgc_contrast_step(
         state, fixed_policy(0.05), cfg, 0, 0, task=task, topo=topo
     )
     changed = state.weights != before
     assert not np.any(changed & ~outcome.shared_mask.bits)
+
+
+def test_dgc_staleness_follows_node_0s_own_mask():
+    # Node 0's staleness restarts where node 0 itself sent, not across the
+    # union: an entry only another node picked is still stale at node 0.
+    task = MlpClassificationTask(
+        n_samples=64, n_features=6, hidden_units=8, n_classes=3, data_seed=29
+    )
+    cfg = TrainingConfig(momentum=0.9, learning_rate=0.05, batch_size=4, n_nodes=4, seed=9)
+    topo = RingTopology.create(4, task.layout.total_length)
+    policy = fixed_policy(0.05)
+    state = init_state(task, cfg, MODE_DGC_CONTRAST)
+    oracle = init_state(task, cfg, MODE_DGC_CONTRAST)
+    others_only = 0
+    for step in range(4):
+        masks = _local_masks(oracle, policy, cfg, step, 0, task)
+        outcome = dgc_contrast_step(state, policy, cfg, step, 0, task=task, topo=topo)
+        assert outcome.shared_mask == or_masks(masks)
+        stale = staleness(state, step + 1)
+        assert np.array_equal(stale == 0, masks[0].bits)
+        not_node_0 = outcome.shared_mask.bits & ~masks[0].bits
+        assert np.all(stale[not_node_0] > 0)
+        others_only += int(not_node_0.sum())
+        oracle.accum[np.stack([m.bits for m in masks])] = 0.0
+        oracle.weights = state.weights.copy()
+    assert others_only > 0
 
 
 # --- run_experiment ------------------------------------------------------------------
@@ -768,6 +848,9 @@ def test_run_modes_emit_schema_fields():
         assert row.mode == mode
         assert row.bytes_total > 0
         assert row.accuracy is not None
+        if mode == MODE_DENSE:
+            # Every entry is sent on every dense step.
+            assert all(m.staleness_max == 0 for m in result.metrics)
 
 
 # --- node gradients ------------------------------------------------------------------
@@ -810,7 +893,7 @@ def test_batched_gradients_match_per_node_loop(shape, n_nodes, clipped):
     promised: another BLAS can break it, and then this test fails."""
     task = GRADIENT_TASKS[shape]()
     cfg = TrainingConfig(n_nodes=n_nodes, batch_size=8, seed=5)
-    state = init_state(task, cfg)
+    state = init_state(task, cfg, MODE_DENSE)
     state.weights = state.weights + 0.1  # non-zero linear intercept and biases
     calls = record_gradient_calls(task)
     for step in (0, 5, 17):
@@ -858,7 +941,8 @@ def test_gradient_chunks_follow_activation_size():
 def test_local_gradient_shape_checked():
     layout = LayerLayout.from_sizes([("w", 3)])
     cfg = TrainingConfig(n_nodes=2)
-    state = init_state(FixedGradientTask(layout, lambda n, s: np.zeros(3), np.zeros(3)), cfg)
+    zeros = FixedGradientTask(layout, lambda n, s: np.zeros(3), np.zeros(3))
+    state = init_state(zeros, cfg, MODE_DENSE)
     wrong_length = FixedGradientTask(layout, lambda n, s: np.zeros(4), np.zeros(3))
     with pytest.raises(ProtocolError, match=r"\(2, 4\) does not match \(2, 3\)"):
         _node_gradients(state, cfg, 0, wrong_length)

@@ -1,4 +1,4 @@
-"""Per-parameter importance scores, layer statistics, and send masks.
+"""Per-parameter importance scores, layer thresholds, and send masks.
 
 A parameter's importance is the magnitude of its accumulated gradient
 relative to the magnitude of the weight it would change. Each layer gets its
@@ -75,28 +75,14 @@ class EpochSchedule:
 
 
 @dataclass(frozen=True)
-class LayerStats:
-    """Mean, population variance, and dispersion ratio of one layer's scores.
-
-    Floats for one node's scores; (N,) arrays, one entry per node, for
-    node-stacked scores.
-    """
-
-    mean: float | np.ndarray
-    variance: float | np.ndarray
-    ratio: float | np.ndarray
-
-
-@dataclass(frozen=True)
 class ThresholdPolicy:
-    """Layer-wise threshold rule plus warm-up behaviour.
+    """Layer-wise threshold rule plus the length of warm-up.
 
     threshold(layer) = base(epoch) + ratio_weight(epoch) * dispersion  when
     the dispersion ratio exceeds ``ratio_pivot``, and base - weight * ratio
-    otherwise, clamped into [thr_min, thr_max]. During the first
-    ``warmup_epochs`` epochs the threshold is 0, which forces dense sends.
-    ``scale`` is an optional global multiplier on the computed threshold
-    (1.0 leaves it off).
+    otherwise, clamped into [thr_min, thr_max]. The first ``warmup_epochs``
+    epochs send every entry; the trainer decides warm-up and skips the rule
+    for those epochs.
     """
 
     base: EpochSchedule
@@ -105,7 +91,6 @@ class ThresholdPolicy:
     thr_min: float = 1e-6
     thr_max: float = 1.0
     warmup_epochs: int = 1
-    scale: float = 1.0
 
     def __post_init__(self) -> None:
         # Written as "not (valid)" so that NaN, which compares false, fails.
@@ -119,8 +104,6 @@ class ThresholdPolicy:
             )
         if self.warmup_epochs < 0:
             raise ConfigError("warmup_epochs must be >= 0")
-        if not self.scale > 0:
-            raise ConfigError(f"scale must be > 0, got {self.scale}")
 
 
 @dataclass(frozen=True)
@@ -145,9 +128,6 @@ class ImportanceVector:
         arr.setflags(write=False)
         object.__setattr__(self, "scores", arr)
 
-    def layer_scores(self, layer_index: int) -> np.ndarray:
-        return self.scores[..., self.layout.slice_of(layer_index)]
-
 
 def check_finite(accumulated_grad: np.ndarray, weights: np.ndarray) -> None:
     """Raise InputError at the first non-finite residual entry or weight,
@@ -164,15 +144,13 @@ def compute_importance(
     accumulated_grad: np.ndarray,
     weights: np.ndarray,
     layout: LayerLayout,
-    eps: float = DEFAULT_WEIGHT_EPS,
 ) -> ImportanceVector:
-    """Score each parameter as |accumulated gradient| / max(|weight|, eps).
+    """Score each parameter as |accumulated gradient| / max(|weight|,
+    DEFAULT_WEIGHT_EPS).
 
     ``accumulated_grad`` is one node's (P,) buffer or the (N, P) stack of all
     nodes' buffers; ``weights`` is the (P,) vector they share, checked once.
     """
-    if eps <= 0:
-        raise InputError(f"eps must be > 0, got {eps}")
     g = np.asarray(accumulated_grad, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or g.ndim not in (1, 2) or g.shape[-1] != w.shape[0]:
@@ -185,51 +163,33 @@ def compute_importance(
         )
     check_finite(g, w)
     scores = np.abs(g)
-    scores /= np.maximum(np.abs(w), eps)
+    scores /= np.maximum(np.abs(w), DEFAULT_WEIGHT_EPS)
     return ImportanceVector(scores=scores, layout=layout)
 
 
-def layer_stats(imp: ImportanceVector, layer_index: int) -> LayerStats:
-    """Mean, population variance, and variance/mean ratio for one layer,
-    per node when the scores are node-stacked."""
-    scores = imp.layer_scores(layer_index)
-    mean = scores.mean(axis=-1)
-    # exact 0 for constant layers, including single-parameter ones
-    constant = np.all(scores == scores[..., :1], axis=-1)
-    variance = np.where(constant, 0.0, np.mean((scores - mean[..., None]) ** 2, axis=-1))
-    ratio = variance / np.maximum(mean, STAT_EPS)
-    if scores.ndim == 1:
-        return LayerStats(mean=float(mean), variance=float(variance), ratio=float(ratio))
-    return LayerStats(mean=mean, variance=variance, ratio=ratio)
-
-
-def layer_threshold(
-    policy: ThresholdPolicy, epoch: int, stats: LayerStats
-) -> float | np.ndarray:
-    """Send threshold for one layer at one epoch, per node for stacked stats.
-
-    Warm-up epochs return 0 (dense sends) without consulting the schedules.
-    """
-    ratio = np.asarray(stats.ratio, dtype=np.float64)
-    if epoch < policy.warmup_epochs:
-        thr = np.zeros_like(ratio)
-    else:
-        base = policy.base.value_at(epoch)
-        weight = policy.ratio_weight.value_at(epoch)
-        thr = np.where(ratio > policy.ratio_pivot, base + weight * ratio, base - weight * ratio)
-        thr = np.minimum(np.maximum(thr * policy.scale, policy.thr_min), policy.thr_max)
-    return thr if thr.ndim else float(thr)
-
-
 def thresholds_for(imp: ImportanceVector, policy: ThresholdPolicy, epoch: int) -> np.ndarray:
-    """Per-layer thresholds: shape (L,) for one node, (N, L) for stacked scores."""
-    return np.stack(
-        [
-            np.asarray(layer_threshold(policy, epoch, layer_stats(imp, j)))
-            for j in range(imp.layout.n_layers)
-        ],
-        axis=-1,
-    )
+    """Per-layer send thresholds: shape (L,) for one row of scores, (R, L)
+    for R rows.
+
+    A layer's dispersion ratio is the population variance of its scores over
+    their mean, with the mean floored at STAT_EPS; it is exactly 0 for a
+    constant layer. The rule is :class:`ThresholdPolicy`'s.
+    """
+    layout = imp.layout
+    rows = imp.scores.reshape(-1, layout.total_length)
+    ratio = np.empty((rows.shape[0], layout.n_layers))
+    for j in range(layout.n_layers):
+        scores = rows[:, layout.slice_of(j)]
+        mean = scores.mean(axis=1)
+        # exact 0 for constant layers, including single-parameter ones
+        constant = np.all(scores == scores[:, :1], axis=1)
+        variance = np.where(constant, 0.0, np.mean((scores - mean[:, None]) ** 2, axis=1))
+        ratio[:, j] = variance / np.maximum(mean, STAT_EPS)
+    base = policy.base.value_at(epoch)
+    weight = policy.ratio_weight.value_at(epoch)
+    thr = np.where(ratio > policy.ratio_pivot, base + weight * ratio, base - weight * ratio)
+    thr = np.minimum(np.maximum(thr, policy.thr_min), policy.thr_max)
+    return thr.reshape(imp.scores.shape[:-1] + (layout.n_layers,))
 
 
 def build_local_mask(

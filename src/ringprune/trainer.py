@@ -18,8 +18,8 @@ update as lock-step phases. The pruned pipeline:
    per-(node, layer) thresholds and build their local candidate masks, one
    call each. A node's mask depends only on its own row and its own mask
    streams, and no other node's mask reaches the shared one, so the
-   non-broadcasters' masks are never built. Warm-up skips the scoring: its
-   thresholds are 0, so every entry is a candidate;
+   non-broadcasters' masks are never built. Warm-up skips the scoring and
+   makes every entry a candidate;
 4. agree on a shared mask: the broadcasters' masks, OR-combined;
 5. split all residual rows under the shared mask in one call: the sent
    entries form one (N, nnz) block on the shared index set and are zeroed
@@ -29,7 +29,7 @@ update as lock-step phases. The pruned pipeline:
 
 The reduce hands back the sum of the sent contributions in the same
 owner-first order as the dense baseline's reduce of (1/NB)-scaled
-gradients, which is what makes a warm-up step (threshold 0, momentum 0)
+gradients, which is what makes a warm-up step (every entry sent, momentum 0)
 bit-identical to the dense baseline for every node count.
 """
 
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -68,21 +68,6 @@ MODE_DENSE = "dense"
 MODE_COMPRESSED = "compressed"
 MODE_DGC_CONTRAST = "dgc_contrast"
 MODES = (MODE_DENSE, MODE_COMPRESSED, MODE_DGC_CONTRAST)
-
-METRICS_CSV_HEADER = (
-    "step",
-    "epoch",
-    "mode",
-    "loss",
-    "accuracy",
-    "mean_density",
-    "compression_ratio",
-    "bytes_total",
-    "staleness_p50",
-    "staleness_p90",
-    "staleness_max",
-)
-
 
 @dataclass(frozen=True)
 class TrainingConfig:
@@ -236,8 +221,8 @@ def _local_masks(
     threshold and mask the rows of ``nodes`` (all nodes when None) in one
     pass. Returns one mask per requested node, in the order given.
 
-    Warm-up thresholds are 0 whatever the scores, so warm-up skips scoring
-    and makes every entry a candidate.
+    This is where warm-up is decided: a warm-up epoch skips scoring and
+    makes every entry a candidate.
     """
     _check_accum(state, (cfg.n_nodes, state.weights.shape[0]), "pruned")
     grads = _node_gradients(state, cfg, step, task)
@@ -317,6 +302,9 @@ class StepMetrics:
     staleness_p50: int
     staleness_p90: int
     staleness_max: int
+
+
+METRICS_CSV_HEADER = tuple(f.name for f in fields(StepMetrics))
 
 
 @dataclass
@@ -430,18 +418,4 @@ def write_metrics_csv(metrics: list[StepMetrics], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(METRICS_CSV_HEADER)
         for m in metrics:
-            writer.writerow(
-                [
-                    m.step,
-                    m.epoch,
-                    m.mode,
-                    _format_cell(m.loss),
-                    _format_cell(m.accuracy),
-                    _format_cell(m.mean_density),
-                    _format_cell(m.compression_ratio),
-                    m.bytes_total,
-                    m.staleness_p50,
-                    m.staleness_p90,
-                    m.staleness_max,
-                ]
-            )
+            writer.writerow([_format_cell(getattr(m, name)) for name in METRICS_CSV_HEADER])

@@ -20,6 +20,7 @@ from ringprune import (
     clip_gradient,
     or_masks,
 )
+from ringprune.importance import STAT_EPS
 from ringprune.ring import PHASE_ALLGATHER, PHASE_SCATTER
 from ringprune.seeds import MASK_STREAM, substream
 
@@ -37,6 +38,33 @@ class ParamStream:
 
     def layer(self, layer_index: int) -> np.random.Generator:
         return substream(self.seed, MASK_STREAM, self.node, self.step, layer_index)
+
+
+def reference_thresholds(imp, policy, epoch):
+    """The threshold rule one row and one layer at a time: a two-pass mean
+    and population variance (exactly 0 for a constant layer), the ratio
+    variance / max(mean, STAT_EPS), then the pivot branch and the
+    [thr_min, thr_max] clamp. Returns the (R, L) ratios and thresholds of the
+    score rows: the reference for ``thresholds_for``."""
+    layout = imp.layout
+    rows = imp.scores.reshape(-1, layout.total_length)
+    ratios = np.empty((rows.shape[0], layout.n_layers))
+    thresholds = np.empty_like(ratios)
+    base = policy.base.value_at(epoch)
+    weight = policy.ratio_weight.value_at(epoch)
+    for k, row in enumerate(rows):
+        for j in range(layout.n_layers):
+            s = row[layout.slice_of(j)]
+            mean = s.mean()
+            variance = 0.0 if np.all(s == s[0]) else np.mean((s - mean) ** 2)
+            ratio = float(variance) / max(float(mean), STAT_EPS)
+            if ratio > policy.ratio_pivot:
+                thr = base + weight * ratio
+            else:
+                thr = base - weight * ratio
+            ratios[k, j] = ratio
+            thresholds[k, j] = min(max(thr, policy.thr_min), policy.thr_max)
+    return ratios, thresholds
 
 
 def reference_masks(imp, thr, streams):

@@ -234,7 +234,7 @@ MLP = "mlp_classification_synthetic"
         ("threshold", {"ratio_pivot": NAN}, "ratio_pivot must be > 0", []),
         ("threshold", {"thr_min": NAN}, "thr_min must be > 0", []),
         ("threshold", {"thr_max": NAN}, "exceeds thr_max nan", []),
-        ("threshold", {"scale": NAN}, "scale must be > 0", []),
+        ("threshold", {"scale": 1.0}, "threshold: unknown key 'scale'", []),
         ("threshold", {"base": NAN}, "threshold.base: schedule value must be a number", []),
         (
             "threshold",
@@ -291,7 +291,7 @@ MLP = "mlp_classification_synthetic"
         "nan-ratio-pivot",
         "nan-thr-min",
         "nan-thr-max",
-        "nan-scale",
+        "removed-scale-key",
         "nan-base",
         "nan-ratio-weight-span",
         "nan-lr-schedule",

@@ -6,26 +6,27 @@ import pytest
 from ringprune import (
     ConfigError,
     EpochSchedule,
+    ImportanceVector,
     InputError,
     LayerLayout,
-    LayerStats,
     StructuralError,
     ThresholdPolicy,
     build_local_mask,
     compute_importance,
-    layer_stats,
-    layer_threshold,
+    thresholds_for,
 )
+from ringprune.importance import DEFAULT_WEIGHT_EPS, STAT_EPS
 
-from oracles import ParamStream, reference_masks
+from oracles import ParamStream, reference_masks, reference_thresholds
 
 SINGLE = LayerLayout.from_sizes([("all", 3)])
 
 
-def _imp(scores, layout=None):
-    layout = layout or LayerLayout.from_sizes([("all", len(scores))])
+def _imp(scores):
+    """Single-layer scores: one row, or a stack of rows."""
     g = np.asarray(scores, dtype=float)
-    return compute_importance(g, np.ones(len(g)), layout)
+    layout = LayerLayout.from_sizes([("all", g.shape[-1])])
+    return compute_importance(g, np.ones(g.shape[-1]), layout)
 
 
 # --- compute_importance ---------------------------------------------------
@@ -40,8 +41,8 @@ def test_importance_direct_ratio():
 
 def test_importance_zero_weight_guard():
     layout = LayerLayout.from_sizes([("all", 1)])
-    imp = compute_importance(np.array([0.3]), np.array([0.0]), layout, eps=1e-8)
-    assert imp.scores[0] == 3.0e7
+    imp = compute_importance(np.array([0.3]), np.array([0.0]), layout)
+    assert imp.scores[0] == 0.3 / DEFAULT_WEIGHT_EPS == 3.0e7
 
 
 def test_importance_matches_scalar_loop_oracle():
@@ -50,10 +51,10 @@ def test_importance_matches_scalar_loop_oracle():
     g = rng.standard_normal(1000)
     w = rng.standard_normal(1000)
     w[np.abs(w) < 1e-3] += 1.0  # keep weights away from the eps guard
-    eps = 1e-8
-    expected = np.array([abs(g[i]) / max(abs(w[i]), eps) for i in range(1000)])
+    w[::97] = 0.0  # and put some on it
+    expected = np.array([abs(g[i]) / max(abs(w[i]), DEFAULT_WEIGHT_EPS) for i in range(1000)])
     layout = LayerLayout.from_sizes([("all", 1000)])
-    imp = compute_importance(g, w, layout, eps=eps)
+    imp = compute_importance(g, w, layout)
     assert np.array_equal(imp.scores, expected)  # 0-ulp match
 
 
@@ -89,50 +90,7 @@ def test_importance_nonfinite_identifies_index():
         compute_importance(np.zeros((3, 3)), w, SINGLE)
 
 
-def test_importance_bad_eps():
-    with pytest.raises(InputError):
-        compute_importance(np.zeros(3), np.ones(3), SINGLE, eps=0.0)
-
-
-# --- layer_stats -----------------------------------------------------------
-
-
-def test_stats_constant_layer():
-    st = layer_stats(_imp([0.1, 0.1, 0.1]), 0)
-    assert st.mean == pytest.approx(0.1)
-    assert st.variance == 0.0
-    assert st.ratio == 0.0
-
-
-def test_stats_two_point():
-    st = layer_stats(_imp([0.0, 0.2]), 0)
-    assert st.mean == pytest.approx(0.1)
-    assert st.variance == pytest.approx(0.01)
-    assert st.ratio == pytest.approx(0.1)
-
-
-def test_stats_match_two_pass_oracle():
-    rng = np.random.default_rng(9)
-    scores = rng.random(500)
-    # Two-pass scalar oracle.
-    mean = sum(float(s) for s in scores) / 500
-    var = sum((float(s) - mean) ** 2 for s in scores) / 500
-    st = layer_stats(_imp(scores), 0)
-    assert st.mean == pytest.approx(mean, rel=1e-12)
-    assert st.variance == pytest.approx(var, rel=1e-12)
-
-
-def test_stats_zero_mean_guard():
-    st = layer_stats(_imp([0.0, 0.0]), 0)
-    assert st.ratio == 0.0  # 0 / max(0, 1e-12)
-
-
-def test_stats_layer_out_of_range():
-    with pytest.raises(StructuralError):
-        layer_stats(_imp([0.1]), 3)
-
-
-# --- layer_threshold --------------------------------------------------------
+# --- thresholds_for -----------------------------------------------------------
 
 
 def _policy(base, weight, **kwargs):
@@ -144,32 +102,71 @@ def _policy(base, weight, **kwargs):
     )
 
 
+# Under this policy a positive dispersion ratio is its own threshold
+# (0 + 1 * ratio, above the pivot and inside the clamp), and a ratio of 0
+# takes the lower branch to 0 and is clamped up to RATIO_ZERO.
+RATIO_ZERO = 5e-324
+RATIO_READOUT = _policy(0.0, 1.0, ratio_pivot=RATIO_ZERO, thr_min=RATIO_ZERO, thr_max=math.inf)
+
+
+def _ratios(rows):
+    """Dispersion ratio of each single-layer row, read through thresholds_for."""
+    thr = thresholds_for(_imp(rows), RATIO_READOUT, 0)
+    return thr[:, 0].tolist()
+
+
+def test_stats_constant_layer():
+    # Exactly 0, where the two-pass variance of [0.1] * 3 would not be.
+    assert _ratios([[0.1, 0.1, 0.1], [7.0, 7.0, 7.0]]) == [RATIO_ZERO, RATIO_ZERO]
+    single = thresholds_for(_imp([0.3]), RATIO_READOUT, 0)
+    assert single.tolist() == [RATIO_ZERO]
+
+
+def test_stats_two_point():
+    # [0, 2m] has mean m and variance m**2, so its ratio is m.
+    assert _ratios([[0.0, 4.0], [0.0, 1.0], [0.0, 200.0]]) == [2.0, 0.5, 100.0]
+
+
+def test_stats_match_two_pass_oracle():
+    rng = np.random.default_rng(9)
+    scores = rng.random(500)
+    # Two-pass scalar oracle.
+    mean = sum(float(s) for s in scores) / 500
+    var = sum((float(s) - mean) ** 2 for s in scores) / 500
+    (ratio,) = _ratios([scores])
+    assert ratio == pytest.approx(var / mean, rel=1e-12)
+
+
+def test_stats_zero_mean_guard():
+    # An all-zero layer has ratio 0, not 0 / 0; a tiny mean is floored at STAT_EPS.
+    assert _ratios([[0.0, 0.0], [0.0, 1e-13]]) == [RATIO_ZERO, 5e-14 * 5e-14 / STAT_EPS]
+
+
+def test_stats_layer_out_of_range():
+    # Layers that reach past the scores are refused before any layer is read.
+    layout = LayerLayout.from_sizes([("a", 1), ("b", 3)])
+    with pytest.raises(StructuralError):
+        ImportanceVector(np.array([0.1]), layout)
+
+
 def test_threshold_upper_branch():
-    st = LayerStats(mean=1.0, variance=2.0, ratio=2.0)
-    assert layer_threshold(_policy(0.01, 0.002), 0, st) == pytest.approx(0.014)
+    thr = thresholds_for(_imp([0.0, 4.0]), _policy(0.01, 0.002), 0)  # ratio 2.0
+    assert thr.tolist() == [0.01 + 0.002 * 2.0]
 
 
 def test_threshold_lower_branch():
-    st = LayerStats(mean=1.0, variance=0.5, ratio=0.5)
-    assert layer_threshold(_policy(0.01, 0.002), 0, st) == pytest.approx(0.009)
+    thr = thresholds_for(_imp([0.0, 1.0]), _policy(0.01, 0.002), 0)  # ratio 0.5
+    assert thr.tolist() == [0.01 - 0.002 * 0.5]
 
 
 def test_threshold_clamps_at_floor():
-    st = LayerStats(mean=1.0, variance=0.5, ratio=0.5)
-    assert layer_threshold(_policy(0.001, 0.1, thr_min=1e-6), 0, st) == 1e-6
+    thr = thresholds_for(_imp([0.0, 1.0]), _policy(0.001, 0.1, thr_min=1e-6), 0)
+    assert thr.tolist() == [1e-6]
 
 
 def test_threshold_clamps_at_ceiling():
-    st = LayerStats(mean=1.0, variance=100.0, ratio=100.0)
-    assert layer_threshold(_policy(0.5, 0.1, thr_max=1.0), 0, st) == 1.0
-
-
-def test_threshold_warmup_is_dense():
-    st = LayerStats(mean=1.0, variance=2.0, ratio=2.0)
-    pol = _policy(0.01, 0.002, warmup_epochs=2)
-    assert layer_threshold(pol, 0, st) == 0.0
-    assert layer_threshold(pol, 1, st) == 0.0
-    assert layer_threshold(pol, 2, st) == pytest.approx(0.014)
+    thr = thresholds_for(_imp([0.0, 200.0]), _policy(0.5, 0.1, thr_max=1.0), 0)
+    assert thr.tolist() == [1.0]
 
 
 def test_threshold_epoch_outside_schedule():
@@ -178,34 +175,62 @@ def test_threshold_epoch_outside_schedule():
         ratio_weight=EpochSchedule.constant(0.0),
         warmup_epochs=0,
     )
-    st = LayerStats(mean=1.0, variance=0.0, ratio=0.0)
-    assert layer_threshold(pol, 4, st) == pytest.approx(0.01)
+    imp = _imp([0.1, 0.1])
+    assert thresholds_for(imp, pol, 4).tolist() == [0.01]
     with pytest.raises(ConfigError):
-        layer_threshold(pol, 5, st)
+        thresholds_for(imp, pol, 5)
 
 
 def test_threshold_piecewise_monotone_and_bounded():
     pol = _policy(0.01, 0.003, thr_min=1e-6, thr_max=0.05)
     pivot = pol.ratio_pivot
+    # Row [0, 2r] has a ratio of r, up to rounding.
     above = [pivot + r for r in (0.1, 0.5, 1.0, 5.0, 50.0)]
-    thr_above = [
-        layer_threshold(pol, 0, LayerStats(mean=1.0, variance=r, ratio=r))
-        for r in above
-    ]
-    assert all(b >= a for a, b in zip(thr_above, thr_above[1:]))
     below = [0.0, 0.2, 0.5, 0.9, pivot]
-    thr_below = [
-        layer_threshold(pol, 0, LayerStats(mean=1.0, variance=r, ratio=r))
-        for r in below
-    ]
-    assert all(b <= a for a, b in zip(thr_below, thr_below[1:]))
-    for thr in thr_above + thr_below:
-        assert pol.thr_min <= thr <= pol.thr_max
+    thr = thresholds_for(_imp([[0.0, 2 * r] for r in above + below]), pol, 0)[:, 0]
+    thr_above, thr_below = thr[: len(above)], thr[len(above) :]
+    assert np.all(np.diff(thr_above) >= 0)
+    assert np.all(np.diff(thr_below) <= 0)
+    assert np.all((pol.thr_min <= thr) & (thr <= pol.thr_max))
 
 
-def test_threshold_scale_multiplier():
-    st = LayerStats(mean=1.0, variance=2.0, ratio=2.0)
-    assert layer_threshold(_policy(0.01, 0.002, scale=2.0), 0, st) == pytest.approx(0.028)
+def test_thresholds_match_rule_oracle():
+    # Random policies and score stacks, against the rule applied one row and
+    # one layer at a time. Layer scales put the ratios (about scale / 6) on
+    # both sides of the pivot; the first row has an all-zero layer and the
+    # last a constant one.
+    rng = np.random.default_rng(12)
+    layout = LayerLayout.from_sizes([("one", 1), ("a", 7), ("b", 40), ("c", 300), ("d", 9000)])
+    hits = {"upper": 0, "lower": 0, "floor": 0, "ceiling": 0, "constant": 0}
+    for trial in range(60):
+        n_rows = int(rng.integers(1, 9))
+        scales = np.repeat(10.0 ** rng.uniform(-3, 2, (n_rows, 5)), layout.lengths, axis=1)
+        scores = rng.random((n_rows, layout.total_length)) * scales
+        scores[0, layout.slice_of(1)] = 0.0
+        scores[-1, layout.slice_of(2)] = 0.25
+        thr_min = 10.0 ** rng.uniform(-6, -2)
+        thr_max = math.inf if trial % 3 == 0 else thr_min + 10.0 ** rng.uniform(-3, 1)
+        policy = _policy(
+            rng.uniform(0.0, 0.5),
+            rng.uniform(0.0, 0.2),
+            ratio_pivot=10.0 ** rng.uniform(-2, 1),
+            thr_min=thr_min,
+            thr_max=thr_max,
+        )
+        imp = compute_importance(scores, np.ones(layout.total_length), layout)
+        ratios, expected = reference_thresholds(imp, policy, 0)
+        thr = thresholds_for(imp, policy, 0)
+        assert thr.shape == (n_rows, layout.n_layers)
+        assert np.array_equal(thr, expected), f"trial {trial}"
+        # A one-row call gives that row of the stacked result.
+        one = compute_importance(scores[-1], np.ones(layout.total_length), layout)
+        assert np.array_equal(thresholds_for(one, policy, 0), expected[-1])
+        hits["upper"] += np.sum(ratios > policy.ratio_pivot)
+        hits["lower"] += np.sum(ratios <= policy.ratio_pivot)
+        hits["floor"] += np.sum(thr == thr_min)
+        hits["ceiling"] += np.sum(thr == thr_max)
+        hits["constant"] += np.sum(ratios == 0.0)
+    assert all(hits.values()), hits
 
 
 def test_policy_validation():

@@ -22,7 +22,6 @@ from ringprune import (
     compute_importance,
     dgc_contrast_step,
     init_state,
-    layer_stats,
     or_masks,
     run_experiment,
     select_broadcast_nodes,
@@ -43,6 +42,7 @@ from oracles import (
     fixed_threshold_policy,
     node_gradients,
     reference_masks,
+    reference_thresholds,
 )
 
 
@@ -247,9 +247,10 @@ def test_baseline_matches_single_process_oracle():
 
 def per_node_local_masks(state, policy, cfg, step, epoch, task):
     """Steps 1-3 of the pruned pipeline as the trainer ran them before the
-    lock-step pass, one loop iteration per node, with each node's draws from
-    its reference stream: the oracle for ``_local_masks``. Also returns each
-    node's thresholds."""
+    lock-step pass, one loop iteration per node, with each node's thresholds
+    from the rule oracle and its draws from its reference stream: the oracle
+    for ``_local_masks``. Also returns each node's thresholds, None in
+    warm-up, where every entry is a candidate and no threshold is taken."""
     local_masks = []
     node_thresholds = []
     for k in range(cfg.n_nodes):
@@ -257,8 +258,12 @@ def per_node_local_masks(state, policy, cfg, step, epoch, task):
         if cfg.clip_norm is not None:
             grad = clip_gradient(grad, cfg.clip_norm)
         state.accum[k] = cfg.momentum * state.accum[k] + grad
+        if epoch < policy.warmup_epochs:
+            node_thresholds.append(None)
+            local_masks.append(BitMask.ones(task.layout.total_length))
+            continue
         imp = compute_importance(state.accum[k], state.weights, task.layout)
-        thresholds = thresholds_for(imp, policy, epoch)
+        (thresholds,) = reference_thresholds(imp, policy, epoch)[1]
         node_thresholds.append(thresholds)
         (bits,) = reference_masks(imp, thresholds, [ParamStream(cfg.seed, k, step)])
         local_masks.append(BitMask(bits))
@@ -337,6 +342,8 @@ def test_lockstep_pass_matches_per_node_oracle(n_nodes, case):
         assert len(masks) == n_nodes
         for k in range(n_nodes):
             assert np.array_equal(masks[k].bits, expected_masks[k].bits), f"node {k}"
+        if case == "warmup":
+            continue  # warm-up takes no thresholds
         imp = compute_importance(batched.accum, batched.weights, task.layout)
         thresholds = thresholds_for(imp, policy, epoch)
         assert thresholds.shape == (n_nodes, LOCKSTEP_LAYOUT.n_layers)
@@ -347,9 +354,9 @@ def test_lockstep_pass_matches_per_node_oracle(n_nodes, case):
     if case == "infinite":
         assert np.all(np.isinf(thresholds)) and not bits.any()
     elif case == "warmup":
-        assert np.all(thresholds == 0.0) and bits.all()
+        assert bits.all()
     elif case == "layerwise":
-        ratios = np.stack([layer_stats(imp, j).ratio for j in range(5)], axis=1)
+        ratios, _ = reference_thresholds(imp, policy, epoch)
         unclamped = (thresholds > policy.thr_min) & (thresholds < policy.thr_max)
         assert np.all(ratios[:, 0] == 0.0) and np.all(thresholds[:, 0] == 0.05)
         assert np.any(thresholds[:, 1] == policy.thr_min)

@@ -25,14 +25,6 @@ MANIFEST_NAME = "manifest.json"
 METRICS_NAME = "metrics.csv"
 BANDWIDTH_NAME = "bandwidth.csv"
 
-# The only defaults that are not the dataclass's own: the threshold rule's
-# base and ratio_weight have no dataclass default, and the config's
-# shared_seed default differs from MaskAgreementConfig's.
-_CONFIG_DEFAULTS = {
-    ThresholdPolicy: {"base": 0.01, "ratio_weight": 0.0},
-    MaskAgreementConfig: {"shared_seed": 1234},
-}
-
 _SEED_FIELDS = ("seed", "data_seed", "shared_seed")
 
 _TOP_LEVEL_KEYS = ("task", "training", "threshold", "mask_agreement", "mode", "out_dir")
@@ -132,17 +124,16 @@ def _build(cls, section: dict, path: str):
     """Dataclass ``cls`` from a config section.
 
     The dataclass declares each field: its name, the annotation its value is
-    parsed by, and the default an absent key takes unless
-    ``_CONFIG_DEFAULTS`` names another. Range checks are left to the
-    dataclass's ``__post_init__``.
+    parsed by, and the default an absent key takes. Range checks are left to
+    the dataclass's ``__post_init__``.
     """
     declared = fields(cls)
     _reject_unknown(section, [f.name for f in declared], path)
-    defaults = _CONFIG_DEFAULTS.get(cls, {})
-    values = {}
-    for f in declared:
-        value = section.get(f.name, defaults.get(f.name, f.default))
-        values[f.name] = _parse_field(f, value, f"{path}.{f.name}")
+    values = {
+        f.name: _parse_field(f, section[f.name], f"{path}.{f.name}")
+        for f in declared
+        if f.name in section
+    }
     return cls(**values)
 
 

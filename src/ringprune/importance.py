@@ -25,7 +25,7 @@ import numpy as np
 from .codec import BitMask
 from .errors import ConfigError, InputError, StructuralError
 from .layout import LayerLayout
-from .seeds import generator_from_words, mask_stream_words
+from .seeds import MASK_STREAM, substream
 
 # Guard for |weight| when scoring; keeps scores finite for zero weights
 # without disturbing the ranking of normal-magnitude ones.
@@ -85,8 +85,8 @@ class ThresholdPolicy:
     for those epochs.
     """
 
-    base: EpochSchedule
-    ratio_weight: EpochSchedule
+    base: EpochSchedule = EpochSchedule.constant(0.01)
+    ratio_weight: EpochSchedule = EpochSchedule.constant(0.0)
     ratio_pivot: float = 1.0
     thr_min: float = 1e-6
     thr_max: float = 1.0
@@ -209,9 +209,7 @@ def build_local_mask(
     Node k's draws in layer j come from the mask stream keyed (seed, node k,
     step, layer j), so a node's mask is the same whichever other rows are
     built with it, and bit-reproducible for a fixed seed. Stacked scores
-    take (R, L) thresholds and give one mask per row; the seed words of all
-    R x L streams are derived in one pass (see
-    :func:`seeds.mask_stream_words`).
+    take (R, L) thresholds and give one mask per row.
     """
     layout = imp.layout
     rows = imp.scores.reshape(-1, layout.total_length)
@@ -230,19 +228,14 @@ def build_local_mask(
     if bad.any():
         node, j = np.argwhere(bad)[0]
         raise InputError(f"threshold for layer {j} of row {node} must be >= 0, got {thr[node, j]}")
-    # Rows with a zero or infinite threshold draw nothing: with uniforms of 0
-    # the rule below selects all of a zero-threshold row (scores are >= 0)
-    # and none of an infinite-threshold one (scores are finite).
-    draws = (thr > 0) & np.isfinite(thr)
-    words = mask_stream_words(seed, step, nodes, layout.n_layers)
     bits = np.empty(rows.shape, dtype=bool)
     for j in range(layout.n_layers):
         sl = layout.slice_of(j)
         scores = rows[:, sl]
         layer_thr = thr[:, j : j + 1]
-        uniforms = np.zeros(scores.shape)
-        for k in np.flatnonzero(draws[:, j]):
-            generator_from_words(words[k, j]).random(out=uniforms[k])
+        uniforms = np.empty(scores.shape)
+        for k, node in enumerate(nodes):
+            substream(seed, MASK_STREAM, node, step, j).random(out=uniforms[k])
         with np.errstate(divide="ignore", invalid="ignore"):
             bits[:, sl] = (scores >= layer_thr) | (uniforms < scores / layer_thr)
     if imp.scores.ndim == 1:

@@ -81,7 +81,7 @@ class MaskAgreementConfig:
     """
 
     n_selected_nodes: int = 2
-    shared_seed: int = 0
+    shared_seed: int = 1234
 
     def __post_init__(self) -> None:
         if self.n_selected_nodes < 1:
@@ -292,10 +292,6 @@ def mask_agreement_round(
         raise StructuralError("mask agreement needs at least one broadcast mask")
     if len(masks) != len(broadcasters):
         raise StructuralError(f"got {len(masks)} masks for {len(broadcasters)} broadcasters")
-    length = masks[0].length
-    for m in masks[1:]:
-        if m.length != length:
-            raise StructuralError(f"mask length mismatch: {m.length} vs {length}")
     stats = LinkStats()
     received: list[BitMask] = []
     for origin, mask in zip(broadcasters, masks):

@@ -147,7 +147,7 @@ def _check_accum(state: TrainState, shape: tuple[int, ...], step_kind: str) -> N
 
 def clip_gradient(grad: np.ndarray, clip_norm: float) -> np.ndarray:
     """Rescale to L2 norm clip_norm when the gradient exceeds it."""
-    if clip_norm <= 0:
+    if not clip_norm > 0:  # NaN fails too
         raise InputError(f"clip_norm must be > 0, got {clip_norm}")
     norm = float(np.linalg.norm(grad))
     if norm > clip_norm:

@@ -30,7 +30,8 @@ REDUCE_PHASES = (PHASE_SCATTER, PHASE_ALLGATHER)
 @dataclass(frozen=True)
 class ParamStream:
     """Per-(node, step) family of mask-draw streams, one substream per layer:
-    the reference for :func:`ringprune.seeds.mask_stream_words`."""
+    the reference for the streams :func:`ringprune.importance.build_local_mask`
+    draws from."""
 
     seed: int
     node: int

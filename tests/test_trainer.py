@@ -108,9 +108,10 @@ def test_clip_norm_bound_property():
         assert np.linalg.norm(clip_gradient(grad, clip)) <= clip + 1e-12
 
 
-def test_clip_requires_positive_norm():
+@pytest.mark.parametrize("clip", [0.0, -1.0, float("nan")])
+def test_clip_requires_positive_norm(clip):
     with pytest.raises(InputError):
-        clip_gradient(np.ones(3), 0.0)
+        clip_gradient(np.ones(3), clip)
 
 
 # --- TrainingConfig ---------------------------------------------------------------

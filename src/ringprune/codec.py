@@ -163,32 +163,23 @@ def or_masks(masks: list[BitMask]) -> BitMask:
     return BitMask(combined)
 
 
-def split_by_mask(
-    grad: np.ndarray, mask: BitMask, *, out: np.ndarray | None = None
-) -> tuple[SparseGradient, np.ndarray]:
-    """Split a dense vector, or each row of an (N, P) stack, into (sent
-    sparse part, kept remainder).
+def split_by_mask(rows: np.ndarray, mask: BitMask) -> SparseGradient:
+    """Cut the entries of ``mask`` out of each row of an (N, P) stack.
 
-    No arithmetic touches the values: masked entries are copied into the
-    sparse part, one index set with one row of values per row of ``grad``,
-    and zeroed in the remainder, so densify(sent) + kept reconstructs the
-    input exactly. The remainder is written to ``out`` when it is given;
-    ``out=grad`` zeroes the sent entries in place.
+    No arithmetic touches the values: the masked entries are copied into one
+    (N, nnz) block on the mask's index set and zeroed in ``rows`` in place,
+    so densify(sent) + rows afterwards reconstructs the input exactly.
+    Returns the block.
     """
-    vec = np.asarray(grad, dtype=np.float64)
-    if vec.ndim not in (1, 2) or vec.shape[-1] != mask.length:
+    if rows.ndim != 2 or rows.shape[1] != mask.length:
         raise StructuralError(
-            f"gradient shape {vec.shape} does not match mask length {mask.length}"
+            f"rows of shape {rows.shape} do not match mask length {mask.length}"
         )
     idx = np.flatnonzero(mask.bits)
-    # take() gives C-ordered rows; vec[..., idx] would need a second copy
-    sent = SparseGradient(indices=idx, values=np.take(vec, idx, axis=-1), total_length=mask.length)
-    if out is None:
-        out = vec.copy()
-    elif out is not vec:
-        np.copyto(out, vec)
-    out[..., idx] = 0.0
-    return sent, out
+    # take() gives C-ordered rows; rows[:, idx] would need a second copy
+    sent = SparseGradient(indices=idx, values=np.take(rows, idx, axis=1), total_length=mask.length)
+    rows[:, idx] = 0.0
+    return sent
 
 
 def compression_ratio(mask: BitMask) -> float:

@@ -21,9 +21,5 @@ class ConfigError(RingPruneError, ValueError):
     """A configuration is invalid or incomplete (schedules, node counts, files)."""
 
 
-class ProtocolError(RingPruneError, RuntimeError):
-    """Simulated nodes disagree where the protocol guarantees agreement."""
-
-
 class DivergenceError(RingPruneError, RuntimeError):
     """Training produced a non-finite loss."""

@@ -8,11 +8,10 @@ important one lowers it. Parameters at or above the layer threshold are
 always selected; parameters below it are selected with probability
 score / threshold, which keeps long-unsent residuals from going stale.
 
-Every function here takes either one node's vector or a node-stacked array
-with one row per node, and reduces along the last axis. A one-dimensional
-call is the single-row case of the same code, so any set of nodes is scored,
-thresholded and masked in one pass per step with bit-identical results to
-separate calls.
+Every function here takes an (R, P) stack of score or residual rows, one
+row per scored node, and reduces along the last axis, so any set of nodes is
+scored, thresholded and masked in one pass per step with bit-identical
+results to separate calls.
 """
 
 from __future__ import annotations
@@ -106,32 +105,9 @@ class ThresholdPolicy:
             raise ConfigError("warmup_epochs must be >= 0")
 
 
-@dataclass(frozen=True)
-class ImportanceVector:
-    """Non-negative per-parameter scores tied to a layer layout: shape (P,)
-    for one node, or (N, P) with one row per node."""
-
-    scores: np.ndarray
-    layout: LayerLayout
-
-    def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(np.asarray(self.scores, dtype=np.float64))
-        if arr.ndim not in (1, 2):
-            raise StructuralError("scores must be one row or a stack of rows")
-        if arr.shape[-1] != self.layout.total_length:
-            raise StructuralError(
-                f"score count {arr.shape[-1]} does not match layout length "
-                f"{self.layout.total_length}"
-            )
-        if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr < 0)):
-            raise StructuralError("scores must be finite and non-negative")
-        arr.setflags(write=False)
-        object.__setattr__(self, "scores", arr)
-
-
 def check_finite(accumulated_grad: np.ndarray, weights: np.ndarray) -> None:
-    """Raise InputError at the first non-finite residual entry or weight,
-    naming the node too for a node-stacked residual."""
+    """Raise InputError at the first non-finite entry of the (R, P) residual
+    rows or of the (P,) weights, naming the residual's node."""
     for name, arr in (("gradient", accumulated_grad), ("weight", weights)):
         bad = ~np.isfinite(arr)
         if bad.any():
@@ -140,90 +116,88 @@ def check_finite(accumulated_grad: np.ndarray, weights: np.ndarray) -> None:
             raise InputError(f"non-finite {name} at {where}")
 
 
+def _score_rows(scores, layout: LayerLayout) -> np.ndarray:
+    """``scores`` as a float array, checked to be (R, P) for the layout."""
+    arr = np.asarray(scores, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] != layout.total_length:
+        raise StructuralError(
+            f"expected (rows, {layout.total_length}) for the layout, got shape {arr.shape}"
+        )
+    return arr
+
+
 def compute_importance(
-    accumulated_grad: np.ndarray,
+    residuals: np.ndarray,
     weights: np.ndarray,
     layout: LayerLayout,
-) -> ImportanceVector:
-    """Score each parameter as |accumulated gradient| / max(|weight|,
-    DEFAULT_WEIGHT_EPS).
-
-    ``accumulated_grad`` is one node's (P,) buffer or the (N, P) stack of all
-    nodes' buffers; ``weights`` is the (P,) vector they share, checked once.
+) -> np.ndarray:
+    """The (R, P) scores |residual| / max(|weight|, DEFAULT_WEIGHT_EPS) of
+    an (R, P) stack of residual rows against the (P,) weights they share.
     """
-    g = np.asarray(accumulated_grad, dtype=np.float64)
+    g = _score_rows(residuals, layout)
     w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1 or g.ndim not in (1, 2) or g.shape[-1] != w.shape[0]:
+    if w.shape != (layout.total_length,):
         raise StructuralError(
-            f"gradient shape {g.shape} does not match weight shape {w.shape}"
-        )
-    if w.shape[0] != layout.total_length:
-        raise StructuralError(
-            f"vector length {w.shape[0]} does not match layout length {layout.total_length}"
+            f"weight shape {w.shape} does not match layout length {layout.total_length}"
         )
     check_finite(g, w)
     scores = np.abs(g)
     scores /= np.maximum(np.abs(w), DEFAULT_WEIGHT_EPS)
-    return ImportanceVector(scores=scores, layout=layout)
+    return scores
 
 
-def thresholds_for(imp: ImportanceVector, policy: ThresholdPolicy, epoch: int) -> np.ndarray:
-    """Per-layer send thresholds: shape (L,) for one row of scores, (R, L)
-    for R rows.
+def thresholds_for(
+    scores: np.ndarray, layout: LayerLayout, policy: ThresholdPolicy, epoch: int
+) -> np.ndarray:
+    """The (R, L) per-layer send thresholds of (R, P) score rows.
 
     A layer's dispersion ratio is the population variance of its scores over
     their mean, with the mean floored at STAT_EPS; it is exactly 0 for a
     constant layer. The rule is :class:`ThresholdPolicy`'s.
     """
-    layout = imp.layout
-    rows = imp.scores.reshape(-1, layout.total_length)
+    rows = _score_rows(scores, layout)
     ratio = np.empty((rows.shape[0], layout.n_layers))
     for j in range(layout.n_layers):
-        scores = rows[:, layout.slice_of(j)]
-        mean = scores.mean(axis=1)
+        layer = rows[:, layout.slice_of(j)]
+        mean = layer.mean(axis=1)
         # exact 0 for constant layers, including single-parameter ones
-        constant = np.all(scores == scores[:, :1], axis=1)
-        variance = np.where(constant, 0.0, np.mean((scores - mean[:, None]) ** 2, axis=1))
+        constant = np.all(layer == layer[:, :1], axis=1)
+        variance = np.where(constant, 0.0, np.mean((layer - mean[:, None]) ** 2, axis=1))
         ratio[:, j] = variance / np.maximum(mean, STAT_EPS)
     base = policy.base.value_at(epoch)
     weight = policy.ratio_weight.value_at(epoch)
     thr = np.where(ratio > policy.ratio_pivot, base + weight * ratio, base - weight * ratio)
-    thr = np.minimum(np.maximum(thr, policy.thr_min), policy.thr_max)
-    return thr.reshape(imp.scores.shape[:-1] + (layout.n_layers,))
+    return np.minimum(np.maximum(thr, policy.thr_min), policy.thr_max)
 
 
 def build_local_mask(
-    imp: ImportanceVector,
-    thr_by_layer,
+    scores: np.ndarray,
+    layout: LayerLayout,
+    thresholds,
     seed: int,
     step: int,
-    nodes: Sequence[int] | None = None,
-) -> BitMask | list[BitMask]:
-    """Send-candidate mask of one node, or of each node for stacked scores.
+    nodes: Sequence[int],
+) -> list[BitMask]:
+    """Send-candidate masks of (R, P) score rows under (R, L) thresholds,
+    one per row.
 
     A parameter is selected deterministically when its score reaches the
     layer threshold, and otherwise independently with probability
     score / threshold. A zero threshold selects the whole layer; an infinite
     threshold selects nothing. ``nodes`` names the node of each row, in row
-    order; without it row k is node k, and a one-dimensional call is node 0.
-    Node k's draws in layer j come from the mask stream keyed (seed, node k,
-    step, layer j), so a node's mask is the same whichever other rows are
-    built with it, and bit-reproducible for a fixed seed. Stacked scores
-    take (R, L) thresholds and give one mask per row.
+    order. Node k's draws in layer j come from the mask stream keyed (seed,
+    node k, step, layer j), so a node's mask is the same whichever other rows
+    are built with it, and bit-reproducible for a fixed seed.
     """
-    layout = imp.layout
-    rows = imp.scores.reshape(-1, layout.total_length)
-    thr = np.asarray(thr_by_layer, dtype=np.float64)
-    if thr.shape != imp.scores.shape[:-1] + (layout.n_layers,):
+    rows = _score_rows(scores, layout)
+    thr = np.asarray(thresholds, dtype=np.float64)
+    if thr.shape != (rows.shape[0], layout.n_layers):
         raise StructuralError(
             f"thresholds of shape {thr.shape} supplied for {layout.n_layers} layers "
-            f"and scores of shape {imp.scores.shape}"
+            f"and scores of shape {rows.shape}"
         )
-    if nodes is None:
-        nodes = range(rows.shape[0])
-    elif len(nodes) != rows.shape[0]:
+    if len(nodes) != rows.shape[0]:
         raise StructuralError(f"got {len(nodes)} node ids for {rows.shape[0]} score rows")
-    thr = thr.reshape(rows.shape[0], layout.n_layers)
     bad = ~(thr >= 0)  # negative or NaN
     if bad.any():
         node, j = np.argwhere(bad)[0]
@@ -231,13 +205,11 @@ def build_local_mask(
     bits = np.empty(rows.shape, dtype=bool)
     for j in range(layout.n_layers):
         sl = layout.slice_of(j)
-        scores = rows[:, sl]
+        layer = rows[:, sl]
         layer_thr = thr[:, j : j + 1]
-        uniforms = np.empty(scores.shape)
+        uniforms = np.empty(layer.shape)
         for k, node in enumerate(nodes):
             substream(seed, MASK_STREAM, node, step, j).random(out=uniforms[k])
         with np.errstate(divide="ignore", invalid="ignore"):
-            bits[:, sl] = (scores >= layer_thr) | (uniforms < scores / layer_thr)
-    if imp.scores.ndim == 1:
-        return BitMask(bits[0])
+            bits[:, sl] = (layer >= layer_thr) | (uniforms < layer / layer_thr)
     return [BitMask(row) for row in bits]

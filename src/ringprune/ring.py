@@ -322,9 +322,10 @@ def sparse_allreduce(
     preserved no matter how many nodes reduce.
     """
     values = contributions.values
-    rows = values.shape[0] if values.ndim == 2 else 1
-    if rows != topo.n_nodes:
-        raise StructuralError(f"got {rows} contribution rows for {topo.n_nodes} nodes")
+    if values.ndim != 2 or values.shape[0] != topo.n_nodes:
+        raise StructuralError(
+            f"got contribution values of shape {values.shape} for {topo.n_nodes} nodes"
+        )
     if contributions.total_length != topo.length:
         raise StructuralError(
             f"sparse total_length {contributions.total_length} does not match "

@@ -43,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .codec import BitMask, compression_ratio, split_by_mask
-from .errors import ConfigError, DivergenceError, InputError, ProtocolError, StructuralError
+from .errors import ConfigError, DivergenceError, InputError, StructuralError
 from .importance import (
     EpochSchedule,
     ThresholdPolicy,
@@ -84,9 +84,9 @@ class TrainingConfig:
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"training.momentum must be in [0, 1), got {self.momentum}")
         # Written as "not (valid)" so that NaN, which compares false, fails.
-        if not self.learning_rate > 0:
+        if not 0 < self.learning_rate < math.inf:
             raise ConfigError(
-                f"training.learning_rate must be > 0, got {self.learning_rate}"
+                f"training.learning_rate must be > 0 and finite, got {self.learning_rate}"
             )
         if self.lr_schedule is not None:
             for _start, _end, value in self.lr_schedule.spans:
@@ -198,7 +198,7 @@ def _node_gradients(state: TrainState, cfg: TrainingConfig, step: int, task) -> 
     grads = task.node_gradient(state.weights, step, cfg.n_nodes, cfg.batch_size)
     shape = (cfg.n_nodes, state.weights.shape[0])
     if grads.shape != shape:
-        raise ProtocolError(
+        raise StructuralError(
             f"task gradient shape {grads.shape} does not match {shape} (one row per node)"
         )
     if cfg.clip_norm is not None:
@@ -214,12 +214,12 @@ def _local_masks(
     step: int,
     epoch: int,
     task,
-    nodes: Sequence[int] | None = None,
+    nodes: Sequence[int],
 ) -> list[BitMask]:
     """Steps 1-3 of the pruned pipeline: fold the gradients into every
     residual row, u <- momentum * u + g, check every row, then score,
-    threshold and mask the rows of ``nodes`` (all nodes when None) in one
-    pass. Returns one mask per requested node, in the order given.
+    threshold and mask the rows of ``nodes`` in one pass. Returns one mask
+    per requested node, in the order given.
 
     This is where warm-up is decided: a warm-up epoch skips scoring and
     makes every entry a candidate.
@@ -230,12 +230,11 @@ def _local_masks(
     state.accum += grads
     check_finite(state.accum, state.weights)
     if epoch < policy.warmup_epochs:
-        n_masks = cfg.n_nodes if nodes is None else len(nodes)
-        return [BitMask.ones(task.layout.total_length)] * n_masks
-    residuals = state.accum if nodes is None else state.accum[list(nodes)]
-    imp = compute_importance(residuals, state.weights, task.layout)
-    thresholds = thresholds_for(imp, policy, epoch)
-    return build_local_mask(imp, thresholds, cfg.seed, step, nodes)
+        return [BitMask.ones(task.layout.total_length)] * len(nodes)
+    layout = task.layout
+    scores = compute_importance(state.accum[list(nodes)], state.weights, layout)
+    thresholds = thresholds_for(scores, layout, policy, epoch)
+    return build_local_mask(scores, layout, thresholds, cfg.seed, step, nodes)
 
 
 def compressed_step(
@@ -253,7 +252,7 @@ def compressed_step(
     broadcasters = select_broadcast_nodes(cfg.n_nodes, mask_cfg, step)
     masks = _local_masks(state, policy, cfg, step, epoch, task, nodes=broadcasters)
     shared, stats = mask_agreement_round(masks, broadcasters, cfg.n_nodes, step)
-    sent, _ = split_by_mask(state.accum, shared, out=state.accum)
+    sent = split_by_mask(state.accum, shared)
     total, reduce_stats = sparse_allreduce(sent, topo, step=step)
     stats.extend(reduce_stats)
     state.weights = state.weights - cfg.lr_at(epoch) * total.densify()
@@ -278,7 +277,7 @@ def dgc_contrast_step(
     mask's role for residual-free bookkeeping of what was applied; node 0's
     last sends are those of its own mask.
     """
-    local_masks = _local_masks(state, policy, cfg, step, epoch, task)
+    local_masks = _local_masks(state, policy, cfg, step, epoch, task, range(cfg.n_nodes))
     total, stats = naive_sparse_allreduce(state.accum, local_masks, topo, step=step)
     sent_bits = np.stack([mask.bits for mask in local_masks])
     state.accum[sent_bits] = 0.0

@@ -41,19 +41,17 @@ class ParamStream:
         return substream(self.seed, MASK_STREAM, self.node, self.step, layer_index)
 
 
-def reference_thresholds(imp, policy, epoch):
+def reference_thresholds(scores, layout, policy, epoch):
     """The threshold rule one row and one layer at a time: a two-pass mean
     and population variance (exactly 0 for a constant layer), the ratio
     variance / max(mean, STAT_EPS), then the pivot branch and the
     [thr_min, thr_max] clamp. Returns the (R, L) ratios and thresholds of the
-    score rows: the reference for ``thresholds_for``."""
-    layout = imp.layout
-    rows = imp.scores.reshape(-1, layout.total_length)
-    ratios = np.empty((rows.shape[0], layout.n_layers))
+    (R, P) score rows: the reference for ``thresholds_for``."""
+    ratios = np.empty((scores.shape[0], layout.n_layers))
     thresholds = np.empty_like(ratios)
     base = policy.base.value_at(epoch)
     weight = policy.ratio_weight.value_at(epoch)
-    for k, row in enumerate(rows):
+    for k, row in enumerate(scores):
         for j in range(layout.n_layers):
             s = row[layout.slice_of(j)]
             mean = s.mean()
@@ -68,12 +66,10 @@ def reference_thresholds(imp, policy, epoch):
     return ratios, thresholds
 
 
-def reference_masks(imp, thr, streams):
-    """The mask rule with every draw taken from the reference stream
-    ``ParamStream(seed, node, step).layer(j)``, one node and layer at a time."""
-    layout = imp.layout
-    scores = imp.scores.reshape(-1, layout.total_length)
-    thr = np.asarray(thr, dtype=float).reshape(scores.shape[0], layout.n_layers)
+def reference_masks(scores, layout, thr, streams):
+    """The mask rule on (R, P) score rows and (R, L) thresholds with every
+    draw taken from the reference stream ``ParamStream(seed, node,
+    step).layer(j)``, one node and layer at a time."""
     masks = []
     for k, stream in enumerate(streams):
         bits = np.empty(layout.total_length, dtype=bool)

@@ -329,10 +329,10 @@ def test_criterion_7_probabilistic_inclusion():
     failures = []
     details = []
     for i, p in enumerate((0.1, 0.5, 0.7, 0.9)):
-        imp = compute_importance(
-            np.full(trials, p * threshold), np.ones(trials), layout
+        scores = compute_importance(
+            np.full((1, trials), p * threshold), np.ones(trials), layout
         )
-        mask = build_local_mask(imp, [threshold], 700 + i, 0)
+        (mask,) = build_local_mask(scores, layout, [[threshold]], 700 + i, 0, (0,))
         sigma = math.sqrt(p * (1 - p) / trials)
         deviation = abs(mask.density() - p)
         details.append(f"p={p}: {mask.density():.4f} ({deviation / sigma:.2f} sigma)")

@@ -80,7 +80,9 @@ def test_module_entry_point_runs_from_checkout(tmp_path):
 # compressed run at N = 64 whose layer-wise thresholds (ratio_weight > 0) fall
 # on both sides of ratio_pivot and clamp at thr_max, and a clipped
 # dgc_contrast run. A third, clipped dense run at N = 6 (not a power of two)
-# covers the baseline's momentum velocity.
+# covers the baseline's momentum velocity. The last three are the benchmark's
+# ring64-pruned, wide4-pruned and dense64 configs at run seed 16, written out
+# here so that the pins do not move with the benchmark's workload definitions.
 PINNED_RUNS = {
     "compressed64": (
         {
@@ -165,6 +167,81 @@ PINNED_RUNS = {
         "aa5c3c82aaded69ce3a791131ef2288d98effd506b354c4446b471606f4a8d38",
         "670d54e54d1ecd99108aea0c0b562f45528a8b580e0e6857223b783f9b82c4f6",
     ),
+    "ring64-pruned": (
+        {
+            "task": {
+                "kind": "mlp_classification_synthetic",
+                "n_samples": 2048,
+                "n_classes": 4,
+                "n_features": 20,
+                "hidden_units": 48,
+                "data_seed": 16,
+            },
+            "training": {
+                "momentum": 0.9,
+                "learning_rate": 0.1,
+                "batch_size": 8,
+                "n_nodes": 64,
+                "seed": 16,
+                "epochs": 8,
+            },
+            "threshold": {"base": 0.01, "warmup_epochs": 1},
+            "mask_agreement": {"n_selected_nodes": 2, "shared_seed": 16},
+            "mode": "compressed",
+        },
+        "e00989bbe8939fabda1df205dc43f3bee8ec37268f134cac5a512309323fdb37",
+        "8fe71fd7a56ebbcf59cc62d0b3c551ad5a10e4b9f17d32d8e217e0199a715376",
+    ),
+    "wide4-pruned": (
+        {
+            "task": {
+                "kind": "mlp_classification_synthetic",
+                "n_samples": 2048,
+                "n_classes": 4,
+                "n_features": 64,
+                "hidden_units": 1024,
+                "data_seed": 16,
+            },
+            "training": {
+                "momentum": 0.9,
+                "learning_rate": 0.1,
+                "batch_size": 64,
+                "n_nodes": 4,
+                "seed": 16,
+                "epochs": 4,
+            },
+            "threshold": {"base": 0.01, "warmup_epochs": 1},
+            "mask_agreement": {"n_selected_nodes": 2, "shared_seed": 16},
+            "mode": "compressed",
+        },
+        "023ee6e4fdc389344e2cb9f97e1fb4f81704de99eebe1a44fc00643d2c380c8e",
+        "21ff28428ee2df2b589b56b1c35b31f3deb7d621fc4950af868ef623fb1cd73d",
+    ),
+    "dense64": (
+        {
+            "task": {
+                "kind": "mlp_classification_synthetic",
+                "n_samples": 2048,
+                "n_classes": 4,
+                "n_features": 20,
+                "hidden_units": 48,
+                "data_seed": 16,
+            },
+            "training": {
+                "momentum": 0.9,
+                "learning_rate": 0.1,
+                "batch_size": 8,
+                "n_nodes": 64,
+                "seed": 16,
+                "epochs": 8,
+            },
+            "threshold": {"base": 0.01, "warmup_epochs": 1},
+            "mask_agreement": {"n_selected_nodes": 2, "shared_seed": 16},
+            "mode": "dense",
+        },
+        "53cb9d74df3c65eb41e5b3497fab7d5452cee81f41965de9f2545ba4022cbc16",
+        "594215685a362a2689fcc46b8f32b05a3bc9a15a8d913a2bf945bc91c7aba47c",
+    ),
 }
 
 
@@ -230,6 +307,12 @@ MLP = "mlp_classification_synthetic"
         ("task", {"noise": NAN}, "noise must be finite, got nan", []),
         ("task", {"noise": INF}, "noise must be finite, got inf", []),
         ("training", {"learning_rate": NAN}, "training.learning_rate must be > 0", []),
+        (
+            "training",
+            {"learning_rate": INF},
+            "training.learning_rate must be > 0 and finite, got inf",
+            [],
+        ),
         ("training", {"clip_norm": NAN}, "training.clip_norm must be > 0", []),
         ("threshold", {"ratio_pivot": NAN}, "ratio_pivot must be > 0", []),
         ("threshold", {"thr_min": NAN}, "thr_min must be > 0", []),
@@ -287,6 +370,7 @@ MLP = "mlp_classification_synthetic"
         "nan-noise",
         "inf-noise",
         "nan-learning-rate",
+        "inf-learning-rate",
         "nan-clip-norm",
         "nan-ratio-pivot",
         "nan-thr-min",

@@ -125,26 +125,29 @@ def test_or_errors():
 
 
 def test_split_basic():
-    sent, kept = split_by_mask(np.array([1.0, 2.0, 3.0]), _mask([1, 0, 1]))
+    rows = np.array([[1.0, 2.0, 3.0]])
+    sent = split_by_mask(rows, _mask([1, 0, 1]))
     assert sent.indices.tolist() == [0, 2]
-    assert sent.values.tolist() == [1.0, 3.0]
-    assert kept.tolist() == [0.0, 2.0, 0.0]
+    assert sent.values.tolist() == [[1.0, 3.0]]
+    assert rows.tolist() == [[0.0, 2.0, 0.0]]
 
 
 def test_split_all_ones_keeps_nothing():
-    grad = np.array([1.5, -2.0])
-    sent, kept = split_by_mask(grad, _mask([1, 1]))
+    grad = np.array([[1.5, -2.0]])
+    rows = grad.copy()
+    sent = split_by_mask(rows, _mask([1, 1]))
     assert np.array_equal(sent.densify(), grad)
-    assert not kept.any()
+    assert not rows.any()
 
 
 def test_split_reconstruction_identity():
     rng = np.random.default_rng(11)
     for _ in range(1000):
         n = int(rng.integers(1, 60))
-        grad = rng.standard_normal(n)
+        grad = rng.standard_normal((1, n))
         mask = BitMask(rng.random(n) < rng.random())
-        sent, kept = split_by_mask(grad, mask)
+        kept = grad.copy()
+        sent = split_by_mask(kept, mask)
         assert np.array_equal(sent.densify() + kept, grad)  # exact
 
 
@@ -162,38 +165,35 @@ def test_split_stacked_matches_row_by_row_split(density):
     rng = np.random.default_rng(12)
     grads = rng.standard_normal((5, 40))
     mask = BitMask(rng.random(40) < density)
-    sent, kept = split_by_mask(grads, mask)
+    kept = grads.copy()
+    sent = split_by_mask(kept, mask)
     assert sent.values.shape == (5, mask.popcount())
     for k in range(5):
-        row_sent, row_kept = split_by_mask(grads[k], mask)
+        row_kept = grads[k : k + 1].copy()
+        row_sent = split_by_mask(row_kept, mask)
         assert np.array_equal(sent.indices, row_sent.indices)
-        assert sent.values[k].tobytes() == row_sent.values.tobytes()
-        assert kept[k].tobytes() == row_kept.tobytes()
+        assert sent.values[k].tobytes() == row_sent.values[0].tobytes()
+        assert kept[k].tobytes() == row_kept[0].tobytes()
     assert np.array_equal(sent.densify() + kept, grads)  # exact
 
 
-def test_split_out_zeroes_sent_entries_in_place():
+def test_split_zeroes_sent_entries_in_place():
     rng = np.random.default_rng(13)
     grads = rng.standard_normal((3, 9))
     original = grads.copy()
     mask = _mask([1, 0, 0, 1, 1, 0, 0, 0, 1])
-    sent, kept = split_by_mask(grads, mask, out=grads)
-    assert kept is grads
+    sent = split_by_mask(grads, mask)
     assert np.array_equal(sent.values, original[:, mask.bits])
     assert np.array_equal(grads, np.where(mask.bits, 0.0, original))
-    # A separate ``out`` leaves the input alone.
-    target = np.full((3, 9), 7.0)
-    split_by_mask(original, mask, out=target)
-    assert np.array_equal(target, grads)
-    assert not np.array_equal(original, grads)
 
 
 @given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.booleans()), min_size=1, max_size=80))
 @settings(max_examples=200, deadline=None)
 def test_split_conservation_property(pairs):
-    grad = np.array([p[0] for p in pairs])
+    grad = np.array([[p[0] for p in pairs]])
     mask = _mask([p[1] for p in pairs])
-    sent, kept = split_by_mask(grad, mask)
+    kept = grad.copy()
+    sent = split_by_mask(kept, mask)
     assert np.array_equal(sent.densify() + kept, grad)
     assert sent.nnz == mask.popcount()
 

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from ringprune import (
+    BitMask,
     ConfigError,
     EpochSchedule,
-    ImportanceVector,
     InputError,
     LayerLayout,
     StructuralError,
     ThresholdPolicy,
     build_local_mask,
     compute_importance,
+    split_by_mask,
     thresholds_for,
 )
 from ringprune.importance import DEFAULT_WEIGHT_EPS, STAT_EPS
@@ -22,27 +23,27 @@ from oracles import ParamStream, reference_masks, reference_thresholds
 SINGLE = LayerLayout.from_sizes([("all", 3)])
 
 
-def _imp(scores):
-    """Single-layer scores: one row, or a stack of rows."""
-    g = np.asarray(scores, dtype=float)
-    layout = LayerLayout.from_sizes([("all", g.shape[-1])])
-    return compute_importance(g, np.ones(g.shape[-1]), layout)
+def _imp(rows):
+    """(scores, layout) of a stack of single-layer score rows."""
+    g = np.asarray(rows, dtype=float)
+    layout = LayerLayout.from_sizes([("all", g.shape[1])])
+    return compute_importance(g, np.ones(g.shape[1]), layout), layout
 
 
 # --- compute_importance ---------------------------------------------------
 
 
 def test_importance_direct_ratio():
-    imp = compute_importance(
-        np.array([0.2, -0.1, 0.0]), np.array([2.0, 0.5, 1.0]), SINGLE
+    scores = compute_importance(
+        np.array([[0.2, -0.1, 0.0]]), np.array([2.0, 0.5, 1.0]), SINGLE
     )
-    assert np.array_equal(imp.scores, [0.1, 0.2, 0.0])
+    assert np.array_equal(scores, [[0.1, 0.2, 0.0]])
 
 
 def test_importance_zero_weight_guard():
     layout = LayerLayout.from_sizes([("all", 1)])
-    imp = compute_importance(np.array([0.3]), np.array([0.0]), layout)
-    assert imp.scores[0] == 0.3 / DEFAULT_WEIGHT_EPS == 3.0e7
+    scores = compute_importance(np.array([[0.3]]), np.array([0.0]), layout)
+    assert scores[0, 0] == 0.3 / DEFAULT_WEIGHT_EPS == 3.0e7
 
 
 def test_importance_matches_scalar_loop_oracle():
@@ -54,8 +55,8 @@ def test_importance_matches_scalar_loop_oracle():
     w[::97] = 0.0  # and put some on it
     expected = np.array([abs(g[i]) / max(abs(w[i]), DEFAULT_WEIGHT_EPS) for i in range(1000)])
     layout = LayerLayout.from_sizes([("all", 1000)])
-    imp = compute_importance(g, w, layout)
-    assert np.array_equal(imp.scores, expected)  # 0-ulp match
+    scores = compute_importance(g[None], w, layout)
+    assert np.array_equal(scores[0], expected)  # 0-ulp match
 
 
 def test_importance_scale_covariance():
@@ -63,23 +64,23 @@ def test_importance_scale_covariance():
     g = rng.standard_normal(200)
     w = np.sign(rng.standard_normal(200)) * (0.5 + rng.random(200))
     layout = LayerLayout.from_sizes([("all", 200)])
-    base = compute_importance(g, w, layout).scores
-    scaled = compute_importance(4.0 * g, w, layout).scores
+    base = compute_importance(g[None], w, layout)
+    scaled = compute_importance(4.0 * g[None], w, layout)
     assert np.allclose(scaled, 4.0 * base, rtol=1e-15)
 
 
 def test_importance_length_mismatch():
     with pytest.raises(StructuralError):
-        compute_importance(np.zeros(3), np.zeros(4), SINGLE)
+        compute_importance(np.zeros((1, 3)), np.zeros(4), SINGLE)
 
 
 def test_importance_nonfinite_identifies_index():
-    g = np.array([0.0, np.nan, 0.0])
-    with pytest.raises(InputError, match="index 1"):
+    g = np.array([[0.0, np.nan, 0.0]])
+    with pytest.raises(InputError, match="node 0, index 1"):
         compute_importance(g, np.ones(3), SINGLE)
     w = np.array([1.0, 1.0, np.inf])
-    with pytest.raises(InputError, match="index 2"):
-        compute_importance(np.zeros(3), w, SINGLE)
+    with pytest.raises(InputError, match="weight at index 2$"):
+        compute_importance(np.zeros((1, 3)), w, SINGLE)
     # Node-stacked residuals: the first bad entry in node order, by node and index.
     stacked = np.zeros((3, 3))
     stacked[1, 2] = np.nan
@@ -111,15 +112,15 @@ RATIO_READOUT = _policy(0.0, 1.0, ratio_pivot=RATIO_ZERO, thr_min=RATIO_ZERO, th
 
 def _ratios(rows):
     """Dispersion ratio of each single-layer row, read through thresholds_for."""
-    thr = thresholds_for(_imp(rows), RATIO_READOUT, 0)
+    thr = thresholds_for(*_imp(rows), RATIO_READOUT, 0)
     return thr[:, 0].tolist()
 
 
 def test_stats_constant_layer():
     # Exactly 0, where the two-pass variance of [0.1] * 3 would not be.
     assert _ratios([[0.1, 0.1, 0.1], [7.0, 7.0, 7.0]]) == [RATIO_ZERO, RATIO_ZERO]
-    single = thresholds_for(_imp([0.3]), RATIO_READOUT, 0)
-    assert single.tolist() == [RATIO_ZERO]
+    single = thresholds_for(*_imp([[0.3]]), RATIO_READOUT, 0)
+    assert single.tolist() == [[RATIO_ZERO]]
 
 
 def test_stats_two_point():
@@ -145,28 +146,31 @@ def test_stats_zero_mean_guard():
 def test_stats_layer_out_of_range():
     # Layers that reach past the scores are refused before any layer is read.
     layout = LayerLayout.from_sizes([("a", 1), ("b", 3)])
-    with pytest.raises(StructuralError):
-        ImportanceVector(np.array([0.1]), layout)
+    scores = np.array([[0.1]])
+    with pytest.raises(StructuralError, match=r"expected \(rows, 4\)"):
+        thresholds_for(scores, layout, RATIO_READOUT, 0)
+    with pytest.raises(StructuralError, match=r"expected \(rows, 4\)"):
+        build_local_mask(scores, layout, [[0.1, 0.1]], SEED, STEP, (0,))
 
 
 def test_threshold_upper_branch():
-    thr = thresholds_for(_imp([0.0, 4.0]), _policy(0.01, 0.002), 0)  # ratio 2.0
-    assert thr.tolist() == [0.01 + 0.002 * 2.0]
+    thr = thresholds_for(*_imp([[0.0, 4.0]]), _policy(0.01, 0.002), 0)  # ratio 2.0
+    assert thr.tolist() == [[0.01 + 0.002 * 2.0]]
 
 
 def test_threshold_lower_branch():
-    thr = thresholds_for(_imp([0.0, 1.0]), _policy(0.01, 0.002), 0)  # ratio 0.5
-    assert thr.tolist() == [0.01 - 0.002 * 0.5]
+    thr = thresholds_for(*_imp([[0.0, 1.0]]), _policy(0.01, 0.002), 0)  # ratio 0.5
+    assert thr.tolist() == [[0.01 - 0.002 * 0.5]]
 
 
 def test_threshold_clamps_at_floor():
-    thr = thresholds_for(_imp([0.0, 1.0]), _policy(0.001, 0.1, thr_min=1e-6), 0)
-    assert thr.tolist() == [1e-6]
+    thr = thresholds_for(*_imp([[0.0, 1.0]]), _policy(0.001, 0.1, thr_min=1e-6), 0)
+    assert thr.tolist() == [[1e-6]]
 
 
 def test_threshold_clamps_at_ceiling():
-    thr = thresholds_for(_imp([0.0, 200.0]), _policy(0.5, 0.1, thr_max=1.0), 0)
-    assert thr.tolist() == [1.0]
+    thr = thresholds_for(*_imp([[0.0, 200.0]]), _policy(0.5, 0.1, thr_max=1.0), 0)
+    assert thr.tolist() == [[1.0]]
 
 
 def test_threshold_epoch_outside_schedule():
@@ -175,10 +179,10 @@ def test_threshold_epoch_outside_schedule():
         ratio_weight=EpochSchedule.constant(0.0),
         warmup_epochs=0,
     )
-    imp = _imp([0.1, 0.1])
-    assert thresholds_for(imp, pol, 4).tolist() == [0.01]
+    scores, layout = _imp([[0.1, 0.1]])
+    assert thresholds_for(scores, layout, pol, 4).tolist() == [[0.01]]
     with pytest.raises(ConfigError):
-        thresholds_for(imp, pol, 5)
+        thresholds_for(scores, layout, pol, 5)
 
 
 def test_threshold_piecewise_monotone_and_bounded():
@@ -187,7 +191,7 @@ def test_threshold_piecewise_monotone_and_bounded():
     # Row [0, 2r] has a ratio of r, up to rounding.
     above = [pivot + r for r in (0.1, 0.5, 1.0, 5.0, 50.0)]
     below = [0.0, 0.2, 0.5, 0.9, pivot]
-    thr = thresholds_for(_imp([[0.0, 2 * r] for r in above + below]), pol, 0)[:, 0]
+    thr = thresholds_for(*_imp([[0.0, 2 * r] for r in above + below]), pol, 0)[:, 0]
     thr_above, thr_below = thr[: len(above)], thr[len(above) :]
     assert np.all(np.diff(thr_above) >= 0)
     assert np.all(np.diff(thr_below) <= 0)
@@ -217,14 +221,13 @@ def test_thresholds_match_rule_oracle():
             thr_min=thr_min,
             thr_max=thr_max,
         )
-        imp = compute_importance(scores, np.ones(layout.total_length), layout)
-        ratios, expected = reference_thresholds(imp, policy, 0)
-        thr = thresholds_for(imp, policy, 0)
+        scores = compute_importance(scores, np.ones(layout.total_length), layout)
+        ratios, expected = reference_thresholds(scores, layout, policy, 0)
+        thr = thresholds_for(scores, layout, policy, 0)
         assert thr.shape == (n_rows, layout.n_layers)
         assert np.array_equal(thr, expected), f"trial {trial}"
-        # A one-row call gives that row of the stacked result.
-        one = compute_importance(scores[-1], np.ones(layout.total_length), layout)
-        assert np.array_equal(thresholds_for(one, policy, 0), expected[-1])
+        # A stack of one row gives that row of the stacked result.
+        assert np.array_equal(thresholds_for(scores[-1:], layout, policy, 0), expected[-1:])
         hits["upper"] += np.sum(ratios > policy.ratio_pivot)
         hits["lower"] += np.sum(ratios <= policy.ratio_pivot)
         hits["floor"] += np.sum(thr == thr_min)
@@ -266,68 +269,66 @@ def test_schedule_span_validation():
 SEED, STEP = 42, 0
 
 
+def _one_mask(rows, thresholds, seed=SEED, step=STEP):
+    """Node 0's mask from one row of single-layer scores."""
+    (mask,) = build_local_mask(*_imp(rows), thresholds, seed, step, (0,))
+    return mask
+
+
 def test_mask_at_or_above_threshold_deterministic():
-    imp = _imp([0.02, 0.01])
-    mask = build_local_mask(imp, [0.01], SEED, STEP)
+    mask = _one_mask([[0.02, 0.01]], [[0.01]])
     assert mask.bits.tolist() == [True, True]
 
 
 def test_mask_zero_score_never_selected():
-    imp = _imp([0.0] * 50)
-    mask = build_local_mask(imp, [0.01], SEED, STEP)
+    mask = _one_mask([[0.0] * 50], [[0.01]])
     assert mask.popcount() == 0
 
 
 def test_mask_zero_threshold_selects_all():
-    imp = _imp([0.0, 0.5, 0.001])
-    mask = build_local_mask(imp, [0.0], SEED, STEP)
+    mask = _one_mask([[0.0, 0.5, 0.001]], [[0.0]])
     assert mask.popcount() == 3
 
 
 def test_mask_infinite_threshold_selects_none():
-    imp = _imp([0.9, 0.5, 100.0])
-    mask = build_local_mask(imp, [math.inf], SEED, STEP)
+    mask = _one_mask([[0.9, 0.5, 100.0]], [[math.inf]])
     assert mask.popcount() == 0
 
 
 def test_mask_probabilistic_inclusion_frequency():
     # Monte Carlo against the binomial bound: p = 0.007 / 0.01 = 0.7.
     n = 10_000
-    layout = LayerLayout.from_sizes([("all", n)])
-    imp = compute_importance(np.full(n, 0.007), np.ones(n), layout)
-    mask = build_local_mask(imp, [0.01], SEED, STEP)
+    mask = _one_mask([np.full(n, 0.007)], [[0.01]])
     p = 0.7
     sigma = math.sqrt(p * (1 - p) / n)
     assert abs(mask.density() - p) < 3 * sigma
 
 
 def test_mask_reproducible_for_fixed_seed():
-    imp = _imp(np.random.default_rng(3).random(500) * 0.02)
-    a = build_local_mask(imp, [0.01], 7, 11)
-    b = build_local_mask(imp, [0.01], 7, 11)
+    rows = [np.random.default_rng(3).random(500) * 0.02]
+    a = _one_mask(rows, [[0.01]], 7, 11)
+    b = _one_mask(rows, [[0.01]], 7, 11)
     assert a == b
-    c = build_local_mask(imp, [0.01], 7, 12)
+    c = _one_mask(rows, [[0.01]], 7, 12)
     assert a != c  # different step, different draw
 
 
 def test_mask_per_layer_thresholds():
     layout = LayerLayout.from_sizes([("a", 2), ("b", 2)])
-    g = np.array([0.2, 0.0, 0.2, 0.0])
-    imp = compute_importance(g, np.ones(4), layout)
-    mask = build_local_mask(imp, [0.1, math.inf], SEED, STEP)
+    g = np.array([[0.2, 0.0, 0.2, 0.0]])
+    scores = compute_importance(g, np.ones(4), layout)
+    (mask,) = build_local_mask(scores, layout, [[0.1, math.inf]], SEED, STEP, (0,))
     assert mask.bits.tolist() == [True, False, False, False]
 
 
 def test_mask_negative_threshold_rejected():
-    imp = _imp([0.1])
     with pytest.raises(InputError):
-        build_local_mask(imp, [-0.5], SEED, STEP)
+        _one_mask([[0.1]], [[-0.5]])
 
 
 def test_mask_threshold_count_mismatch():
-    imp = _imp([0.1, 0.2])
     with pytest.raises(StructuralError):
-        build_local_mask(imp, [0.1, 0.2], SEED, STEP)
+        _one_mask([[0.1, 0.2]], [[0.1, 0.2]])
 
 
 @pytest.mark.parametrize("seed, step", [(0, 0), (2**32, 2**32 - 1), (2**200, 2**40)])
@@ -337,22 +338,21 @@ def test_mask_draws_match_reference_streams(seed, step):
     rng = np.random.default_rng(seed % 1000 + step % 1000)
     layout = LayerLayout.from_sizes([("a", 40), ("b", 1), ("c", 300), ("d", 7)])
     n = 17
-    imp = compute_importance(
+    scores = compute_importance(
         rng.random((n, layout.total_length)) * 0.02, np.ones(layout.total_length), layout
     )
     thr = rng.uniform(0.005, 0.02, (n, layout.n_layers))
     thr[3] = [0.0, math.inf, 0.0, math.inf]
-    masks = build_local_mask(imp, thr, seed, step)
-    expected = reference_masks(imp, thr, [ParamStream(seed, k, step) for k in range(n)])
+    masks = build_local_mask(scores, layout, thr, seed, step, range(n))
+    streams = [ParamStream(seed, k, step) for k in range(n)]
+    expected = reference_masks(scores, layout, thr, streams)
     assert all(np.array_equal(m.bits, e) for m, e in zip(masks, expected))
     # Some but not all below-threshold entries were drawn in.
-    below = imp.scores < np.repeat(thr, layout.lengths, axis=1)
+    below = scores < np.repeat(thr, layout.lengths, axis=1)
     drawn = np.stack([m.bits for m in masks]) & below
     assert 0 < drawn.sum() < below.sum()
-    # A one-row call is node 0 and gets node 0's row of the stacked result.
-    single = build_local_mask(
-        compute_importance(imp.scores[0], np.ones(layout.total_length), layout), thr[0], seed, step
-    )
+    # Node 0's row alone gets node 0's row of the stacked result.
+    (single,) = build_local_mask(scores[:1], layout, thr[:1], seed, step, (0,))
     assert np.array_equal(single.bits, masks[0].bits)
 
 
@@ -368,35 +368,40 @@ def test_mask_of_node_subset_matches_rows_of_all_node_build(n, seed):
     if n > 5:
         subsets += [(5, 1), (63, 17, 0), tuple(rng.choice(n, 7, replace=False))]
     for step in (0, 3, 2**33):
-        imp = compute_importance(
+        scores = compute_importance(
             rng.random((n, layout.total_length)) * 0.02, np.ones(layout.total_length), layout
         )
         thr = rng.uniform(0.005, 0.02, (n, layout.n_layers))
         thr[n // 2] = [0.0, math.inf, 0.01]
-        full = build_local_mask(imp, thr, seed, step)
+        full = build_local_mask(scores, layout, thr, seed, step, range(n))
         for nodes in subsets:
             rows = list(nodes)
-            sub_imp = compute_importance(
-                imp.scores[rows], np.ones(layout.total_length), layout
-            )
-            masks = build_local_mask(sub_imp, thr[rows], seed, step, nodes)
+            masks = build_local_mask(scores[rows], layout, thr[rows], seed, step, nodes)
             assert len(masks) == len(nodes)
             for k, mask in zip(nodes, masks):
                 assert np.array_equal(mask.bits, full[k].bits), f"step {step}, node {k}"
         # A lone node's row, given its id, is that node's mask too.
-        last = build_local_mask(
-            compute_importance(imp.scores[-1], np.ones(layout.total_length), layout),
-            thr[-1],
-            seed,
-            step,
-            (n - 1,),
-        )
+        (last,) = build_local_mask(scores[-1:], layout, thr[-1:], seed, step, (n - 1,))
         assert np.array_equal(last.bits, full[-1].bits)
 
 
 def test_mask_node_ids_must_match_rows():
-    imp = compute_importance(np.full((2, 3), 0.1), np.ones(3), SINGLE)
+    scores = compute_importance(np.full((2, 3), 0.1), np.ones(3), SINGLE)
     with pytest.raises(StructuralError, match="3 node ids for 2 score rows"):
-        build_local_mask(imp, np.full((2, 1), 0.05), SEED, STEP, (0, 1, 2))
+        build_local_mask(scores, SINGLE, np.full((2, 1), 0.05), SEED, STEP, (0, 1, 2))
     with pytest.raises(StructuralError, match="1 node ids for 2 score rows"):
-        build_local_mask(imp, np.full((2, 1), 0.05), SEED, STEP, (1,))
+        build_local_mask(scores, SINGLE, np.full((2, 1), 0.05), SEED, STEP, (1,))
+
+
+def test_one_row_calls_are_refused():
+    # Every stage takes the (R, P) stack the trainer passes; a bare (P,) row
+    # is a shape error, not a one-node call.
+    row = np.full(3, 0.1)
+    with pytest.raises(StructuralError, match=r"expected \(rows, 3\).*got shape \(3,\)"):
+        compute_importance(row, np.ones(3), SINGLE)
+    with pytest.raises(StructuralError, match=r"expected \(rows, 3\).*got shape \(3,\)"):
+        thresholds_for(row, SINGLE, RATIO_READOUT, 0)
+    with pytest.raises(StructuralError, match=r"expected \(rows, 3\).*got shape \(3,\)"):
+        build_local_mask(row, SINGLE, [[0.05]], SEED, STEP, (0,))
+    with pytest.raises(StructuralError, match=r"rows of shape \(3,\)"):
+        split_by_mask(row.copy(), BitMask.ones(3))

@@ -432,9 +432,10 @@ def test_sparse_density_preserved_and_matches_dense_oracle():
 
 def test_sparse_rejects_wrong_row_count_or_length():
     topo = RingTopology.create(3, 4)
-    with pytest.raises(StructuralError, match="got 2 contribution rows for 3 nodes"):
+    with pytest.raises(StructuralError, match=r"shape \(2, 2\) for 3 nodes"):
         sparse_allreduce(_sparse([0, 2], [[1.0, 1.0], [1.0, 1.0]], 4), topo)
-    with pytest.raises(StructuralError, match="got 1 contribution rows for 3 nodes"):
+    # A single (nnz,) row is not a node-stacked block.
+    with pytest.raises(StructuralError, match=r"shape \(2,\) for 3 nodes"):
         sparse_allreduce(_sparse([0, 2], [1.0, 1.0], 4), topo)
     with pytest.raises(StructuralError, match="total_length 5"):
         sparse_allreduce(_sparse([0, 2], [[1.0, 1.0]] * 3, 5), topo)

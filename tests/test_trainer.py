@@ -11,7 +11,6 @@ from ringprune import (
     LinearRegressionTask,
     MaskAgreementConfig,
     MlpClassificationTask,
-    ProtocolError,
     RingTopology,
     StructuralError,
     ThresholdPolicy,
@@ -263,10 +262,12 @@ def per_node_local_masks(state, policy, cfg, step, epoch, task):
             node_thresholds.append(None)
             local_masks.append(BitMask.ones(task.layout.total_length))
             continue
-        imp = compute_importance(state.accum[k], state.weights, task.layout)
-        (thresholds,) = reference_thresholds(imp, policy, epoch)[1]
-        node_thresholds.append(thresholds)
-        (bits,) = reference_masks(imp, thresholds, [ParamStream(cfg.seed, k, step)])
+        scores = compute_importance(state.accum[k : k + 1], state.weights, task.layout)
+        thresholds = reference_thresholds(scores, task.layout, policy, epoch)[1]
+        node_thresholds.append(thresholds[0])
+        (bits,) = reference_masks(
+            scores, task.layout, thresholds, [ParamStream(cfg.seed, k, step)]
+        )
         local_masks.append(BitMask(bits))
     return local_masks, node_thresholds
 
@@ -335,7 +336,7 @@ def test_lockstep_pass_matches_per_node_oracle(n_nodes, case):
     oracle = init_state(task, cfg, MODE_COMPRESSED)
     epoch = 0
     for step in range(2):  # the second step folds onto a non-zero residual
-        masks = _local_masks(batched, policy, cfg, step, epoch, task)
+        masks = _local_masks(batched, policy, cfg, step, epoch, task, range(n_nodes))
         expected_masks, expected_thresholds = per_node_local_masks(
             oracle, policy, cfg, step, epoch, task
         )
@@ -345,8 +346,8 @@ def test_lockstep_pass_matches_per_node_oracle(n_nodes, case):
             assert np.array_equal(masks[k].bits, expected_masks[k].bits), f"node {k}"
         if case == "warmup":
             continue  # warm-up takes no thresholds
-        imp = compute_importance(batched.accum, batched.weights, task.layout)
-        thresholds = thresholds_for(imp, policy, epoch)
+        scores = compute_importance(batched.accum, batched.weights, task.layout)
+        thresholds = thresholds_for(scores, task.layout, policy, epoch)
         assert thresholds.shape == (n_nodes, LOCKSTEP_LAYOUT.n_layers)
         assert np.array_equal(thresholds, np.stack(expected_thresholds))
 
@@ -357,14 +358,14 @@ def test_lockstep_pass_matches_per_node_oracle(n_nodes, case):
     elif case == "warmup":
         assert bits.all()
     elif case == "layerwise":
-        ratios, _ = reference_thresholds(imp, policy, epoch)
+        ratios, _ = reference_thresholds(scores, task.layout, policy, epoch)
         unclamped = (thresholds > policy.thr_min) & (thresholds < policy.thr_max)
         assert np.all(ratios[:, 0] == 0.0) and np.all(thresholds[:, 0] == 0.05)
         assert np.any(thresholds[:, 1] == policy.thr_min)
         assert np.any(thresholds[:, 2] == policy.thr_max)
         assert np.any((ratios > policy.ratio_pivot) & unclamped)
         assert np.any((ratios < policy.ratio_pivot) & unclamped)
-        below = imp.scores < np.repeat(thresholds, LOCKSTEP_LAYOUT.lengths, axis=1)
+        below = scores < np.repeat(thresholds, LOCKSTEP_LAYOUT.lengths, axis=1)
         assert (bits & below).any() and (~bits & below).any()
 
 
@@ -378,7 +379,7 @@ def test_warmup_skips_scoring_but_rejects_nonfinite_residual():
     cfg = TrainingConfig(n_nodes=3)
     state = init_state(task, cfg, MODE_COMPRESSED)
     with pytest.raises(InputError, match="node 1, index 1"):
-        _local_masks(state, warmup_policy(), cfg, 0, 0, task)
+        _local_masks(state, warmup_policy(), cfg, 0, 0, task, range(3))
 
 
 # --- closed-form weight change ---------------------------------------------------------
@@ -660,7 +661,7 @@ def test_compressed_step_matches_all_node_oracle(n_nodes, case):
     oracle = init_state(task, cfg, MODE_COMPRESSED)
     for step in range(2):
         outcome = compressed_step(state, policy, mask_cfg, cfg, step, 0, task=task, topo=topo)
-        every_mask = _local_masks(oracle, policy, cfg, step, 0, task)
+        every_mask = _local_masks(oracle, policy, cfg, step, 0, task, range(n_nodes))
         nodes = select_broadcast_nodes(n_nodes, mask_cfg, step)
         expected = or_masks([every_mask[k] for k in nodes])
         assert outcome.shared_mask == expected
@@ -677,7 +678,7 @@ def test_pruned_step_scores_and_masks_only_the_broadcasters(monkeypatch):
 
     def counting(fn, seen):
         def counted(first, *args, **kwargs):
-            seen.append(getattr(first, "scores", first).shape[0])  # rows passed
+            seen.append(first.shape[0])  # rows passed
             return fn(first, *args, **kwargs)
 
         return counted
@@ -748,7 +749,7 @@ def test_dgc_staleness_follows_node_0s_own_mask():
     oracle = init_state(task, cfg, MODE_DGC_CONTRAST)
     others_only = 0
     for step in range(4):
-        masks = _local_masks(oracle, policy, cfg, step, 0, task)
+        masks = _local_masks(oracle, policy, cfg, step, 0, task, range(4))
         outcome = dgc_contrast_step(state, policy, cfg, step, 0, task=task, topo=topo)
         assert outcome.shared_mask == or_masks(masks)
         stale = staleness(state, step + 1)
@@ -952,7 +953,7 @@ def test_local_gradient_shape_checked():
     zeros = FixedGradientTask(layout, lambda n, s: np.zeros(3), np.zeros(3))
     state = init_state(zeros, cfg, MODE_DENSE)
     wrong_length = FixedGradientTask(layout, lambda n, s: np.zeros(4), np.zeros(3))
-    with pytest.raises(ProtocolError, match=r"\(2, 4\) does not match \(2, 3\)"):
+    with pytest.raises(StructuralError, match=r"\(2, 4\) does not match \(2, 3\)"):
         _node_gradients(state, cfg, 0, wrong_length)
 
     class OneRowTask(FixedGradientTask):
@@ -960,5 +961,5 @@ def test_local_gradient_shape_checked():
             return self.preset(0, step)
 
     one_row = OneRowTask(layout, lambda n, s: np.zeros(3), np.zeros(3))
-    with pytest.raises(ProtocolError, match=r"\(3,\) does not match \(2, 3\)"):
+    with pytest.raises(StructuralError, match=r"\(3,\) does not match \(2, 3\)"):
         _node_gradients(state, cfg, 0, one_row)

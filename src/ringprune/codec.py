@@ -55,9 +55,6 @@ class BitMask:
             return NotImplemented
         return self.length == other.length and bool(np.array_equal(self.bits, other.bits))
 
-    def __hash__(self) -> int:  # frozen dataclass with array field
-        return hash((self.length, self.bits.tobytes()))
-
     @classmethod
     def ones(cls, length: int) -> "BitMask":
         return cls(np.ones(int(length), dtype=bool))

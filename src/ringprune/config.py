@@ -203,21 +203,16 @@ def resolve_experiment(
     if mode not in MODES:
         raise ConfigError(f"mode: unknown mode '{mode}'; expected one of {MODES}")
 
-    last_epoch = max(training.epochs - 1, 0)
-    if training.epochs > 0 and mode in ("compressed", "dgc_contrast"):
-        if not policy.base.covers(0, last_epoch):
-            raise ConfigError(
-                f"threshold.base: schedule does not cover epochs 0..{last_epoch}"
-            )
-        if not policy.ratio_weight.covers(0, last_epoch):
-            raise ConfigError(
-                f"threshold.ratio_weight: schedule does not cover epochs 0..{last_epoch}"
-            )
-    if training.epochs > 0 and training.lr_schedule is not None:
-        if not training.lr_schedule.covers(0, last_epoch):
-            raise ConfigError(
-                f"training.lr_schedule: schedule does not cover epochs 0..{last_epoch}"
-            )
+    schedules = [("training.learning_rate", training.learning_rate)]
+    if mode in ("compressed", "dgc_contrast"):
+        schedules += [
+            ("threshold.base", policy.base),
+            ("threshold.ratio_weight", policy.ratio_weight),
+        ]
+    last_epoch = training.epochs - 1
+    for path, schedule in schedules:
+        if not schedule.covers(0, last_epoch):
+            raise ConfigError(f"{path}: schedule does not cover epochs 0..{last_epoch}")
 
     out_dir = out_override if out_override is not None else raw.get("out_dir", "run_output")
     if not isinstance(out_dir, str) or not out_dir:

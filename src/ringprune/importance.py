@@ -133,6 +133,7 @@ def compute_importance(
 ) -> np.ndarray:
     """The (R, P) scores |residual| / max(|weight|, DEFAULT_WEIGHT_EPS) of
     an (R, P) stack of residual rows against the (P,) weights they share.
+    The caller checks both for non-finite entries with :func:`check_finite`.
     """
     g = _score_rows(residuals, layout)
     w = np.asarray(weights, dtype=np.float64)
@@ -140,7 +141,6 @@ def compute_importance(
         raise StructuralError(
             f"weight shape {w.shape} does not match layout length {layout.total_length}"
         )
-    check_finite(g, w)
     scores = np.abs(g)
     scores /= np.maximum(np.abs(w), DEFAULT_WEIGHT_EPS)
     return scores

@@ -72,8 +72,7 @@ MODES = (MODE_DENSE, MODE_COMPRESSED, MODE_DGC_CONTRAST)
 @dataclass(frozen=True)
 class TrainingConfig:
     momentum: float = 0.9
-    learning_rate: float = 0.05
-    lr_schedule: EpochSchedule | None = None
+    learning_rate: EpochSchedule = EpochSchedule.constant(0.05)
     batch_size: int = 8
     n_nodes: int = 4
     clip_norm: float | None = None
@@ -83,17 +82,9 @@ class TrainingConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"training.momentum must be in [0, 1), got {self.momentum}")
-        # Written as "not (valid)" so that NaN, which compares false, fails.
-        if not 0 < self.learning_rate < math.inf:
-            raise ConfigError(
-                f"training.learning_rate must be > 0 and finite, got {self.learning_rate}"
-            )
-        if self.lr_schedule is not None:
-            for _start, _end, value in self.lr_schedule.spans:
-                if not 0 <= value < math.inf:
-                    raise ConfigError(
-                        f"training.lr_schedule must be finite and >= 0, got {value}"
-                    )
+        for _start, _end, value in self.learning_rate.spans:
+            if not 0 <= value < math.inf:
+                raise ConfigError(f"training.learning_rate must be finite and >= 0, got {value}")
         if self.batch_size < 1:
             raise ConfigError(f"training.batch_size must be >= 1, got {self.batch_size}")
         if self.n_nodes < 2:
@@ -102,11 +93,6 @@ class TrainingConfig:
             raise ConfigError(f"training.clip_norm must be > 0, got {self.clip_norm}")
         if self.epochs < 0:
             raise ConfigError(f"training.epochs must be >= 0, got {self.epochs}")
-
-    def lr_at(self, epoch: int) -> float:
-        if self.lr_schedule is None:
-            return self.learning_rate
-        return self.lr_schedule.value_at(epoch)
 
 
 @dataclass
@@ -181,7 +167,7 @@ def baseline_dense_step(
     total, stats = dense_allreduce(_node_gradients(state, cfg, step, task), topo, step=step)
     state.accum *= cfg.momentum
     state.accum += total
-    state.weights = state.weights - cfg.lr_at(epoch) * state.accum
+    state.weights = state.weights - cfg.learning_rate.value_at(epoch) * state.accum
     state.last_sent[:] = step + 1
     return StepOutcome(stats=stats)
 
@@ -255,7 +241,7 @@ def compressed_step(
     sent = split_by_mask(state.accum, shared)
     total, reduce_stats = sparse_allreduce(sent, topo, step=step)
     stats.extend(reduce_stats)
-    state.weights = state.weights - cfg.lr_at(epoch) * total.densify()
+    state.weights = state.weights - cfg.learning_rate.value_at(epoch) * total.densify()
     state.last_sent[shared.bits] = step + 1
     return StepOutcome(stats=stats, shared_mask=shared)
 
@@ -281,7 +267,7 @@ def dgc_contrast_step(
     total, stats = naive_sparse_allreduce(state.accum, local_masks, topo, step=step)
     sent_bits = np.stack([mask.bits for mask in local_masks])
     state.accum[sent_bits] = 0.0
-    state.weights = state.weights - cfg.lr_at(epoch) * total.densify()
+    state.weights = state.weights - cfg.learning_rate.value_at(epoch) * total.densify()
     state.last_sent[local_masks[0].bits] = step + 1
     union_bits = np.zeros(topo.length, dtype=bool)
     union_bits[total.indices] = True

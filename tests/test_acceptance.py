@@ -121,7 +121,7 @@ def test_criterion_2_zero_threshold_equivalence(n_nodes, clip_norm):
     task = LinearRegressionTask(n_samples=128, n_features=8, data_seed=202)
     cfg = TrainingConfig(
         momentum=0.0,
-        learning_rate=0.05,
+        learning_rate=EpochSchedule.constant(0.05),
         batch_size=8,
         n_nodes=n_nodes,
         clip_norm=clip_norm,
@@ -172,7 +172,7 @@ def test_criterion_3_closed_form_weight_change():
             rng.standard_normal(length),
         )
         cfg = TrainingConfig(
-            momentum=momentum, learning_rate=lr, n_nodes=2, seed=trial
+            momentum=momentum, learning_rate=EpochSchedule.constant(lr), n_nodes=2, seed=trial
         )
         state = init_state(task, cfg, MODE_DENSE)
         topo = RingTopology.create(2, length)
@@ -203,11 +203,9 @@ def _criterion_4_setup():
         label_noise=0.0,
         data_seed=3,
     )
-    lr_schedule = EpochSchedule(((0, 550, 1.0), (550, 2**62, 0.02)))
     cfg = TrainingConfig(
         momentum=0.0,
-        learning_rate=1.0,
-        lr_schedule=lr_schedule,
+        learning_rate=EpochSchedule(((0, 550, 1.0), (550, 2**62, 0.02))),
         batch_size=256,
         n_nodes=8,
         seed=7,

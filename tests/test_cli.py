@@ -80,9 +80,10 @@ def test_module_entry_point_runs_from_checkout(tmp_path):
 # compressed run at N = 64 whose layer-wise thresholds (ratio_weight > 0) fall
 # on both sides of ratio_pivot and clamp at thr_max, and a clipped
 # dgc_contrast run. A third, clipped dense run at N = 6 (not a power of two)
-# covers the baseline's momentum velocity. The last three are the benchmark's
+# covers the baseline's momentum velocity. The next three are the benchmark's
 # ring64-pruned, wide4-pruned and dense64 configs at run seed 16, written out
 # here so that the pins do not move with the benchmark's workload definitions.
+# The last is a compressed run whose learning rate drops when warm-up ends.
 PINNED_RUNS = {
     "compressed64": (
         {
@@ -242,6 +243,34 @@ PINNED_RUNS = {
         "53cb9d74df3c65eb41e5b3497fab7d5452cee81f41965de9f2545ba4022cbc16",
         "594215685a362a2689fcc46b8f32b05a3bc9a15a8d913a2bf945bc91c7aba47c",
     ),
+    "scheduled-lr4": (
+        {
+            "task": {
+                "kind": "mlp_classification_synthetic",
+                "n_samples": 512,
+                "n_features": 8,
+                "hidden_units": 12,
+                "n_classes": 3,
+                "data_seed": 8,
+            },
+            "training": {
+                "momentum": 0.9,
+                "learning_rate": [
+                    {"start": 0, "end": 2, "value": 0.2},
+                    {"start": 2, "end": None, "value": 0.03},
+                ],
+                "batch_size": 8,
+                "n_nodes": 4,
+                "seed": 14,
+                "epochs": 5,
+            },
+            "threshold": {"base": 0.1, "warmup_epochs": 2},
+            "mask_agreement": {"n_selected_nodes": 2, "shared_seed": 6},
+            "mode": "compressed",
+        },
+        "898e48d9d7d39e8f063a41af2a65203f7a6a1248e5f4a7c94674c35225cb90cc",
+        "2c33a874c981d83306c1e8328c049873be273312a7965d5a159bc1122bb3d81e",
+    ),
 }
 
 
@@ -306,11 +335,16 @@ MLP = "mlp_classification_synthetic"
         ("task", {"kind": MLP, "center_scale": -INF}, "center_scale must be finite, got -inf", []),
         ("task", {"noise": NAN}, "noise must be finite, got nan", []),
         ("task", {"noise": INF}, "noise must be finite, got inf", []),
-        ("training", {"learning_rate": NAN}, "training.learning_rate must be > 0", []),
+        (
+            "training",
+            {"learning_rate": NAN},
+            "training.learning_rate: schedule value must be a number",
+            [],
+        ),
         (
             "training",
             {"learning_rate": INF},
-            "training.learning_rate must be > 0 and finite, got inf",
+            "training.learning_rate must be finite and >= 0, got inf",
             [],
         ),
         ("training", {"clip_norm": NAN}, "training.clip_norm must be > 0", []),
@@ -327,22 +361,23 @@ MLP = "mlp_classification_synthetic"
         ),
         (
             "training",
-            {"lr_schedule": NAN},
-            "training.lr_schedule: schedule value must be a number",
+            {"learning_rate": [{"start": 0, "value": NAN}]},
+            "training.learning_rate: schedule value must be a number",
             [],
         ),
         (
             "training",
-            {"lr_schedule": -0.05},
-            "training.lr_schedule must be finite and >= 0, got -0.05",
+            {"learning_rate": -0.05},
+            "training.learning_rate must be finite and >= 0, got -0.05",
             [],
         ),
         (
             "training",
-            {"lr_schedule": [{"start": 0, "end": 1, "value": 0.1}, {"start": 1, "value": INF}]},
-            "training.lr_schedule must be finite and >= 0, got inf",
+            {"learning_rate": [{"start": 0, "end": 1, "value": 0.1}, {"start": 1, "value": INF}]},
+            "training.learning_rate must be finite and >= 0, got inf",
             [],
         ),
+        ("training", {"lr_schedule": 0.05}, "training: unknown key 'lr_schedule'", []),
         ("task", {"n_samples": "12"}, "task.n_samples: expected an integer", []),
         ("task", {"n_samples": None}, "task.n_samples: expected an integer", []),
         ("task", {"kind": MLP, "hidden_units": 2.5}, "task.hidden_units: expected an integer", []),
@@ -378,9 +413,10 @@ MLP = "mlp_classification_synthetic"
         "removed-scale-key",
         "nan-base",
         "nan-ratio-weight-span",
-        "nan-lr-schedule",
-        "negative-lr-schedule",
-        "inf-lr-schedule",
+        "nan-learning-rate-span",
+        "negative-learning-rate",
+        "inf-learning-rate-span",
+        "removed-lr-schedule-key",
         "string-n-samples",
         "null-n-samples",
         "float-hidden-units",
@@ -476,8 +512,7 @@ def test_compare_dense_vs_compressed_bytes_ratio(tmp_path, capsys):
         },
         "training": {
             "momentum": 0.0,
-            "learning_rate": 0.5,
-            "lr_schedule": [
+            "learning_rate": [
                 {"start": 0, "end": 14, "value": 0.5},
                 {"start": 14, "end": None, "value": 0.01},
             ],
@@ -636,7 +671,13 @@ def test_resolver_rejects_bad_types():
 def test_resolver_parses_span_schedules():
     raw = {
         "task": {"kind": "mlp_classification_synthetic"},
-        "training": {"epochs": 6},
+        "training": {
+            "epochs": 6,
+            "learning_rate": [
+                {"start": 0, "end": 4, "value": 0.2},
+                {"start": 4, "end": None, "value": 0.0},
+            ],
+        },
         "threshold": {
             "base": [
                 {"start": 0, "end": 3, "value": 0.01},
@@ -648,3 +689,32 @@ def test_resolver_parses_span_schedules():
     experiment = resolve_experiment(raw)
     assert experiment.policy.base.value_at(2) == 0.01
     assert experiment.policy.base.value_at(5) == 0.05
+    assert experiment.training.learning_rate.value_at(3) == 0.2
+    assert experiment.training.learning_rate.value_at(4) == 0.0
+
+
+def test_resolver_checks_that_schedules_cover_the_run():
+    # The learning rate is read in every mode, the threshold schedules only
+    # in the pruned modes; a run of 0 epochs reads none of them.
+    short = [{"start": 0, "end": 1, "value": 0.1}]
+    late = [{"start": 1, "end": None, "value": 0.1}]
+
+    def resolve(mode, epochs=2, training=(), threshold=()):
+        return resolve_experiment(
+            {
+                "task": {"kind": "mlp_classification_synthetic"},
+                "training": {"epochs": epochs, **dict(training)},
+                "threshold": dict(threshold),
+                "mode": mode,
+            }
+        )
+
+    for mode in ("dense", "compressed", "dgc_contrast"):
+        with pytest.raises(ConfigError, match=r"^training.learning_rate: .* epochs 0\.\.1$"):
+            resolve(mode, training={"learning_rate": short})
+        resolve(mode, epochs=0, training={"learning_rate": late})
+    for key in ("base", "ratio_weight"):
+        resolve("dense", threshold={key: short})
+        for mode in ("compressed", "dgc_contrast"):
+            with pytest.raises(ConfigError, match=rf"^threshold.{key}: schedule does not cover"):
+                resolve(mode, threshold={key: short})

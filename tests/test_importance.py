@@ -16,7 +16,7 @@ from ringprune import (
     split_by_mask,
     thresholds_for,
 )
-from ringprune.importance import DEFAULT_WEIGHT_EPS, STAT_EPS
+from ringprune.importance import DEFAULT_WEIGHT_EPS, STAT_EPS, check_finite
 
 from oracles import ParamStream, reference_masks, reference_thresholds
 
@@ -77,18 +77,18 @@ def test_importance_length_mismatch():
 def test_importance_nonfinite_identifies_index():
     g = np.array([[0.0, np.nan, 0.0]])
     with pytest.raises(InputError, match="node 0, index 1"):
-        compute_importance(g, np.ones(3), SINGLE)
+        check_finite(g, np.ones(3))
     w = np.array([1.0, 1.0, np.inf])
     with pytest.raises(InputError, match="weight at index 2$"):
-        compute_importance(np.zeros((1, 3)), w, SINGLE)
+        check_finite(np.zeros((1, 3)), w)
     # Node-stacked residuals: the first bad entry in node order, by node and index.
     stacked = np.zeros((3, 3))
     stacked[1, 2] = np.nan
     stacked[2, 0] = np.inf
     with pytest.raises(InputError, match=r"gradient at node 1, index 2$"):
-        compute_importance(stacked, np.ones(3), SINGLE)
+        check_finite(stacked, np.ones(3))
     with pytest.raises(InputError, match=r"weight at index 2$"):
-        compute_importance(np.zeros((3, 3)), w, SINGLE)
+        check_finite(np.zeros((3, 3)), w)
 
 
 # --- thresholds_for -----------------------------------------------------------

@@ -120,7 +120,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         TrainingConfig(momentum=1.0)
     with pytest.raises(ConfigError):
-        TrainingConfig(learning_rate=0.0)
+        TrainingConfig(learning_rate=EpochSchedule.constant(-0.05))
     with pytest.raises(ConfigError):
         TrainingConfig(batch_size=0)
     with pytest.raises(ConfigError):
@@ -129,15 +129,6 @@ def test_config_validation():
         TrainingConfig(clip_norm=-1.0)
     with pytest.raises(ConfigError):
         TrainingConfig(epochs=-1)
-
-
-def test_lr_schedule_overrides_constant():
-    cfg = TrainingConfig(
-        learning_rate=0.5,
-        lr_schedule=EpochSchedule(((0, 2, 0.5), (2, 10, 0.05))),
-    )
-    assert cfg.lr_at(1) == 0.5
-    assert cfg.lr_at(2) == 0.05
 
 
 # --- state ---------------------------------------------------------------------------
@@ -191,7 +182,9 @@ def test_baseline_one_step_arithmetic():
         lambda node, step: [0.25],
         initial_weights=[1.0],
     )
-    cfg = TrainingConfig(momentum=0.9, learning_rate=0.1, n_nodes=2, seed=0)
+    cfg = TrainingConfig(
+        momentum=0.9, learning_rate=EpochSchedule.constant(0.1), n_nodes=2, seed=0
+    )
     state = init_state(task, cfg, MODE_DENSE)
     topo = RingTopology.create(2, 1)
     baseline_dense_step(state, cfg, 0, task=task, topo=topo)
@@ -203,11 +196,7 @@ def test_baseline_one_step_arithmetic():
 def test_baseline_zero_step_size_freezes_weights():
     layout = LayerLayout.from_sizes([("w", 3)])
     task = FixedGradientTask(layout, lambda n, s: [1.0, -2.0, 3.0], [0.5, 0.5, 0.5])
-    cfg = TrainingConfig(
-        learning_rate=1.0,
-        lr_schedule=EpochSchedule.constant(0.0),
-        n_nodes=2,
-    )
+    cfg = TrainingConfig(learning_rate=EpochSchedule.constant(0.0), n_nodes=2)
     state = init_state(task, cfg, MODE_DENSE)
     topo = RingTopology.create(2, 3)
     for step in range(5):
@@ -220,7 +209,12 @@ def test_baseline_matches_single_process_oracle():
         n_samples=128, n_features=8, hidden_units=10, n_classes=3, data_seed=13
     )
     cfg = TrainingConfig(
-        momentum=0.9, learning_rate=0.05, batch_size=4, n_nodes=4, seed=3, epochs=1
+        momentum=0.9,
+        learning_rate=EpochSchedule.constant(0.05),
+        batch_size=4,
+        n_nodes=4,
+        seed=3,
+        epochs=1,
     )
     state = init_state(task, cfg, MODE_DENSE)
     topo = RingTopology.create(4, task.layout.total_length)
@@ -412,7 +406,9 @@ def test_closed_form_matches_iterated_baseline():
         lambda node, step: history[step] if node == 0 else np.zeros(length),
         initial_weights=rng.standard_normal(length),
     )
-    cfg = TrainingConfig(momentum=0.9, learning_rate=0.07, n_nodes=2, seed=0)
+    cfg = TrainingConfig(
+        momentum=0.9, learning_rate=EpochSchedule.constant(0.07), n_nodes=2, seed=0
+    )
     state = init_state(task, cfg, MODE_DENSE)
     topo = RingTopology.create(2, length)
     start = state.weights.copy()
@@ -429,7 +425,7 @@ def test_closed_form_matches_iterated_baseline():
 def test_compressed_warmup_equals_baseline_exactly():
     task = LinearRegressionTask(n_samples=64, n_features=6, data_seed=2)
     cfg = TrainingConfig(
-        momentum=0.0, learning_rate=0.02, batch_size=8, n_nodes=2, seed=5
+        momentum=0.0, learning_rate=EpochSchedule.constant(0.02), batch_size=8, n_nodes=2, seed=5
     )
     mask_cfg = MaskAgreementConfig(n_selected_nodes=1, shared_seed=3)
     topo = RingTopology.create(2, task.layout.total_length)
@@ -451,7 +447,9 @@ def test_compressed_warmup_equals_baseline_exactly():
 def test_compressed_zero_gradients_change_nothing():
     layout = LayerLayout.from_sizes([("a", 3), ("b", 2)])
     task = FixedGradientTask(layout, lambda n, s: np.zeros(5), np.ones(5))
-    cfg = TrainingConfig(momentum=0.9, learning_rate=0.1, n_nodes=2, seed=1)
+    cfg = TrainingConfig(
+        momentum=0.9, learning_rate=EpochSchedule.constant(0.1), n_nodes=2, seed=1
+    )
     mask_cfg = MaskAgreementConfig(n_selected_nodes=2, shared_seed=9)
     topo = RingTopology.create(2, 5)
     state = init_state(task, cfg, MODE_COMPRESSED)
@@ -495,7 +493,9 @@ def test_compressed_matches_scalar_transcript():
     }
     task = FixedGradientTask(layout, lambda n, s: grads[(n, s)], np.ones(length))
     momentum, eta, thr, shared_seed = 0.9, 0.5, 0.1, 17
-    cfg = TrainingConfig(momentum=momentum, learning_rate=eta, n_nodes=2, seed=4)
+    cfg = TrainingConfig(
+        momentum=momentum, learning_rate=EpochSchedule.constant(eta), n_nodes=2, seed=4
+    )
     mask_cfg = MaskAgreementConfig(n_selected_nodes=1, shared_seed=shared_seed)
     topo = RingTopology.create(2, length)
     state = init_state(task, cfg, MODE_COMPRESSED)
@@ -549,7 +549,9 @@ def test_compressed_per_step_conservation_exact():
     }
     task = FixedGradientTask(layout, lambda n, s: presets[(n, s)], np.ones(length))
     for momentum in (0.0, 0.5):
-        cfg = TrainingConfig(momentum=momentum, learning_rate=0.01, n_nodes=2, seed=6)
+        cfg = TrainingConfig(
+            momentum=momentum, learning_rate=EpochSchedule.constant(0.01), n_nodes=2, seed=6
+        )
         mask_cfg = MaskAgreementConfig(n_selected_nodes=1, shared_seed=8)
         topo = RingTopology.create(2, length)
         state = init_state(task, cfg, MODE_COMPRESSED)
@@ -564,12 +566,12 @@ def test_compressed_per_step_conservation_exact():
             for k in range(2):
                 assert np.array_equal(state.accum[k], np.where(mask, 0.0, u[k]))
             applied = np.where(mask, u[0] + u[1], 0.0)
-            assert np.array_equal(state.weights, w_prev - cfg.learning_rate * applied)
+            assert np.array_equal(state.weights, w_prev - cfg.learning_rate.value_at(0) * applied)
             if momentum == 0.0:
                 # Each step is self-contained: it applies exactly this
                 # step's gradients on the mask.
                 g = presets[(0, step)] + presets[(1, step)]
-                expected = w_prev - cfg.learning_rate * np.where(mask, g, 0.0)
+                expected = w_prev - cfg.learning_rate.value_at(0) * np.where(mask, g, 0.0)
                 assert np.array_equal(state.weights, expected)
 
 
@@ -582,7 +584,9 @@ def test_compressed_step_splits_all_residuals_in_place():
     layout = LayerLayout.from_sizes([("a", 12), ("b", 18)])
     grads = rng.standard_normal((n, length)) * 0.005
     task = FixedGradientTask(layout, lambda node, step: grads[node], np.ones(length))
-    cfg = TrainingConfig(momentum=0.0, learning_rate=0.01, n_nodes=n, seed=6)
+    cfg = TrainingConfig(
+        momentum=0.0, learning_rate=EpochSchedule.constant(0.01), n_nodes=n, seed=6
+    )
     state = init_state(task, cfg, MODE_COMPRESSED)
     accum = state.accum
     outcome = compressed_step(
@@ -617,7 +621,9 @@ def test_compressed_infinite_threshold_freezes_everything():
         thr_max=math.inf,
         warmup_epochs=0,
     )
-    cfg = TrainingConfig(momentum=0.9, learning_rate=0.05, batch_size=4, n_nodes=2, seed=8)
+    cfg = TrainingConfig(
+        momentum=0.9, learning_rate=EpochSchedule.constant(0.05), batch_size=4, n_nodes=2, seed=8
+    )
     mask_cfg = MaskAgreementConfig(n_selected_nodes=2, shared_seed=4)
     topo = RingTopology.create(2, task.layout.total_length)
     state = init_state(task, cfg, MODE_COMPRESSED)
@@ -635,7 +641,9 @@ def test_compressed_staleness_zero_iff_in_shared_mask():
     task = MlpClassificationTask(
         n_samples=64, n_features=6, hidden_units=8, n_classes=3, data_seed=19
     )
-    cfg = TrainingConfig(momentum=0.9, learning_rate=0.05, batch_size=4, n_nodes=2, seed=7)
+    cfg = TrainingConfig(
+        momentum=0.9, learning_rate=EpochSchedule.constant(0.05), batch_size=4, n_nodes=2, seed=7
+    )
     mask_cfg = MaskAgreementConfig(n_selected_nodes=1, shared_seed=2)
     topo = RingTopology.create(2, task.layout.total_length)
     state = init_state(task, cfg, MODE_COMPRESSED)
@@ -654,7 +662,9 @@ def test_compressed_step_matches_all_node_oracle(n_nodes, case):
     # it built the broadcasters' only, and OR-combines the drawn ones.
     task = _lockstep_task(n_nodes)
     policy = _lockstep_policy(case)
-    cfg = TrainingConfig(momentum=0.5, learning_rate=0.01, n_nodes=n_nodes, seed=31)
+    cfg = TrainingConfig(
+        momentum=0.5, learning_rate=EpochSchedule.constant(0.01), n_nodes=n_nodes, seed=31
+    )
     mask_cfg = MaskAgreementConfig(n_selected_nodes=min(2, n_nodes), shared_seed=n_nodes)
     topo = RingTopology.create(n_nodes, LOCKSTEP_LAYOUT.total_length)
     state = init_state(task, cfg, MODE_COMPRESSED)
@@ -725,7 +735,9 @@ def test_dgc_step_updates_union_support_only():
     task = MlpClassificationTask(
         n_samples=64, n_features=6, hidden_units=8, n_classes=3, data_seed=29
     )
-    cfg = TrainingConfig(momentum=0.9, learning_rate=0.05, batch_size=4, n_nodes=4, seed=9)
+    cfg = TrainingConfig(
+        momentum=0.9, learning_rate=EpochSchedule.constant(0.05), batch_size=4, n_nodes=4, seed=9
+    )
     topo = RingTopology.create(4, task.layout.total_length)
     state = init_state(task, cfg, MODE_DGC_CONTRAST)
     before = state.weights.copy()
@@ -742,7 +754,9 @@ def test_dgc_staleness_follows_node_0s_own_mask():
     task = MlpClassificationTask(
         n_samples=64, n_features=6, hidden_units=8, n_classes=3, data_seed=29
     )
-    cfg = TrainingConfig(momentum=0.9, learning_rate=0.05, batch_size=4, n_nodes=4, seed=9)
+    cfg = TrainingConfig(
+        momentum=0.9, learning_rate=EpochSchedule.constant(0.05), batch_size=4, n_nodes=4, seed=9
+    )
     topo = RingTopology.create(4, task.layout.total_length)
     policy = fixed_policy(0.05)
     state = init_state(task, cfg, MODE_DGC_CONTRAST)
@@ -782,7 +796,12 @@ def test_run_dense_linear_loss_monotone():
     # batch_size 32 on 2 nodes is the whole shard, so every step is exact
     # full-batch descent.
     cfg = TrainingConfig(
-        momentum=0.0, learning_rate=0.001, batch_size=32, n_nodes=2, epochs=25, seed=11
+        momentum=0.0,
+        learning_rate=EpochSchedule.constant(0.001),
+        batch_size=32,
+        n_nodes=2,
+        epochs=25,
+        seed=11,
     )
     result = run_experiment(
         task, cfg, warmup_policy(), MaskAgreementConfig(n_selected_nodes=1), MODE_DENSE
@@ -821,7 +840,12 @@ def test_run_divergence_aborts_with_diagnostic(mode, policy):
     # the loss check of the same step rather than at a non-finite score.
     task = LinearRegressionTask(n_samples=64, n_features=4, data_seed=37)
     cfg = TrainingConfig(
-        momentum=0.9, learning_rate=1e6, batch_size=8, n_nodes=2, epochs=50, seed=13
+        momentum=0.9,
+        learning_rate=EpochSchedule.constant(1e6),
+        batch_size=8,
+        n_nodes=2,
+        epochs=50,
+        seed=13,
     )
     with pytest.raises(DivergenceError, match=r"at step 26 \(epoch 6\)"):
         run_experiment(task, cfg, policy, MaskAgreementConfig(n_selected_nodes=1), mode)
@@ -832,7 +856,12 @@ def test_run_is_deterministic():
         n_samples=128, n_features=8, hidden_units=10, n_classes=3, data_seed=41
     )
     cfg = TrainingConfig(
-        momentum=0.9, learning_rate=0.05, batch_size=8, n_nodes=2, epochs=3, seed=15
+        momentum=0.9,
+        learning_rate=EpochSchedule.constant(0.05),
+        batch_size=8,
+        n_nodes=2,
+        epochs=3,
+        seed=15,
     )
     policy = fixed_threshold_policy(0.02, warmup_epochs=1)
     mask_cfg = MaskAgreementConfig(n_selected_nodes=2, shared_seed=21)
@@ -847,7 +876,12 @@ def test_run_modes_emit_schema_fields():
         n_samples=64, n_features=6, hidden_units=8, n_classes=3, data_seed=43
     )
     cfg = TrainingConfig(
-        momentum=0.9, learning_rate=0.02, batch_size=8, n_nodes=2, epochs=2, seed=17
+        momentum=0.9,
+        learning_rate=EpochSchedule.constant(0.02),
+        batch_size=8,
+        n_nodes=2,
+        epochs=2,
+        seed=17,
     )
     policy = fixed_threshold_policy(0.05, warmup_epochs=1)
     mask_cfg = MaskAgreementConfig(n_selected_nodes=1, shared_seed=23)

@@ -13,19 +13,22 @@ column block of the (node, entry) array once, so that row i holds the
 chunk's i-th contributor, then adds the rows in order. Every element then
 sees the additions of the hop-by-hop ring in the same order.
 
-The messages are those of the scatter-reduce and allgather schedules, 2(N-1)
-per node: at scatter hop s node k forwards its partial of chunk k - s, and
-at allgather hop s the finished chunk k + 1 - s. Their payload bytes follow
-from per-chunk entry counts and are recorded in :class:`LinkStats`, one
-block of arrays per phase; on a ring the sending node identifies the link,
-since node k only ever sends to k+1.
+The messages are those of the scatter-reduce and allgather schedules of
+Patarasuk & Yuan (JPDC 2009), 2(N-1) per node: at scatter hop s node k
+forwards its partial of chunk k - s, and at allgather hop s the finished
+chunk k + 1 - s. So over a phase scatter sender k sends every chunk but
+k + 1, and allgather sender k every chunk but k + 2. When a chunk's size does
+not change in transit (the dense and the shared-index reduce), a phase's
+payload bytes follow from its N per-chunk byte counts, and :class:`LinkStats`
+stores just those; on a ring the sending node identifies the link, since
+node k only ever sends to k+1.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -90,20 +93,66 @@ class MaskAgreementConfig:
             )
 
 
+# Schedule offset of each reduce phase: at hop s node k sends chunk k + offset - s.
+_PHASE_OFFSETS = {PHASE_SCATTER: 0, PHASE_ALLGATHER: 1}
+
+
+class _Messages(NamedTuple):
+    """Messages listed one by one: ``senders[i]`` sends ``sizes[i]`` bytes.
+    They are also the per-sender totals, a sender appearing once per message."""
+
+    step: int
+    phase: str
+    senders: np.ndarray
+    sizes: np.ndarray
+
+    def messages(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.senders, self.sizes
+
+    per_sender = messages
+
+
+class _RingPhase(NamedTuple):
+    """One reduce phase of the ring schedule over chunks whose size does not
+    change in transit: at hop s node k sends chunk (k + offset - s) mod N, of
+    ``chunk_bytes[c]`` bytes."""
+
+    step: int
+    phase: str
+    chunk_bytes: np.ndarray
+
+    def messages(self) -> tuple[np.ndarray, np.ndarray]:
+        """(N-1) x N messages, hop by hop, each hop's in sender order."""
+        n = self.chunk_bytes.shape[0]
+        senders = np.arange(n)
+        chunks = (senders + _PHASE_OFFSETS[self.phase] - senders[: n - 1, None]) % n
+        return np.tile(senders, n - 1), self.chunk_bytes[chunks].ravel()
+
+    def per_sender(self) -> tuple[np.ndarray, np.ndarray]:
+        # over its N-1 hops node k sends every chunk but k + offset + 1
+        n = self.chunk_bytes.shape[0]
+        senders = np.arange(n)
+        skipped = self.chunk_bytes[(senders + _PHASE_OFFSETS[self.phase] + 1) % n]
+        return senders, int(self.chunk_bytes.sum()) - skipped
+
+
 class LinkStats:
     """Ring traffic, stored as columns.
 
-    Each :meth:`record_messages` call appends one block: a step, a phase and
-    two equal-length int64 arrays, the senders and the payload bytes of its
-    messages. Queries sum the arrays. :attr:`records` is a read-only view
-    that expands the blocks into one (step, sender, phase, payload_bytes)
-    tuple per message, in recording order.
+    Each recording call appends one block. :meth:`record_messages` keeps two
+    equal-length int64 arrays, the senders and the payload bytes of its
+    messages (a mask round's N-1 forwards, say). :meth:`record_ring_phase`
+    keeps a reduce phase whose chunks do not change size in transit as its N
+    per-chunk byte counts, O(N) where its messages number N(N-1). Queries
+    sum per-sender totals; :attr:`records` is a read-only view that expands
+    the blocks into one (step, sender, phase, payload_bytes) tuple per
+    message, in recording order.
     """
 
     __slots__ = ("_blocks",)
 
     def __init__(self) -> None:
-        self._blocks: list[tuple[int, str, np.ndarray, np.ndarray]] = []
+        self._blocks: list[_Messages | _RingPhase] = []
 
     def record_messages(self, step: int, phase: str, senders, sizes) -> None:
         """``senders[i]`` sends one message of ``sizes[i]`` bytes; the arrays are kept."""
@@ -112,7 +161,20 @@ class LinkStats:
             raise StructuralError(f"senders {senders.shape} and sizes {sizes.shape} differ")
         if np.any(sizes < 0):
             raise StructuralError("payload_bytes must be >= 0")
-        self._blocks.append((int(step), phase, senders, sizes))
+        self._blocks.append(_Messages(int(step), phase, senders, sizes))
+
+    def record_ring_phase(self, step: int, phase: str, chunk_bytes) -> None:
+        """One scatter-reduce or allgather phase on a ring of
+        ``len(chunk_bytes)`` nodes, chunk c being ``chunk_bytes[c]`` bytes
+        at every hop."""
+        chunk_bytes = np.asarray(chunk_bytes, dtype=np.int64)
+        if phase not in _PHASE_OFFSETS:
+            raise StructuralError(f"'{phase}' is not a reduce phase")
+        if chunk_bytes.ndim != 1 or chunk_bytes.shape[0] < 2:
+            raise StructuralError(f"chunk bytes of shape {chunk_bytes.shape} are not a ring's")
+        if np.any(chunk_bytes < 0):
+            raise StructuralError("payload_bytes must be >= 0")
+        self._blocks.append(_RingPhase(int(step), phase, chunk_bytes))
 
     def extend(self, other: "LinkStats") -> None:
         self._blocks.extend(other._blocks)
@@ -120,8 +182,9 @@ class LinkStats:
     @property
     def records(self) -> tuple[tuple[int, int, str, int], ...]:
         return tuple(
-            (step, sender, phase, nbytes)
-            for step, phase, senders, sizes in self._blocks
+            (block.step, sender, block.phase, nbytes)
+            for block in self._blocks
+            for senders, sizes in (block.messages(),)
             for sender, nbytes in zip(senders.tolist(), sizes.tolist())
         )
 
@@ -130,50 +193,58 @@ class LinkStats:
 
     def bytes_for(self, phase: str | None = None, node: int | None = None) -> int:
         """Bytes sent under ``phase`` (any if None) by ``node`` (any if None)."""
-        return sum(
-            int((sizes if node is None else sizes[senders == node]).sum())
-            for _step, block_phase, senders, sizes in self._blocks
-            if phase is None or block_phase == phase
-        )
+        total = 0
+        for block in self._blocks:
+            if phase is None or block.phase == phase:
+                senders, sizes = block.per_sender()
+                total += int((sizes if node is None else sizes[senders == node]).sum())
+        return total
 
     def aggregated_rows(self) -> list[tuple[int, int, str, int]]:
         """Byte totals summed per (step, node, phase), sorted; a key has a row
         when at least one message, of any size, was sent under it."""
+        return list(self.iter_aggregated_rows())
+
+    def iter_aggregated_rows(self, batch: int = 4096) -> Iterator[tuple[int, int, str, int]]:
+        """:meth:`aggregated_rows`, made ``batch`` rows at a time, so that a
+        long run's rows are never all held as Python objects at once."""
         blocks = self._blocks
         if not blocks:
-            return []
-        names = sorted({b[1] for b in blocks})
-        steps, step_ranks = np.unique([b[0] for b in blocks], return_inverse=True)
-        senders = np.concatenate([b[2] for b in blocks])
+            return
+        per_sender = [block.per_sender() for block in blocks]
+        names = sorted({b.phase for b in blocks})
+        steps, step_ranks = np.unique([b.step for b in blocks], return_inverse=True)
+        senders = np.concatenate([s for s, _ in per_sender])
         n_phases = len(names)
         per_step = (int(senders.max(initial=-1)) + 1) * n_phases
-        # One integer key per message: (step rank, sender, phase rank) in
-        # mixed radix, so keys sort as the rows do (a phase's rank sorts as
-        # its name does).
-        block_keys = step_ranks * per_step + [names.index(b[1]) for b in blocks]
-        keys = np.repeat(block_keys, [b[2].shape[0] for b in blocks])
+        # One integer key per (block, sender) entry: (step rank, sender, phase
+        # rank) in mixed radix, so keys sort as the rows do (a phase's rank
+        # sorts as its name does). Every entry stands for at least one message.
+        block_keys = step_ranks * per_step + [names.index(b.phase) for b in blocks]
+        keys = np.repeat(block_keys, [s.shape[0] for s, _ in per_sender])
         keys += senders * n_phases
         n_keys = len(steps) * per_step
         present = np.flatnonzero(np.bincount(keys, minlength=n_keys))
         # float64 sums are exact while every total stays below 2**53 bytes
-        totals = np.bincount(keys, np.concatenate([b[3] for b in blocks]), n_keys)
+        totals = np.bincount(keys, np.concatenate([b for _, b in per_sender]), n_keys)
+        totals = totals[present].astype(np.int64)
         step_rank, rest = np.divmod(present, per_step)
         nodes, codes = np.divmod(rest, n_phases)
-        return list(
-            zip(
-                steps[step_rank].tolist(),
-                nodes.tolist(),
-                [names[c] for c in codes.tolist()],
-                totals[present].astype(np.int64).tolist(),
+        for start in range(0, present.shape[0], batch):
+            part = slice(start, start + batch)
+            yield from zip(
+                steps[step_rank[part]].tolist(),
+                nodes[part].tolist(),
+                [names[c] for c in codes[part].tolist()],
+                totals[part].tolist(),
             )
-        )
 
 
 def write_bandwidth_csv(stats: LinkStats, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(BANDWIDTH_CSV_HEADER)
-        writer.writerows(stats.aggregated_rows())
+        writer.writerows(stats.iter_aggregated_rows())
 
 
 def _stack_vectors(contributions, topo: RingTopology) -> np.ndarray:
@@ -203,34 +274,26 @@ def _rotate_chunks(rows: np.ndarray, bounds) -> np.ndarray:
     return rotated
 
 
-def _ring_reduce(rows, bounds, counts, step, entry_bytes) -> tuple[np.ndarray, LinkStats]:
-    """Owner-first sum of ``rows`` (one per node) over chunks ``bounds``, and
-    the scatter-reduce and allgather messages, one block per phase.
+def _ring_sum(rows: np.ndarray, bounds) -> np.ndarray:
+    """Owner-first sum of ``rows`` (one per node) over chunks ``bounds``.
 
-    ``counts[s, c]`` is the number of entries in chunk c's partial once it
-    holds s + 1 contributions; row N-1 is the finished chunk. At scatter hop s
-    node k forwards chunk k - s, and at allgather hop s chunk k + 1 - s.
+    The rows are added one at a time: ``np.add.reduce(rotated, axis=0)``
+    sums a one-column array pairwise, which breaks the ring's order.
     """
     rotated = _rotate_chunks(rows, bounds)
     total = rotated[0].copy()
     for row in rotated[1:]:
         total += row
-    n = rows.shape[0]
-    # (N-1, N) size tables, row s = hop s, column k = sender k
-    senders = np.arange(n)
-    hops = senders[: n - 1, None]
-    scatter = counts[hops, (senders - hops) % n]
-    allgather = counts[n - 1][(senders + 1 - hops) % n]
-    block_senders = np.tile(senders, n - 1)
+    return total
+
+
+def _fixed_size_reduce(rows, bounds, chunk_bytes, step) -> tuple[np.ndarray, LinkStats]:
+    """Owner-first sum of ``rows`` over chunks ``bounds``, and the scatter-reduce
+    and allgather phases of chunks that stay ``chunk_bytes`` bytes at every hop."""
     stats = LinkStats()
-    stats.record_messages(step, PHASE_SCATTER, block_senders, entry_bytes * scatter.ravel())
-    stats.record_messages(step, PHASE_ALLGATHER, block_senders, entry_bytes * allgather.ravel())
-    return total, stats
-
-
-def _fixed_counts(bounds, n: int) -> np.ndarray:
-    """Per-hop entry counts of chunks whose size does not change in transit."""
-    return np.broadcast_to(np.diff(bounds), (n, n))
+    stats.record_ring_phase(step, PHASE_SCATTER, chunk_bytes)
+    stats.record_ring_phase(step, PHASE_ALLGATHER, chunk_bytes)
+    return _ring_sum(rows, bounds), stats
 
 
 def dense_allreduce(
@@ -247,8 +310,7 @@ def dense_allreduce(
     rows = _stack_vectors(contributions, topo)
     # Padding entries are zeros: they only add to the message bytes.
     bounds = np.minimum(topo.chunk_bounds, topo.length)
-    counts = _fixed_counts(topo.chunk_bounds, topo.n_nodes)
-    return _ring_reduce(rows, bounds, counts, step, VALUE_BYTES)
+    return _fixed_size_reduce(rows, bounds, VALUE_BYTES * np.diff(topo.chunk_bounds), step)
 
 
 def select_broadcast_nodes(n_nodes: int, cfg: MaskAgreementConfig, step: int) -> tuple[int, ...]:
@@ -335,8 +397,8 @@ def sparse_allreduce(
     # Chunk c carries the sparse entries whose parameter index falls in the
     # chunk's range; those are contiguous in the sorted index list.
     cuts = np.searchsorted(idx, np.asarray(topo.chunk_bounds))
-    counts = _fixed_counts(cuts, topo.n_nodes)
-    total, stats = _ring_reduce(values, cuts, counts, step, VALUE_BYTES + INDEX_BYTES)
+    chunk_bytes = (VALUE_BYTES + INDEX_BYTES) * np.diff(cuts)
+    total, stats = _fixed_size_reduce(values, cuts, chunk_bytes, step)
     return SparseGradient(indices=idx, values=total, total_length=topo.length), stats
 
 
@@ -353,7 +415,9 @@ def naive_sparse_allreduce(
     their index sets hop by hop, so payloads grow as they travel. Message
     bytes reflect the growing unions: a running OR of the masks in each
     chunk's owner-first order. The result is the sum of the masked
-    contributions on the union support.
+    contributions on the union support. Since scatter payloads change size
+    hop by hop, that phase is recorded message by message, from an (N, N)
+    table of entry counts.
     """
     rows = _stack_vectors(contributions, topo)
     if len(local_masks) != topo.n_nodes:
@@ -368,14 +432,19 @@ def naive_sparse_allreduce(
     # running[s] is, per column, the OR of the first s + 1 contributors'
     # masks in the column's chunk order; its last row is the full union.
     running = np.logical_or.accumulate(_rotate_chunks(bits, bounds), axis=0)
+    n = topo.n_nodes
+    # counts[s, c]: entries in chunk c's partial once it holds s + 1 contributions
     counts = np.stack(
-        [
-            np.count_nonzero(running[:, bounds[c] : bounds[c + 1]], axis=1)
-            for c in range(topo.n_nodes)
-        ],
+        [np.count_nonzero(running[:, bounds[c] : bounds[c + 1]], axis=1) for c in range(n)],
         axis=1,
     )
-    sent = np.where(bits, rows, 0.0)
-    total, stats = _ring_reduce(sent, bounds, counts, step, VALUE_BYTES + INDEX_BYTES)
+    entry_bytes = VALUE_BYTES + INDEX_BYTES
+    senders = np.arange(n)
+    hops = senders[: n - 1, None]
+    stats = LinkStats()
+    scatter = entry_bytes * counts[hops, (senders - hops) % n]
+    stats.record_messages(step, PHASE_SCATTER, np.tile(senders, n - 1), scatter.ravel())
+    stats.record_ring_phase(step, PHASE_ALLGATHER, entry_bytes * counts[n - 1])
+    total = _ring_sum(np.where(bits, rows, 0.0), bounds)
     idx = np.flatnonzero(running[-1])
     return SparseGradient(indices=idx, values=total[idx], total_length=topo.length), stats

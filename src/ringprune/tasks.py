@@ -63,20 +63,24 @@ class SyntheticTask:
         batch_size), as (N, P) rows.
 
         Nodes go to ``gradient_sum`` in chunks whose widest activation stays
-        within ``GRADIENT_CHUNK_ELEMENTS``, one node per call at the least.
+        within ``GRADIENT_CHUNK_ELEMENTS``, one node per call at the least,
+        and each chunk writes straight into its rows of the result.
         """
         idx = self.batch_indices(step, n_nodes, batch_size)
         chunk = max(1, GRADIENT_CHUNK_ELEMENTS // (batch_size * self.activation_width))
         grads = np.empty((n_nodes, self.layout.total_length))
         for start in range(0, n_nodes, chunk):
-            grads[start : start + chunk] = self.gradient_sum(weights, idx[start : start + chunk])
+            rows = slice(start, start + chunk)
+            self.gradient_sum(weights, idx[rows], out=grads[rows])
         grads /= float(n_nodes * batch_size)
         return grads
 
     # Subclasses provide: activation_width, gradient_sum, init_weights,
     # evaluate. gradient_sum takes sample rows of shape (..., B) and returns
     # one batch-summed (P,) gradient per batch of B rows; a (B,) index
-    # vector is the one-batch case of the same code.
+    # vector is the one-batch case of the same code. Given ``out``, an
+    # (..., P) array whose rows are contiguous, it writes the gradients
+    # there and returns it.
 
 
 @dataclass
@@ -127,12 +131,16 @@ class LinearRegressionTask(SyntheticTask):
     def activation_width(self) -> int:
         return self.n_features
 
-    def gradient_sum(self, weights: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    def gradient_sum(
+        self, weights: np.ndarray, idx: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
         x = self.features[idx]
         residual = self._predict(weights, idx) - self.targets[idx]
-        grad_coef = (np.swapaxes(x, -1, -2) @ residual[..., None])[..., 0]
-        grad_intercept = residual.sum(axis=-1, keepdims=True)
-        return np.concatenate([grad_coef, grad_intercept], axis=-1)
+        if out is None:
+            out = np.empty(idx.shape[:-1] + (self.layout.total_length,))
+        np.matmul(np.swapaxes(x, -1, -2), residual[..., None], out=out[..., :-1, None])
+        np.sum(residual, axis=-1, out=out[..., -1])
+        return out
 
     def evaluate(self, weights: np.ndarray) -> tuple[float, float | None]:
         return self.loss_sum(weights, slice(None)) / self.n_samples, None
@@ -224,7 +232,9 @@ class MlpClassificationTask(SyntheticTask):
     def activation_width(self) -> int:
         return max(self.n_features, self.hidden_units, self.n_classes)
 
-    def gradient_sum(self, weights: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    def gradient_sum(
+        self, weights: np.ndarray, idx: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
         x = self.features[idx]
         hidden, dlogits = self._forward(weights, x)
         # softmax as exp(log_softmax): exp(shifted) / sum is not bit-identical
@@ -233,7 +243,8 @@ class MlpClassificationTask(SyntheticTask):
         np.exp(dlogits, out=dlogits)
         rows = dlogits.reshape(-1, self.n_classes)
         rows[np.arange(rows.shape[0]), self.labels[idx].ravel()] -= 1.0
-        out = np.empty(idx.shape[:-1] + (self.layout.total_length,))
+        if out is None:
+            out = np.empty(idx.shape[:-1] + (self.layout.total_length,))
         grad_hidden_w, grad_hidden_b, grad_output_w, grad_output_b = self._unpack(out)
         np.matmul(np.swapaxes(hidden, -1, -2), dlogits, out=grad_output_w)
         np.sum(dlogits, axis=-2, out=grad_output_b)

@@ -260,3 +260,14 @@ def message_count(stats, node: int | None = None, phases=REDUCE_PHASES) -> int:
         1 for _step, sender, phase, _ in stats.records
         if phase in phases and (node is None or sender == node)
     )
+
+
+def stored_integers(stats) -> int:
+    """Integers held in the arrays of ``stats``' blocks, whatever a block's
+    layout: what the accounting costs in memory."""
+    return sum(
+        value.size
+        for block in stats._blocks
+        for value in block
+        if isinstance(value, np.ndarray)
+    )

@@ -10,8 +10,10 @@ from ringprune import (
     VALUE_BYTES,
     BitMask,
     ConfigError,
+    EpochSchedule,
     LinkStats,
     MaskAgreementConfig,
+    MlpClassificationTask,
     RingTopology,
     SparseGradient,
     StructuralError,
@@ -20,12 +22,21 @@ from ringprune import (
     mask_agreement_round,
     naive_sparse_allreduce,
     or_masks,
+    TrainingConfig,
+    run_experiment,
     select_broadcast_nodes,
     sparse_allreduce,
 )
 from ringprune.ring import PHASE_ALLGATHER, PHASE_MASK, PHASE_SCATTER
 
-from oracles import chunk_slice, dgc_union_contrast, message_count, successor
+from oracles import (
+    chunk_slice,
+    dgc_union_contrast,
+    fixed_threshold_policy,
+    message_count,
+    stored_integers,
+    successor,
+)
 
 PHASES = (PHASE_SCATTER, PHASE_ALLGATHER, PHASE_MASK)
 
@@ -538,28 +549,63 @@ def test_collectives_match_hop_by_hop_oracle(n, length):
     assert stats.records == oracle_stats.records
 
 
-def test_collectives_store_one_block_per_phase():
-    # A return to one stored record per message would fail here.
+def test_fixed_size_reduces_store_o_n_integers_per_phase():
+    # A return to stored per-message arrays, 2 x N(N-1) integers per phase,
+    # would fail here.
     rng = np.random.default_rng(11)
     n, length = 64, 300
     topo = RingTopology.create(n, length)
     vecs = [rng.standard_normal(length) for _ in range(n)]
     shared = np.flatnonzero(rng.random(length) < 0.3)
-    masks = [BitMask(rng.random(length) < 0.1) for _ in range(n)]
     parts = SparseGradient(shared, np.stack(vecs)[:, shared], length)
-    reduces = [
+    for stats in (
         dense_allreduce(vecs, topo, step=4)[1],
         sparse_allreduce(parts, topo, step=4)[1],
-        naive_sparse_allreduce(vecs, masks, topo, step=4)[1],
-    ]
-    for stats in reduces:
-        assert [(b[0], b[1], b[2].shape[0]) for b in stats._blocks] == [
-            (4, PHASE_SCATTER, n * (n - 1)),
-            (4, PHASE_ALLGATHER, n * (n - 1)),
-        ]
+    ):
+        assert stored_integers(stats) <= 2 * n
+        assert message_count(stats) == 2 * n * (n - 1)
+    # The no-agreement reduce's scatter payloads grow hop by hop, so that
+    # phase alone is stored message by message.
+    masks = [BitMask(rng.random(length) < 0.1) for _ in range(n)]
+    stats = naive_sparse_allreduce(vecs, masks, topo, step=4)[1]
+    assert stored_integers(stats) == 2 * n * (n - 1) + n
     cfg = MaskAgreementConfig(n_selected_nodes=3, shared_seed=2)
     _, stats = agree(masks, cfg, step=4)
-    assert [(b[0], b[1], b[2].shape[0]) for b in stats._blocks] == [(4, PHASE_MASK, n - 1)] * 3
+    assert stored_integers(stats) == 3 * 2 * (n - 1)
+
+
+def test_compressed_run_at_1024_nodes_stores_under_16n_integers_per_step():
+    # Two warm-up and two pruned steps. Per-message reduce arrays would hold
+    # 4N(N-1) integers per step; the O(N) phases and the mask rounds hold
+    # about 6N.
+    n = 1024
+    task = MlpClassificationTask(n_samples=2 * n, data_seed=3)
+    cfg = TrainingConfig(
+        momentum=0.9,
+        learning_rate=EpochSchedule.constant(0.1),
+        batch_size=1,
+        n_nodes=n,
+        epochs=2,
+        seed=3,
+    )
+    policy = fixed_threshold_policy(0.01, warmup_epochs=1)
+    mask_cfg = MaskAgreementConfig(n_selected_nodes=2, shared_seed=3)
+    result = run_experiment(task, cfg, policy, mask_cfg, "compressed")
+    n_steps = len(result.metrics) - 1
+    assert n_steps == 4
+    assert stored_integers(result.stats) < 16 * n * n_steps
+
+
+def test_record_ring_phase_rejects_what_is_not_a_ring_phase():
+    stats = LinkStats()
+    with pytest.raises(StructuralError, match="'mask_round' is not a reduce phase"):
+        stats.record_ring_phase(0, PHASE_MASK, [1, 2])
+    with pytest.raises(StructuralError, match="payload_bytes must be >= 0"):
+        stats.record_ring_phase(0, PHASE_SCATTER, [1, -2, 3])
+    for bad in ([5], [[1, 2], [3, 4]]):
+        with pytest.raises(StructuralError, match="are not a ring's"):
+            stats.record_ring_phase(0, PHASE_ALLGATHER, bad)
+    assert stats.records == ()
 
 
 def test_linkstats_rejects_negative_or_mismatched_sizes():
@@ -625,6 +671,93 @@ def test_linkstats_queries_match_per_message_reference(blocks):
         per_node[node] = per_node.get(node, 0) + nbytes
     assert report.per_node_bytes == dict(sorted(per_node.items()))
     assert report.total_bytes == sum(r[3] for r in reference)
+
+
+def phase_oracle(step, phase, chunk_bytes):
+    """One reduce phase moved hop by hop, every buffer holding its chunk's
+    id and message c weighing ``chunk_bytes[c]``: the phase's messages."""
+    n = len(chunk_bytes)
+    stats = LinkStats()
+    _ring_exchange(
+        [list(range(n)) for _ in range(n)],
+        RingTopology.create(n, n),
+        stats,
+        step,
+        chunk_nbytes=lambda c: chunk_bytes[c],
+        combine=lambda incoming, own: own,
+    )
+    return [r for r in stats.records if r[2] == phase]
+
+
+# (kind, step, ...): reduces at N from 2 to 17 with P from 0 (all padding)
+# up, ring phases of random chunk sizes (zeros common), and message blocks.
+_reduce_ops = st.tuples(
+    st.sampled_from(("dense", "sparse")),
+    st.integers(0, 3),
+    st.integers(2, 17),
+    st.integers(0, 40),
+    st.floats(0.0, 1.0),
+)
+_phase_ops = st.tuples(
+    st.just("phase"),
+    st.integers(0, 3),
+    st.sampled_from((PHASE_SCATTER, PHASE_ALLGATHER)),
+    st.lists(st.integers(0, 3), min_size=2, max_size=17),
+    st.booleans(),
+)
+_message_ops = st.tuples(
+    st.just("messages"),
+    st.integers(0, 3),
+    st.sampled_from(PHASES),
+    st.lists(st.tuples(st.integers(0, 16), st.integers(0, 3)), max_size=6),
+    st.booleans(),
+)
+
+
+@given(st.lists(st.one_of(_reduce_ops, _phase_ops, _message_ops), max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_ring_phase_queries_match_per_message_reference(ops):
+    stats = LinkStats()
+    reference = []
+    for kind, step, *args in ops:
+        if kind in ("dense", "sparse"):
+            n, length, density = args
+            rng = np.random.default_rng(n * 100 + length)
+            topo = RingTopology.create(n, length)
+            vecs = rng.standard_normal((n, length))
+            if kind == "dense":
+                part = dense_allreduce(vecs, topo, step=step)[1]
+                oracle_stats = hop_dense_oracle(list(vecs), topo, step)[1]
+            else:
+                shared = np.flatnonzero(rng.random(length) < density)
+                parts = SparseGradient(shared, vecs[:, shared], length)
+                part = sparse_allreduce(parts, topo, step=step)[1]
+                oracle_stats = hop_sparse_oracle(parts, topo, step)[2]
+            stats.extend(part)
+            reference += oracle_stats.records
+            continue
+        phase, items, through_extend = args
+        target = LinkStats() if through_extend else stats
+        if kind == "phase":
+            target.record_ring_phase(step, phase, items)
+            reference += phase_oracle(step, phase, items)
+        else:
+            target.record_messages(step, phase, [k for k, _ in items], [b for _, b in items])
+            reference += [(step, k, phase, b) for k, b in items]
+        if through_extend:
+            stats.extend(target)
+
+    assert stats.records == tuple(reference)
+    assert stats.total_bytes() == sum(r[3] for r in reference)
+    for phase in (None, *PHASES):
+        for node in (None, *range(18)):
+            assert stats.bytes_for(phase=phase, node=node) == sum(
+                r[3]
+                for r in reference
+                if (phase is None or r[2] == phase) and (node is None or r[1] == node)
+            )
+    assert stats.aggregated_rows() == reference_rows(reference)
+    assert list(stats.iter_aggregated_rows(batch=3)) == reference_rows(reference)
 
 
 # --- bandwidth report ------------------------------------------------------------------

@@ -149,6 +149,29 @@ def test_mlp_matches_reference_formulas(d, h, c):
     assert saturated > 0
 
 
+@pytest.mark.parametrize(
+    "task",
+    [
+        LinearRegressionTask(n_samples=301, data_seed=8),
+        MlpClassificationTask(n_samples=301, n_features=7, hidden_units=9, n_classes=3, data_seed=8),
+    ],
+    ids=["linear", "mlp"],
+)
+@pytest.mark.parametrize("idx_shape", [(8,), (5, 8)])
+def test_gradient_sum_writes_into_out(task, idx_shape):
+    """Given ``out``, gradient_sum fills it and returns it, bit for bit as
+    the allocating call, also when ``out`` is a row block of a larger array."""
+    weights = task.init_weights(np.random.default_rng(2)) + 0.1
+    idx = np.random.default_rng(3).integers(0, task.n_samples, idx_shape)
+    expected = task.gradient_sum(weights, idx)
+    rows = np.full((7, task.layout.total_length), np.nan)
+    n_batches = idx_shape[0] if len(idx_shape) == 2 else 1
+    buf = rows[1 : 1 + n_batches].reshape(idx_shape[:-1] + (-1,))
+    assert task.gradient_sum(weights, idx, out=buf) is buf
+    assert buf.tobytes() == expected.tobytes()
+    assert np.isnan(rows[0]).all() and np.isnan(rows[1 + n_batches :]).all()
+
+
 def test_mlp_gradient_scaling():
     task = MlpClassificationTask(n_samples=64, data_seed=7)
     w = task.init_weights(np.random.default_rng(0))

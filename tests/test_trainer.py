@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringprune import (
     BitMask,
@@ -32,6 +34,7 @@ from ringprune.trainer import (
     MODE_DGC_CONTRAST,
     _local_masks,
     _node_gradients,
+    _staleness_percentiles,
 )
 
 from oracles import (
@@ -896,6 +899,27 @@ def test_run_modes_emit_schema_fields():
             assert all(m.staleness_max == 0 for m in result.metrics)
 
 
+# Staleness vectors as runs produce them: all zeros in warm-up, then a few
+# distinct counts over many entries, or any non-negative values.
+_staleness_vectors = st.one_of(
+    st.integers(1, 300).map(lambda n: np.zeros(n, dtype=np.int64)),
+    st.lists(st.sampled_from((0, 1, 7, 30)), min_size=1, max_size=300),
+    st.lists(st.integers(0, 40), min_size=1, max_size=40),
+    st.integers(0, 10**6).map(lambda v: [v]),
+)
+
+
+@given(_staleness_vectors)
+@settings(max_examples=300, deadline=None)
+def test_staleness_percentiles_match_numpy(values):
+    staleness = np.asarray(values, dtype=np.int64)
+    assert _staleness_percentiles(staleness) == (
+        int(np.percentile(staleness, 50, method="lower")),
+        int(np.percentile(staleness, 90, method="lower")),
+        int(staleness.max()),
+    )
+
+
 # --- node gradients ------------------------------------------------------------------
 
 
@@ -917,9 +941,9 @@ def record_gradient_calls(task) -> list:
     calls = []
     gradient_sum = task.gradient_sum
 
-    def recording(weights, idx):
+    def recording(weights, idx, out=None):
         calls.append(idx.shape)
-        return gradient_sum(weights, idx)
+        return gradient_sum(weights, idx, out=out)
 
     task.gradient_sum = recording
     return calls

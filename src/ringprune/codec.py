@@ -100,11 +100,6 @@ class SparseGradient:
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "values", val)
 
-    @property
-    def nnz(self) -> int:
-        """Entries per row."""
-        return int(self.indices.shape[0])
-
     def densify(self) -> np.ndarray:
         """The dense vector, or the (N, total_length) stack of them."""
         dense = np.zeros(self.values.shape[:-1] + (self.total_length,), dtype=np.float64)

@@ -18,7 +18,7 @@ from .errors import ConfigError
 from .importance import SCHEDULE_OPEN_END, EpochSchedule, ThresholdPolicy
 from .ring import MaskAgreementConfig
 from .tasks import TASK_KINDS, SyntheticTask
-from .trainer import MODES, TrainingConfig
+from .trainer import MODE_COMPRESSED, MODE_DENSE, MODES, TrainingConfig
 
 MANIFEST_FORMAT = "ringprune-run-manifest"
 MANIFEST_NAME = "manifest.json"
@@ -199,12 +199,12 @@ def resolve_experiment(
             f"training.n_nodes {training.n_nodes}"
         )
 
-    mode = raw.get("mode", "compressed")
+    mode = raw.get("mode", MODE_COMPRESSED)
     if mode not in MODES:
         raise ConfigError(f"mode: unknown mode '{mode}'; expected one of {MODES}")
 
     schedules = [("training.learning_rate", training.learning_rate)]
-    if mode in ("compressed", "dgc_contrast"):
+    if mode != MODE_DENSE:
         schedules += [
             ("threshold.base", policy.base),
             ("threshold.ratio_weight", policy.ratio_weight),

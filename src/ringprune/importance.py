@@ -157,8 +157,8 @@ def thresholds_for(
     """
     rows = _score_rows(scores, layout)
     ratio = np.empty((rows.shape[0], layout.n_layers))
-    for j in range(layout.n_layers):
-        layer = rows[:, layout.slice_of(j)]
+    for j, sl in enumerate(layout.slices):
+        layer = rows[:, sl]
         mean = layer.mean(axis=1)
         # exact 0 for constant layers, including single-parameter ones
         constant = np.all(layer == layer[:, :1], axis=1)
@@ -203,8 +203,7 @@ def build_local_mask(
         node, j = np.argwhere(bad)[0]
         raise InputError(f"threshold for layer {j} of row {node} must be >= 0, got {thr[node, j]}")
     bits = np.empty(rows.shape, dtype=bool)
-    for j in range(layout.n_layers):
-        sl = layout.slice_of(j)
+    for j, sl in enumerate(layout.slices):
         layer = rows[:, sl]
         layer_thr = thr[:, j : j + 1]
         uniforms = np.empty(layer.shape)

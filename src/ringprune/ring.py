@@ -200,14 +200,11 @@ class LinkStats:
                 total += int((sizes if node is None else sizes[senders == node]).sum())
         return total
 
-    def aggregated_rows(self) -> list[tuple[int, int, str, int]]:
-        """Byte totals summed per (step, node, phase), sorted; a key has a row
-        when at least one message, of any size, was sent under it."""
-        return list(self.iter_aggregated_rows())
-
     def iter_aggregated_rows(self, batch: int = 4096) -> Iterator[tuple[int, int, str, int]]:
-        """:meth:`aggregated_rows`, made ``batch`` rows at a time, so that a
-        long run's rows are never all held as Python objects at once."""
+        """Byte totals summed per (step, node, phase), sorted; a key has a row
+        when at least one message, of any size, was sent under it. Made
+        ``batch`` rows at a time, so that a long run's rows are never all
+        held as Python objects at once."""
         blocks = self._blocks
         if not blocks:
             return

@@ -18,6 +18,7 @@ those.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,8 +120,7 @@ class LinearRegressionTask(SyntheticTask):
         return 0.1 * rng.standard_normal(self.layout.total_length)
 
     def _predict(self, weights: np.ndarray, idx: np.ndarray | slice) -> np.ndarray:
-        coef = weights[: self.n_features]
-        intercept = weights[self.n_features]
+        coef, intercept = (weights[sl] for sl in self.layout.slices)
         return self.features[idx] @ coef + intercept
 
     def loss_sum(self, weights: np.ndarray, idx: np.ndarray | slice) -> float:
@@ -138,8 +138,9 @@ class LinearRegressionTask(SyntheticTask):
         residual = self._predict(weights, idx) - self.targets[idx]
         if out is None:
             out = np.empty(idx.shape[:-1] + (self.layout.total_length,))
-        np.matmul(np.swapaxes(x, -1, -2), residual[..., None], out=out[..., :-1, None])
-        np.sum(residual, axis=-1, out=out[..., -1])
+        grad_coef, grad_intercept = (out[..., sl] for sl in self.layout.slices)
+        np.matmul(np.swapaxes(x, -1, -2), residual[..., None], out=grad_coef[..., None])
+        np.sum(residual, axis=-1, keepdims=True, out=grad_intercept)
         return out
 
     def evaluate(self, weights: np.ndarray) -> tuple[float, float | None]:
@@ -187,13 +188,14 @@ class MlpClassificationTask(SyntheticTask):
                 flip, (self.labels + shift) % self.n_classes, self.labels
             )
         d, h, c = self.n_features, self.hidden_units, self.n_classes
+        self.layer_shapes = {
+            "hidden_weight": (d, h),
+            "hidden_bias": (h,),
+            "output_weight": (h, c),
+            "output_bias": (c,),
+        }
         self.layout = LayerLayout.from_sizes(
-            [
-                ("hidden_weight", d * h),
-                ("hidden_bias", h),
-                ("output_weight", h * c),
-                ("output_bias", c),
-            ]
+            (name, math.prod(shape)) for name, shape in self.layer_shapes.items()
         )
 
     def init_weights(self, rng: np.random.Generator) -> np.ndarray:
@@ -209,13 +211,11 @@ class MlpClassificationTask(SyntheticTask):
     def _unpack(self, weights: np.ndarray):
         """The four layer groups of ``weights`` (..., P), as views of shapes
         (..., d, h), (..., h), (..., h, c) and (..., c)."""
-        d, h, c = self.n_features, self.hidden_units, self.n_classes
         lead = weights.shape[:-1]
-        hidden_w = weights[..., : d * h].reshape(lead + (d, h))
-        hidden_b = weights[..., d * h: d * h + h]
-        output_w = weights[..., d * h + h: d * h + h + h * c].reshape(lead + (h, c))
-        output_b = weights[..., d * h + h + h * c:]
-        return hidden_w, hidden_b, output_w, output_b
+        return [
+            weights[..., sl].reshape(lead + shape)
+            for sl, shape in zip(self.layout.slices, self.layer_shapes.values())
+        ]
 
     def _forward(self, weights: np.ndarray, x: np.ndarray):
         """Hidden activations and logits of the sample rows ``x``, each

@@ -53,7 +53,7 @@ def reference_thresholds(scores, layout, policy, epoch):
     weight = policy.ratio_weight.value_at(epoch)
     for k, row in enumerate(scores):
         for j in range(layout.n_layers):
-            s = row[layout.slice_of(j)]
+            s = row[layout.slices[j]]
             mean = s.mean()
             variance = 0.0 if np.all(s == s[0]) else np.mean((s - mean) ** 2)
             ratio = float(variance) / max(float(mean), STAT_EPS)
@@ -74,10 +74,10 @@ def reference_masks(scores, layout, thr, streams):
     for k, stream in enumerate(streams):
         bits = np.empty(layout.total_length, dtype=bool)
         for j in range(layout.n_layers):
-            s, t = scores[k, layout.slice_of(j)], thr[k, j]
+            s, t = scores[k, layout.slices[j]], thr[k, j]
             u = stream.layer(j).random(s.shape[0]) if 0 < t < math.inf else np.zeros(s.shape)
             with np.errstate(divide="ignore", invalid="ignore"):
-                bits[layout.slice_of(j)] = (s >= t) | (u < s / t)
+                bits[layout.slices[j]] = (s >= t) | (u < s / t)
         masks.append(bits)
     return masks
 
@@ -114,7 +114,7 @@ def mlp_layers(task, weights: np.ndarray):
     bias, cut from ``weights`` by the task's layout."""
     d, h, c = task.n_features, task.hidden_units, task.n_classes
     hidden_w, hidden_b, output_w, output_b = (
-        weights[task.layout.slice_of(j)] for j in range(4)
+        weights[task.layout.slices[j]] for j in range(4)
     )
     return hidden_w.reshape(d, h), hidden_b, output_w.reshape(h, c), output_b
 
@@ -187,6 +187,30 @@ def fixed_threshold_policy(
         thr_max=max(thr_max, threshold),
         warmup_epochs=warmup_epochs,
     )
+
+
+class PresetGradientTask:
+    """Stub task whose per-(node, step) gradients are preset, for driving the
+    step functions and the trainer with hand-chosen values. Its weights start
+    at a copy of ``initial_weights`` and its loss is sum(w**2)."""
+
+    def __init__(self, layout, grads, initial_weights):
+        self.layout = layout
+        self.n_samples = 10_000
+        self._grads = grads
+        self._initial = np.asarray(initial_weights, dtype=float)
+
+    def init_weights(self, rng):
+        return self._initial.copy()
+
+    def preset(self, node, step):
+        return np.asarray(self._grads(node, step), dtype=float)
+
+    def node_gradient(self, weights, step, n_nodes, batch_size):
+        return np.stack([self.preset(k, step) for k in range(n_nodes)])
+
+    def evaluate(self, weights):
+        return float(np.sum(weights**2)), None
 
 
 def mean_compression_ratio(result) -> float:

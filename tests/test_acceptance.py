@@ -43,6 +43,7 @@ from ringprune.ring import PHASE_MASK
 from ringprune.trainer import MODE_COMPRESSED, MODE_DENSE
 
 from oracles import (
+    PresetGradientTask,
     chunk_slice,
     closed_form_weight_change,
     dgc_union_contrast,
@@ -56,25 +57,6 @@ def report(number: int, name: str, passed: bool, detail: str) -> None:
     verdict = "PASS" if passed else "FAIL"
     print(f"[criterion {number}] {name}: {verdict} ({detail})")
     assert passed, f"criterion {number} ({name}) failed: {detail}"
-
-
-class PresetGradientTask:
-    """Feeds preset per-(node, step) gradients through the real trainer."""
-
-    def __init__(self, layout, gradient_fn, initial_weights):
-        self.layout = layout
-        self.n_samples = 10_000
-        self._fn = gradient_fn
-        self._initial = np.asarray(initial_weights, dtype=float)
-
-    def init_weights(self, rng):
-        return self._initial.copy()
-
-    def node_gradient(self, weights, step, n_nodes, batch_size):
-        return np.stack([np.asarray(self._fn(k, step), dtype=float) for k in range(n_nodes)])
-
-    def evaluate(self, weights):
-        return float(np.sum(weights**2)), None
 
 
 def test_criterion_1_sparsity_preservation():
@@ -95,8 +77,8 @@ def test_criterion_1_sparsity_preservation():
         shared, _ = mask_agreement_round([shared_local] * len(nodes), nodes, n, step=0)
         parts = SparseGradient(idx, rng.standard_normal((n, idx.shape[0])), length)
         mean, _ = sparse_allreduce(parts, topo, step=0)
-        if shared.density() != target or mean.nnz / length != target:
-            failures.append(f"N={n}: shared density {mean.nnz / length}")
+        if shared.density() != target or mean.indices.shape[0] / length != target:
+            failures.append(f"N={n}: shared density {mean.indices.shape[0] / length}")
 
         independent = [BitMask(rng.random(length) < target) for _ in range(n)]
         union_density = dgc_union_contrast(independent, topo)

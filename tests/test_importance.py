@@ -210,8 +210,8 @@ def test_thresholds_match_rule_oracle():
         n_rows = int(rng.integers(1, 9))
         scales = np.repeat(10.0 ** rng.uniform(-3, 2, (n_rows, 5)), layout.lengths, axis=1)
         scores = rng.random((n_rows, layout.total_length)) * scales
-        scores[0, layout.slice_of(1)] = 0.0
-        scores[-1, layout.slice_of(2)] = 0.25
+        scores[0, layout.slices[1]] = 0.0
+        scores[-1, layout.slices[2]] = 0.25
         thr_min = 10.0 ** rng.uniform(-6, -2)
         thr_max = math.inf if trial % 3 == 0 else thr_min + 10.0 ** rng.uniform(-3, 1)
         policy = _policy(

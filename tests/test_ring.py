@@ -56,7 +56,7 @@ class BandwidthReport:
 
 
 def bandwidth_report(stats: LinkStats) -> BandwidthReport:
-    rows = tuple(stats.aggregated_rows())
+    rows = tuple(stats.iter_aggregated_rows())
     per_node: dict[int, int] = {}
     for _step, node, _phase, nbytes in rows:
         per_node[node] = per_node.get(node, 0) + nbytes
@@ -377,7 +377,7 @@ def test_agreement_records_match_per_hop_oracle(n):
     cfg = MaskAgreementConfig(n_selected_nodes=1, shared_seed=n)
     (origin,) = select_broadcast_nodes(n, cfg, 9)
     _, stats = mask_agreement_round([masks[origin]], (origin,), n, step=9)
-    senders = [node for step, node, phase, _ in stats.aggregated_rows() if phase == PHASE_MASK]
+    senders = [node for step, node, phase, _ in stats.iter_aggregated_rows() if phase == PHASE_MASK]
     assert senders == sorted(set(range(n)) - {(origin - 1) % n})
 
 
@@ -435,7 +435,7 @@ def test_sparse_density_preserved_and_matches_dense_oracle():
     dense_vecs = [rng.standard_normal(length) * mask_bits for _ in range(n)]
     parts = SparseGradient(idx, np.stack(dense_vecs)[:, idx], length)
     total, _ = sparse_allreduce(parts, topo)
-    assert total.nnz == idx.shape[0]  # density exactly that of the mask
+    assert total.indices.shape[0] == idx.shape[0]  # density exactly that of the mask
     dense_sum, _ = dense_allreduce(dense_vecs, topo)
     # Both reduces add each index's contributions in the same owner-first order.
     assert np.array_equal(total.densify(), dense_sum)
@@ -501,7 +501,7 @@ def test_naive_sparse_reduce_matches_masked_mean_oracle():
     for v, m in zip(vecs, masks):
         expected += np.where(m.bits, v, 0.0)
     union = or_masks(masks)
-    assert total.nnz == union.popcount()
+    assert total.indices.shape[0] == union.popcount()
     assert np.allclose(total.densify(), np.where(union.bits, expected, 0.0), atol=1e-12)
     # Allgather hops carry the full union, scatter hops carry partial unions.
     per_entry = 8
@@ -663,7 +663,7 @@ def test_linkstats_queries_match_per_message_reference(blocks):
                 if (phase is None or r[2] == phase) and (node is None or r[1] == node)
             )
     rows = reference_rows(reference)
-    assert stats.aggregated_rows() == rows
+    assert list(stats.iter_aggregated_rows()) == rows
     report = bandwidth_report(stats)
     assert report.rows == tuple(rows)
     per_node = {}
@@ -756,7 +756,7 @@ def test_ring_phase_queries_match_per_message_reference(ops):
                 for r in reference
                 if (phase is None or r[2] == phase) and (node is None or r[1] == node)
             )
-    assert stats.aggregated_rows() == reference_rows(reference)
+    assert list(stats.iter_aggregated_rows()) == reference_rows(reference)
     assert list(stats.iter_aggregated_rows(batch=3)) == reference_rows(reference)
 
 

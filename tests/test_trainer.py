@@ -39,6 +39,7 @@ from ringprune.trainer import (
 
 from oracles import (
     ParamStream,
+    PresetGradientTask,
     batch_indices,
     closed_form_weight_change,
     fixed_threshold_policy,
@@ -46,29 +47,6 @@ from oracles import (
     reference_masks,
     reference_thresholds,
 )
-
-
-class FixedGradientTask:
-    """Stub task whose per-(node, step) gradients are preset, for driving the
-    step functions with hand-chosen values."""
-
-    def __init__(self, layout, grads, initial_weights):
-        self.layout = layout
-        self.n_samples = 10_000
-        self._grads = grads
-        self._initial = np.asarray(initial_weights, dtype=float)
-
-    def init_weights(self, rng):
-        return self._initial.copy()
-
-    def preset(self, node, step):
-        return np.asarray(self._grads(node, step), dtype=float)
-
-    def node_gradient(self, weights, step, n_nodes, batch_size):
-        return np.stack([self.preset(k, step) for k in range(n_nodes)])
-
-    def evaluate(self, weights):
-        return float(np.sum(weights**2)), None
 
 
 def warmup_policy():
@@ -139,7 +117,7 @@ def test_config_validation():
 
 def test_init_state_holds_per_node_rows_only_in_pruned_modes():
     layout = LayerLayout.from_sizes([("a", 3), ("b", 2)])
-    task = FixedGradientTask(layout, lambda n, s: np.zeros(5), np.ones(5))
+    task = PresetGradientTask(layout, lambda n, s: np.zeros(5), np.ones(5))
     cfg = TrainingConfig(n_nodes=4)
     for mode, accum_shape in [
         (MODE_DENSE, (5,)),
@@ -157,7 +135,7 @@ def test_init_state_holds_per_node_rows_only_in_pruned_modes():
 
 def test_steps_reject_a_state_built_for_another_mode():
     layout = LayerLayout.from_sizes([("w", 3)])
-    task = FixedGradientTask(layout, lambda n, s: [0.1, 0.2, 0.3], np.ones(3))
+    task = PresetGradientTask(layout, lambda n, s: [0.1, 0.2, 0.3], np.ones(3))
     cfg = TrainingConfig(n_nodes=2)
     topo = RingTopology.create(2, 3)
     mask_cfg = MaskAgreementConfig(n_selected_nodes=1)
@@ -180,7 +158,7 @@ def test_steps_reject_a_state_built_for_another_mode():
 def test_baseline_one_step_arithmetic():
     # Node gradients sum to 0.5; velocity = 0.9 * 0 + 0.5; w = 1 - 0.1 * 0.5.
     layout = LayerLayout.from_sizes([("w", 1)])
-    task = FixedGradientTask(
+    task = PresetGradientTask(
         layout,
         lambda node, step: [0.25],
         initial_weights=[1.0],
@@ -198,7 +176,7 @@ def test_baseline_one_step_arithmetic():
 
 def test_baseline_zero_step_size_freezes_weights():
     layout = LayerLayout.from_sizes([("w", 3)])
-    task = FixedGradientTask(layout, lambda n, s: [1.0, -2.0, 3.0], [0.5, 0.5, 0.5])
+    task = PresetGradientTask(layout, lambda n, s: [1.0, -2.0, 3.0], [0.5, 0.5, 0.5])
     cfg = TrainingConfig(learning_rate=EpochSchedule.constant(0.0), n_nodes=2)
     state = init_state(task, cfg, MODE_DENSE)
     topo = RingTopology.create(2, 3)
@@ -297,7 +275,7 @@ def _lockstep_task(n_nodes):
         for step in range(2):
             grads[k, step] = rng.uniform(0.8, 1.2) * signs * np.concatenate([f() for f in shapes])
     weights = rng.choice([-1.0, 1.0], LOCKSTEP_LAYOUT.total_length)
-    return FixedGradientTask(LOCKSTEP_LAYOUT, lambda k, step: grads[k, step], weights)
+    return PresetGradientTask(LOCKSTEP_LAYOUT, lambda k, step: grads[k, step], weights)
 
 
 def _lockstep_policy(name):
@@ -368,7 +346,7 @@ def test_lockstep_pass_matches_per_node_oracle(n_nodes, case):
 
 def test_warmup_skips_scoring_but_rejects_nonfinite_residual():
     layout = LayerLayout.from_sizes([("w", 3)])
-    task = FixedGradientTask(
+    task = PresetGradientTask(
         layout,
         lambda node, step: [0.1, np.nan, 0.2] if node == 1 else [0.1, 0.1, 0.1],
         initial_weights=[1.0, 1.0, 1.0],
@@ -404,7 +382,7 @@ def test_closed_form_matches_iterated_baseline():
     length, horizon = 12, 10
     history = [rng.standard_normal(length) for _ in range(horizon)]
     layout = LayerLayout.from_sizes([("w", length)])
-    task = FixedGradientTask(
+    task = PresetGradientTask(
         layout,
         lambda node, step: history[step] if node == 0 else np.zeros(length),
         initial_weights=rng.standard_normal(length),
@@ -449,7 +427,7 @@ def test_compressed_warmup_equals_baseline_exactly():
 
 def test_compressed_zero_gradients_change_nothing():
     layout = LayerLayout.from_sizes([("a", 3), ("b", 2)])
-    task = FixedGradientTask(layout, lambda n, s: np.zeros(5), np.ones(5))
+    task = PresetGradientTask(layout, lambda n, s: np.zeros(5), np.ones(5))
     cfg = TrainingConfig(
         momentum=0.9, learning_rate=EpochSchedule.constant(0.1), n_nodes=2, seed=1
     )
@@ -494,7 +472,7 @@ def test_compressed_matches_scalar_transcript():
         (0, 2): [0.0, 0.0, 0.0, 0.0],
         (1, 2): [0.0, 0.3, 0.0, 0.0],
     }
-    task = FixedGradientTask(layout, lambda n, s: grads[(n, s)], np.ones(length))
+    task = PresetGradientTask(layout, lambda n, s: grads[(n, s)], np.ones(length))
     momentum, eta, thr, shared_seed = 0.9, 0.5, 0.1, 17
     cfg = TrainingConfig(
         momentum=momentum, learning_rate=EpochSchedule.constant(eta), n_nodes=2, seed=4
@@ -550,7 +528,7 @@ def test_compressed_per_step_conservation_exact():
         for node in range(2)
         for step in range(6)
     }
-    task = FixedGradientTask(layout, lambda n, s: presets[(n, s)], np.ones(length))
+    task = PresetGradientTask(layout, lambda n, s: presets[(n, s)], np.ones(length))
     for momentum in (0.0, 0.5):
         cfg = TrainingConfig(
             momentum=momentum, learning_rate=EpochSchedule.constant(0.01), n_nodes=2, seed=6
@@ -586,7 +564,7 @@ def test_compressed_step_splits_all_residuals_in_place():
     n, length = 5, 30
     layout = LayerLayout.from_sizes([("a", 12), ("b", 18)])
     grads = rng.standard_normal((n, length)) * 0.005
-    task = FixedGradientTask(layout, lambda node, step: grads[node], np.ones(length))
+    task = PresetGradientTask(layout, lambda node, step: grads[node], np.ones(length))
     cfg = TrainingConfig(
         momentum=0.0, learning_rate=EpochSchedule.constant(0.01), n_nodes=n, seed=6
     )
@@ -717,7 +695,7 @@ def test_pruned_step_rejects_nonfinite_residual_of_a_non_broadcaster():
     mask_cfg = MaskAgreementConfig(n_selected_nodes=2, shared_seed=5)
     broadcasters = select_broadcast_nodes(n, mask_cfg, step)
     bad = max(set(range(n)) - set(broadcasters))
-    task = FixedGradientTask(
+    task = PresetGradientTask(
         LayerLayout.from_sizes([("w", 3)]),
         lambda node, s: [0.1, np.nan, 0.2] if (node, s) == (bad, step) else [0.1, 0.1, 0.1],
         initial_weights=[1.0, 1.0, 1.0],
@@ -1008,13 +986,13 @@ def test_gradient_chunks_follow_activation_size():
 def test_local_gradient_shape_checked():
     layout = LayerLayout.from_sizes([("w", 3)])
     cfg = TrainingConfig(n_nodes=2)
-    zeros = FixedGradientTask(layout, lambda n, s: np.zeros(3), np.zeros(3))
+    zeros = PresetGradientTask(layout, lambda n, s: np.zeros(3), np.zeros(3))
     state = init_state(zeros, cfg, MODE_DENSE)
-    wrong_length = FixedGradientTask(layout, lambda n, s: np.zeros(4), np.zeros(3))
+    wrong_length = PresetGradientTask(layout, lambda n, s: np.zeros(4), np.zeros(3))
     with pytest.raises(StructuralError, match=r"\(2, 4\) does not match \(2, 3\)"):
         _node_gradients(state, cfg, 0, wrong_length)
 
-    class OneRowTask(FixedGradientTask):
+    class OneRowTask(PresetGradientTask):
         def node_gradient(self, weights, step, n_nodes, batch_size):
             return self.preset(0, step)
 

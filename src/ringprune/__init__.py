@@ -6,7 +6,6 @@ from .codec import (
     INDEX_BYTES,
     VALUE_BYTES,
     BitMask,
-    EncodedMask,
     SparseGradient,
     compression_ratio,
     decode_mask,
@@ -68,7 +67,6 @@ __all__ = [
     "CodecError",
     "ConfigError",
     "DivergenceError",
-    "EncodedMask",
     "EpochSchedule",
     "INDEX_BYTES",
     "InputError",

@@ -61,14 +61,6 @@ class BitMask:
 
 
 @dataclass(frozen=True)
-class EncodedMask:
-    """Byte-packed form of a BitMask (LSB-first within each byte)."""
-
-    payload: bytes
-    bit_length: int
-
-
-@dataclass(frozen=True)
 class SparseGradient:
     """Sorted coordinate (index, value) pairs over a dense vector of
     ``total_length`` entries.
@@ -112,33 +104,32 @@ def encoded_size(bit_length: int) -> int:
     return (int(bit_length) + 7) // 8
 
 
-def encode_mask(mask: BitMask) -> EncodedMask:
+def encode_mask(mask: BitMask) -> bytes:
     """Pack a mask into bytes, LSB-first, zero-padding the final byte."""
-    packed = np.packbits(mask.bits, bitorder="little")
-    return EncodedMask(payload=packed.tobytes(), bit_length=mask.length)
+    return np.packbits(mask.bits, bitorder="little").tobytes()
 
 
-def decode_mask(enc: EncodedMask) -> BitMask:
-    """Exact inverse of :func:`encode_mask`.
+def decode_mask(payload: bytes, bit_length: int) -> BitMask:
+    """Exact inverse of :func:`encode_mask` for a mask of ``bit_length`` bits.
 
     Raises:
         CodecError: if the payload size disagrees with ``bit_length`` or any
             padding bit is set. Either signals wire corruption.
     """
-    expected = encoded_size(enc.bit_length)
-    if len(enc.payload) != expected:
+    expected = encoded_size(bit_length)
+    if len(payload) != expected:
         raise CodecError(
-            f"payload is {len(enc.payload)} bytes, expected {expected} "
-            f"for bit_length {enc.bit_length}"
+            f"payload is {len(payload)} bytes, expected {expected} "
+            f"for bit_length {bit_length}"
         )
-    if enc.bit_length == 0:
+    if bit_length == 0:
         return BitMask(np.zeros(0, dtype=bool))
-    raw = np.frombuffer(enc.payload, dtype=np.uint8)
+    raw = np.frombuffer(payload, dtype=np.uint8)
     bits = np.unpackbits(raw, bitorder="little")
-    padding = bits[enc.bit_length:]
+    padding = bits[bit_length:]
     if np.any(padding):
         raise CodecError("nonzero padding bits in final byte")
-    return BitMask(bits[: enc.bit_length].astype(bool))
+    return BitMask(bits[:bit_length].astype(bool))
 
 
 def or_masks(masks: list[BitMask]) -> BitMask:

@@ -356,12 +356,12 @@ def mask_agreement_round(
     for origin, mask in zip(broadcasters, masks):
         if not 0 <= origin < n_nodes:
             raise StructuralError(f"broadcaster {origin} is not a node of {n_nodes}")
-        enc = encode_mask(mask)
+        payload = encode_mask(mask)
         senders = (origin + np.arange(n_nodes - 1)) % n_nodes
         stats.record_messages(
-            step, PHASE_MASK, senders, np.full(n_nodes - 1, len(enc.payload))
+            step, PHASE_MASK, senders, np.full(n_nodes - 1, len(payload))
         )
-        received.append(decode_mask(enc))
+        received.append(decode_mask(payload, mask.length))
     return or_masks(received), stats
 
 
@@ -401,30 +401,29 @@ def sparse_allreduce(
 
 def naive_sparse_allreduce(
     contributions,
-    local_masks: list[BitMask],
+    local_bits: np.ndarray,
     topo: RingTopology,
     *,
     step: int = 0,
 ) -> tuple[SparseGradient, LinkStats]:
     """Sparse reduce without mask agreement, for the densification contrast.
 
-    Each node contributes only its own masked entries, but partial sums union
-    their index sets hop by hop, so payloads grow as they travel. Message
-    bytes reflect the growing unions: a running OR of the masks in each
-    chunk's owner-first order. The result is the sum of the masked
+    ``local_bits`` is the (N, P) bool stack of the nodes' masks, row k node
+    k's. Each node contributes only its own masked entries, but partial sums
+    union their index sets hop by hop, so payloads grow as they travel.
+    Message bytes reflect the growing unions: a running OR of the masks in
+    each chunk's owner-first order. The result is the sum of the masked
     contributions on the union support. Since scatter payloads change size
     hop by hop, that phase is recorded message by message, from an (N, N)
     table of entry counts.
     """
     rows = _stack_vectors(contributions, topo)
-    if len(local_masks) != topo.n_nodes:
-        raise StructuralError(f"got {len(local_masks)} masks for {topo.n_nodes} nodes")
-    for m in local_masks:
-        if m.length != topo.length:
-            raise StructuralError(
-                f"mask length {m.length} does not match vector length {topo.length}"
-            )
-    bits = np.stack([m.bits for m in local_masks])
+    bits = np.asarray(local_bits)
+    if bits.shape != rows.shape or bits.dtype != np.bool_:
+        raise StructuralError(
+            f"masks of shape {bits.shape} and dtype {bits.dtype} are not one bool row "
+            f"per node of vector length {topo.length}"
+        )
     bounds = np.minimum(topo.chunk_bounds, topo.length)
     # running[s] is, per column, the OR of the first s + 1 contributors'
     # masks in the column's chunk order; its last row is the full union.

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,10 +43,35 @@ class SyntheticTask:
     the shard cyclically starting at position step * batch_size. Both
     choices are deliberate: they need no extra randomness, and a single
     process can reproduce the union of all nodes' batches exactly.
+
+    A task declares its parameter groups once, in ``layer_shapes`` (name ->
+    shape, in flat order); the layout, the group views and the activation
+    width all follow from it.
     """
 
-    layout: LayerLayout
+    layer_shapes: dict[str, tuple[int, ...]]
     n_samples: int
+
+    @cached_property
+    def layout(self) -> LayerLayout:
+        return LayerLayout.from_sizes(
+            (name, math.prod(shape)) for name, shape in self.layer_shapes.items()
+        )
+
+    @cached_property
+    def activation_width(self) -> int:
+        """The widest per-sample activation: in a dense net every activation
+        is as wide as one of the group dimensions."""
+        return max(max(shape) for shape in self.layer_shapes.values())
+
+    def _unpack(self, weights: np.ndarray) -> list[np.ndarray]:
+        """The layer groups of ``weights`` (..., P), as views of shape
+        (...,) + the declared shape, in ``layer_shapes`` order."""
+        lead = weights.shape[:-1]
+        return [
+            weights[..., sl].reshape(lead + shape)
+            for sl, shape in zip(self.layout.slices, self.layer_shapes.values())
+        ]
 
     def batch_indices(self, step: int, n_nodes: int, batch_size: int) -> np.ndarray:
         """Every node's sample rows for one step, as (N, B): node k's shard
@@ -76,7 +102,7 @@ class SyntheticTask:
         grads /= float(n_nodes * batch_size)
         return grads
 
-    # Subclasses provide: activation_width, gradient_sum, init_weights,
+    # Subclasses provide: layer_shapes, gradient_sum, init_weights,
     # evaluate. gradient_sum takes sample rows of shape (..., B) and returns
     # one batch-summed (P,) gradient per batch of B rows; a (B,) index
     # vector is the one-batch case of the same code. Given ``out``, an
@@ -112,24 +138,18 @@ class LinearRegressionTask(SyntheticTask):
             + true_intercept
             + self.noise * rng.standard_normal(self.n_samples)
         )
-        self.layout = LayerLayout.from_sizes(
-            [("coef", self.n_features), ("intercept", 1)]
-        )
+        self.layer_shapes = {"coef": (self.n_features,), "intercept": (1,)}
 
     def init_weights(self, rng: np.random.Generator) -> np.ndarray:
         return 0.1 * rng.standard_normal(self.layout.total_length)
 
     def _predict(self, weights: np.ndarray, idx: np.ndarray | slice) -> np.ndarray:
-        coef, intercept = (weights[sl] for sl in self.layout.slices)
+        coef, intercept = self._unpack(weights)
         return self.features[idx] @ coef + intercept
 
     def loss_sum(self, weights: np.ndarray, idx: np.ndarray | slice) -> float:
         residual = self._predict(weights, idx) - self.targets[idx]
         return float(0.5 * np.sum(residual**2))
-
-    @property
-    def activation_width(self) -> int:
-        return self.n_features
 
     def gradient_sum(
         self, weights: np.ndarray, idx: np.ndarray, out: np.ndarray | None = None
@@ -138,7 +158,7 @@ class LinearRegressionTask(SyntheticTask):
         residual = self._predict(weights, idx) - self.targets[idx]
         if out is None:
             out = np.empty(idx.shape[:-1] + (self.layout.total_length,))
-        grad_coef, grad_intercept = (out[..., sl] for sl in self.layout.slices)
+        grad_coef, grad_intercept = self._unpack(out)
         np.matmul(np.swapaxes(x, -1, -2), residual[..., None], out=grad_coef[..., None])
         np.sum(residual, axis=-1, keepdims=True, out=grad_intercept)
         return out
@@ -194,28 +214,17 @@ class MlpClassificationTask(SyntheticTask):
             "output_weight": (h, c),
             "output_bias": (c,),
         }
-        self.layout = LayerLayout.from_sizes(
-            (name, math.prod(shape)) for name, shape in self.layer_shapes.items()
-        )
 
     def init_weights(self, rng: np.random.Generator) -> np.ndarray:
-        d, h, c = self.n_features, self.hidden_units, self.n_classes
-        hidden_w = rng.standard_normal((d, h)) / np.sqrt(d)
-        hidden_b = 0.01 * rng.standard_normal(h)
-        output_w = rng.standard_normal((h, c)) / np.sqrt(h)
-        output_b = 0.01 * rng.standard_normal(c)
-        return np.concatenate(
-            [hidden_w.ravel(), hidden_b, output_w.ravel(), output_b]
-        )
-
-    def _unpack(self, weights: np.ndarray):
-        """The four layer groups of ``weights`` (..., P), as views of shapes
-        (..., d, h), (..., h), (..., h, c) and (..., c)."""
-        lead = weights.shape[:-1]
-        return [
-            weights[..., sl].reshape(lead + shape)
-            for sl, shape in zip(self.layout.slices, self.layer_shapes.values())
-        ]
+        """Each group drawn in layout order: a weight matrix of fan-in n as
+        standard normals / sqrt(n), a bias as 0.01 * standard normals."""
+        weights = np.empty(self.layout.total_length)
+        for group in self._unpack(weights):
+            if group.ndim == 2:
+                group[...] = rng.standard_normal(group.shape) / np.sqrt(group.shape[0])
+            else:
+                group[...] = 0.01 * rng.standard_normal(group.shape)
+        return weights
 
     def _forward(self, weights: np.ndarray, x: np.ndarray):
         """Hidden activations and logits of the sample rows ``x``, each
@@ -227,10 +236,6 @@ class MlpClassificationTask(SyntheticTask):
         logits = hidden @ output_w
         logits += output_b
         return hidden, logits
-
-    @property
-    def activation_width(self) -> int:
-        return max(self.n_features, self.hidden_units, self.n_classes)
 
     def gradient_sum(
         self, weights: np.ndarray, idx: np.ndarray, out: np.ndarray | None = None

@@ -264,14 +264,12 @@ def dgc_contrast_step(
     last sends are those of its own mask.
     """
     local_masks = _local_masks(state, policy, cfg, step, epoch, task, range(cfg.n_nodes))
-    total, stats = naive_sparse_allreduce(state.accum, local_masks, topo, step=step)
-    sent_bits = np.stack([mask.bits for mask in local_masks])
-    state.accum[sent_bits] = 0.0
+    bits = np.stack([mask.bits for mask in local_masks])
+    total, stats = naive_sparse_allreduce(state.accum, bits, topo, step=step)
+    state.accum[bits] = 0.0
     state.weights = state.weights - cfg.learning_rate.value_at(epoch) * total.densify()
-    state.last_sent[local_masks[0].bits] = step + 1
-    union_bits = np.zeros(topo.length, dtype=bool)
-    union_bits[total.indices] = True
-    return StepOutcome(stats=stats, shared_mask=BitMask(union_bits))
+    state.last_sent[bits[0]] = step + 1
+    return StepOutcome(stats=stats, shared_mask=BitMask(bits.any(axis=0)))
 
 
 @dataclass

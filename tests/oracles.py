@@ -109,6 +109,17 @@ def node_gradients(task, weights: np.ndarray, cfg, step: int) -> np.ndarray:
     return grads
 
 
+def mlp_init_weights(task, rng: np.random.Generator) -> np.ndarray:
+    """The MLP's initial weights drawn group by group and joined by
+    ``np.concatenate``: the reference for ``MlpClassificationTask.init_weights``."""
+    d, h, c = task.n_features, task.hidden_units, task.n_classes
+    hidden_w = rng.standard_normal((d, h)) / np.sqrt(d)
+    hidden_b = 0.01 * rng.standard_normal(h)
+    output_w = rng.standard_normal((h, c)) / np.sqrt(h)
+    output_b = 0.01 * rng.standard_normal(c)
+    return np.concatenate([hidden_w.ravel(), hidden_b, output_w.ravel(), output_b])
+
+
 def mlp_layers(task, weights: np.ndarray):
     """The MLP's hidden weight (d, h) and bias, and output weight (h, c) and
     bias, cut from ``weights`` by the task's layout."""

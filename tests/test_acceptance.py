@@ -14,7 +14,6 @@ import pytest
 from ringprune import (
     BitMask,
     CodecError,
-    EncodedMask,
     EpochSchedule,
     LayerLayout,
     LinearRegressionTask,
@@ -279,18 +278,16 @@ def test_criterion_6_codec_roundtrip():
     failures = []
     for length in lengths:
         mask = BitMask(rng.random(length) < rng.random())
-        enc = encode_mask(mask)
-        if len(enc.payload) != encoded_size(length) or decode_mask(enc) != mask:
+        payload = encode_mask(mask)
+        if len(payload) != encoded_size(length) or decode_mask(payload, length) != mask:
             failures.append(f"roundtrip failed at length {length}")
             break
     # Corrupted padding must be rejected.
     if not failures:
-        enc = encode_mask(BitMask(np.ones(12, dtype=bool)))
-        corrupted = EncodedMask(
-            payload=enc.payload[:1] + bytes([enc.payload[1] | 0xF0]), bit_length=12
-        )
+        payload = encode_mask(BitMask(np.ones(12, dtype=bool)))
+        corrupted = payload[:1] + bytes([payload[1] | 0xF0])
         try:
-            decode_mask(corrupted)
+            decode_mask(corrupted, 12)
             failures.append("corrupted padding accepted")
         except CodecError:
             pass

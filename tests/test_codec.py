@@ -10,7 +10,6 @@ from ringprune import (
     VALUE_BYTES,
     BitMask,
     CodecError,
-    EncodedMask,
     InputError,
     SparseGradient,
     StructuralError,
@@ -31,51 +30,51 @@ def _mask(bits):
 
 
 def test_encode_lsb_first():
-    enc = encode_mask(_mask([1, 0, 1, 1, 0, 0, 0, 0, 1]))
-    assert enc.payload == bytes([0x0D, 0x01])
-    assert enc.bit_length == 9
+    mask = _mask([1, 0, 1, 1, 0, 0, 0, 0, 1])
+    payload = encode_mask(mask)
+    assert payload == bytes([0x0D, 0x01])
+    assert decode_mask(payload, 9) == mask
 
 
 def test_encode_all_zero():
-    enc = encode_mask(_mask([0] * 16))
-    assert enc.payload == bytes([0x00, 0x00])
+    payload = encode_mask(_mask([0] * 16))
+    assert payload == bytes([0x00, 0x00])
 
 
 def test_encode_empty():
-    enc = encode_mask(_mask([]))
-    assert enc.payload == b""
-    assert enc.bit_length == 0
-    assert decode_mask(enc).length == 0
+    payload = encode_mask(_mask([]))
+    assert payload == b""
+    assert decode_mask(payload, 0).length == 0
 
 
 def test_decode_inverse_of_encode():
-    mask = decode_mask(EncodedMask(payload=bytes([0x0D, 0x01]), bit_length=9))
+    mask = decode_mask(bytes([0x0D, 0x01]), 9)
     assert mask.bits.tolist() == [True, False, True, True, False, False, False, False, True]
 
 
 def test_decode_zero_byte():
-    assert decode_mask(EncodedMask(payload=bytes([0x00]), bit_length=8)).popcount() == 0
+    assert decode_mask(bytes([0x00]), 8).popcount() == 0
 
 
 def test_decode_rejects_nonzero_padding():
     with pytest.raises(CodecError):
-        decode_mask(EncodedMask(payload=bytes([0x80]), bit_length=4))
+        decode_mask(bytes([0x80]), 4)
 
 
 def test_decode_rejects_size_mismatch():
     with pytest.raises(CodecError):
-        decode_mask(EncodedMask(payload=bytes([0x01, 0x00]), bit_length=4))
+        decode_mask(bytes([0x01, 0x00]), 4)
     with pytest.raises(CodecError):
-        decode_mask(EncodedMask(payload=b"", bit_length=4))
+        decode_mask(b"", 4)
 
 
 @given(st.lists(st.booleans(), min_size=0, max_size=300))
 @settings(max_examples=200, deadline=None)
 def test_roundtrip_property(bits):
     mask = _mask(bits)
-    enc = encode_mask(mask)
-    assert len(enc.payload) == encoded_size(mask.length)
-    assert decode_mask(enc) == mask
+    payload = encode_mask(mask)
+    assert len(payload) == encoded_size(mask.length)
+    assert decode_mask(payload, mask.length) == mask
 
 
 # --- or_masks ----------------------------------------------------------------

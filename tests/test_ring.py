@@ -163,13 +163,13 @@ def hop_sparse_oracle(contributions, topo, step):
     return idx, _agreed([np.concatenate(c) for c in chunked]), stats
 
 
-def hop_naive_oracle(contributions, local_masks, topo, step):
+def hop_naive_oracle(contributions, local_bits, topo, step):
     """No-agreement reduce moved hop by hop, index sets unioning on the way:
     (indices, sums, stats)."""
     chunked = []
-    for v, m in zip(contributions, local_masks):
-        vals = _padded(np.where(m.bits, v, 0.0), topo)
-        mask = _padded(m.bits, topo)
+    for v, bits in zip(contributions, local_bits):
+        vals = _padded(np.where(bits, v, 0.0), topo)
+        mask = _padded(bits, topo)
         chunked.append(
             [
                 (np.array(vals[chunk_slice(topo, c)]), np.array(mask[chunk_slice(topo, c)]))
@@ -197,7 +197,7 @@ def mask_round_oracle(masks, cfg, step):
     n = len(masks)
     stats = LinkStats()
     for origin in select_broadcast_nodes(n, cfg, step):
-        nbytes = len(encode_mask(masks[origin]).payload)
+        nbytes = len(encode_mask(masks[origin]))
         for hop in range(n - 1):
             record(stats, step, (origin + hop) % n, PHASE_MASK, nbytes)
     return stats
@@ -452,6 +452,19 @@ def test_sparse_rejects_wrong_row_count_or_length():
         sparse_allreduce(_sparse([0, 2], [[1.0, 1.0]] * 3, 5), topo)
 
 
+def test_naive_rejects_mask_stack_of_wrong_shape_or_dtype():
+    n, length = 3, 4
+    topo = RingTopology.create(n, length)
+    vecs = np.ones((n, length))
+    for bad in (
+        np.ones((n - 1, length), dtype=bool),
+        np.ones((n, length + 1), dtype=bool),
+        np.ones((n, length), dtype=np.uint8),
+    ):
+        with pytest.raises(StructuralError, match="not one bool row per node"):
+            naive_sparse_allreduce(vecs, bad, topo)
+
+
 def test_sparse_byte_accounting_is_nnz_scaled():
     topo = RingTopology.create(2, 8)
     parts = _sparse([0, 1, 4, 5], [[1.0] * 4, [2.0] * 4], 8)
@@ -496,7 +509,7 @@ def test_naive_sparse_reduce_matches_masked_mean_oracle():
     topo = RingTopology.create(n, length)
     vecs = [rng.standard_normal(length) for _ in range(n)]
     masks = [BitMask(rng.random(length) < 0.1) for _ in range(n)]
-    total, stats = naive_sparse_allreduce(vecs, masks, topo)
+    total, stats = naive_sparse_allreduce(vecs, np.stack([m.bits for m in masks]), topo)
     expected = np.zeros(length)
     for v, m in zip(vecs, masks):
         expected += np.where(m.bits, v, 0.0)
@@ -541,9 +554,9 @@ def test_collectives_match_hop_by_hop_oracle(n, length):
     assert reduced.values.tobytes() == values.tobytes()
     assert stats.records == oracle_stats.records
 
-    masks = [BitMask(rng.random(length) < 0.1) for _ in range(n)]
-    reduced, stats = naive_sparse_allreduce(vecs, masks, topo, step=step)
-    idx, values, oracle_stats = hop_naive_oracle(vecs, masks, topo, step)
+    bits = np.stack([BitMask(rng.random(length) < 0.1).bits for _ in range(n)])
+    reduced, stats = naive_sparse_allreduce(vecs, bits, topo, step=step)
+    idx, values, oracle_stats = hop_naive_oracle(vecs, bits, topo, step)
     assert np.array_equal(reduced.indices, idx)
     assert reduced.values.tobytes() == values.tobytes()
     assert stats.records == oracle_stats.records
@@ -567,7 +580,7 @@ def test_fixed_size_reduces_store_o_n_integers_per_phase():
     # The no-agreement reduce's scatter payloads grow hop by hop, so that
     # phase alone is stored message by message.
     masks = [BitMask(rng.random(length) < 0.1) for _ in range(n)]
-    stats = naive_sparse_allreduce(vecs, masks, topo, step=4)[1]
+    stats = naive_sparse_allreduce(vecs, np.stack([m.bits for m in masks]), topo, step=4)[1]
     assert stored_integers(stats) == 2 * n * (n - 1) + n
     cfg = MaskAgreementConfig(n_selected_nodes=3, shared_seed=2)
     _, stats = agree(masks, cfg, step=4)

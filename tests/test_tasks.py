@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from oracles import (
     mlp_evaluate,
     mlp_forward,
     mlp_gradient_sum,
+    mlp_init_weights,
     mlp_loss_sum,
 )
 
@@ -170,6 +173,37 @@ def test_gradient_sum_writes_into_out(task, idx_shape):
     assert task.gradient_sum(weights, idx, out=buf) is buf
     assert buf.tobytes() == expected.tobytes()
     assert np.isnan(rows[0]).all() and np.isnan(rows[1 + n_batches :]).all()
+
+
+@pytest.mark.parametrize("d, h, c", [(3, 5, 2), (20, 48, 4), (64, 7, 9)])
+def test_mlp_init_weights_match_concatenated_groups(d, h, c):
+    task = MlpClassificationTask(n_samples=16, n_features=d, hidden_units=h, n_classes=c)
+    weights = task.init_weights(np.random.default_rng(7))
+    expected = mlp_init_weights(task, np.random.default_rng(7))
+    assert weights.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "task, width",
+    [
+        (LinearRegressionTask(), 8),
+        (MlpClassificationTask(n_samples=64, n_features=20, hidden_units=48), 48),
+        (MlpClassificationTask(n_samples=64, n_features=64, hidden_units=1024), 1024),
+    ],
+    ids=["linear", "mlp-small", "mlp-wide"],
+)
+def test_layout_views_and_width_follow_layer_shapes(task, width):
+    shapes = task.layer_shapes
+    assert task.layout.names == tuple(shapes)
+    assert task.layout.lengths == tuple(math.prod(shape) for shape in shapes.values())
+    for lead in ((), (3,), (2, 3)):
+        weights = np.zeros(lead + (task.layout.total_length,))
+        views = task._unpack(weights)
+        assert len(views) == len(shapes)
+        for view, shape in zip(views, shapes.values()):
+            assert view.shape == lead + shape
+            assert np.shares_memory(view, weights)
+    assert task.activation_width == width
 
 
 def test_mlp_gradient_scaling():

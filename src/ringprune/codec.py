@@ -55,10 +55,6 @@ class BitMask:
             return NotImplemented
         return self.length == other.length and bool(np.array_equal(self.bits, other.bits))
 
-    @classmethod
-    def ones(cls, length: int) -> "BitMask":
-        return cls(np.ones(int(length), dtype=bool))
-
 
 @dataclass(frozen=True)
 class SparseGradient:
@@ -122,8 +118,6 @@ def decode_mask(payload: bytes, bit_length: int) -> BitMask:
             f"payload is {len(payload)} bytes, expected {expected} "
             f"for bit_length {bit_length}"
         )
-    if bit_length == 0:
-        return BitMask(np.zeros(0, dtype=bool))
     raw = np.frombuffer(payload, dtype=np.uint8)
     bits = np.unpackbits(raw, bitorder="little")
     padding = bits[bit_length:]

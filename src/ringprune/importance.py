@@ -10,8 +10,8 @@ score / threshold, which keeps long-unsent residuals from going stale.
 
 Every function here takes an (R, P) stack of score or residual rows, one
 row per scored node, and reduces along the last axis, so any set of nodes is
-scored, thresholded and masked in one pass per step with bit-identical
-results to separate calls.
+scored, thresholded and masked in one pass per step, bit-identical to
+separate calls; :func:`build_local_mask` returns one (R, P) bool stack.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .codec import BitMask
 from .errors import ConfigError, InputError, StructuralError
 from .layout import LayerLayout
 from .seeds import MASK_STREAM, substream
@@ -177,9 +176,9 @@ def build_local_mask(
     seed: int,
     step: int,
     nodes: Sequence[int],
-) -> list[BitMask]:
-    """Send-candidate masks of (R, P) score rows under (R, L) thresholds,
-    one per row.
+) -> np.ndarray:
+    """The (R, P) bool stack of send-candidate masks of (R, P) score rows
+    under (R, L) thresholds, one row per score row.
 
     A parameter is selected deterministically when its score reaches the
     layer threshold, and otherwise independently with probability
@@ -211,4 +210,4 @@ def build_local_mask(
             substream(seed, MASK_STREAM, node, step, j).random(out=uniforms[k])
         with np.errstate(divide="ignore", invalid="ignore"):
             bits[:, sl] = (layer >= layer_thr) | (uniforms < layer / layer_thr)
-    return [BitMask(row) for row in bits]
+    return bits

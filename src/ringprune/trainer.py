@@ -64,6 +64,15 @@ from .ring import (
 )
 from .seeds import INIT_STREAM, substream
 
+# perfbench/child.py times runs by replacing attributes by name: this
+# module's compute_importance, thresholds_for, build_local_mask,
+# split_by_mask, dense_allreduce, mask_agreement_round, sparse_allreduce and
+# step functions, and ring's encode_mask, decode_mask and or_masks. So the
+# steps call them as globals, and run_experiment names each step in its call
+# (a mode -> function table built at import would bypass the step hook). The
+# hook on mask_agreement_round calls .density() on each local mask and
+# or_masks on the list: the round takes BitMasks, not an (R, P) bool stack.
+
 MODE_DENSE = "dense"
 MODE_COMPRESSED = "compressed"
 MODE_DGC_CONTRAST = "dgc_contrast"
@@ -201,11 +210,11 @@ def _local_masks(
     epoch: int,
     task,
     nodes: Sequence[int],
-) -> list[BitMask]:
+) -> np.ndarray:
     """Steps 1-3 of the pruned pipeline: fold the gradients into every
     residual row, u <- momentum * u + g, check every row, then score,
-    threshold and mask the rows of ``nodes`` in one pass. Returns one mask
-    per requested node, in the order given.
+    threshold and mask the rows of ``nodes`` in one pass. Returns their
+    masks as one (len(nodes), P) bool stack, rows in the order given.
 
     This is where warm-up is decided: a warm-up epoch skips scoring and
     makes every entry a candidate.
@@ -216,7 +225,7 @@ def _local_masks(
     state.accum += grads
     check_finite(state.accum, state.weights)
     if epoch < policy.warmup_epochs:
-        return [BitMask.ones(task.layout.total_length)] * len(nodes)
+        return np.ones((len(nodes), task.layout.total_length), dtype=bool)
     layout = task.layout
     scores = compute_importance(state.accum[list(nodes)], state.weights, layout)
     thresholds = thresholds_for(scores, layout, policy, epoch)
@@ -236,7 +245,8 @@ def compressed_step(
 ) -> StepOutcome:
     """One pruned super-step; see the module docstring for the pipeline."""
     broadcasters = select_broadcast_nodes(cfg.n_nodes, mask_cfg, step)
-    masks = _local_masks(state, policy, cfg, step, epoch, task, nodes=broadcasters)
+    bits = _local_masks(state, policy, cfg, step, epoch, task, nodes=broadcasters)
+    masks = [BitMask(row) for row in bits]
     shared, stats = mask_agreement_round(masks, broadcasters, cfg.n_nodes, step)
     sent = split_by_mask(state.accum, shared)
     total, reduce_stats = sparse_allreduce(sent, topo, step=step)
@@ -263,8 +273,7 @@ def dgc_contrast_step(
     mask's role for residual-free bookkeeping of what was applied; node 0's
     last sends are those of its own mask.
     """
-    local_masks = _local_masks(state, policy, cfg, step, epoch, task, range(cfg.n_nodes))
-    bits = np.stack([mask.bits for mask in local_masks])
+    bits = _local_masks(state, policy, cfg, step, epoch, task, range(cfg.n_nodes))
     total, stats = naive_sparse_allreduce(state.accum, bits, topo, step=step)
     state.accum[bits] = 0.0
     state.weights = state.weights - cfg.learning_rate.value_at(epoch) * total.densify()
@@ -328,24 +337,44 @@ def run_experiment(
     state = init_state(task, cfg, mode)
     topo = RingTopology.create(cfg.n_nodes, task.layout.total_length)
     steps_per_epoch = max(1, task.n_samples // (cfg.n_nodes * cfg.batch_size))
-
-    loss, accuracy = task.evaluate(state.weights)
-    metrics = [
-        StepMetrics(
-            step=0,
-            epoch=0,
-            mode=mode,
-            loss=loss,
-            accuracy=accuracy,
-            mean_density=None,
-            compression_ratio=None,
-            bytes_total=0,
-            staleness_p50=0,
-            staleness_p90=0,
-            staleness_max=0,
-        )
-    ]
+    metrics: list[StepMetrics] = []
     all_stats = LinkStats()
+
+    def record(step: int, epoch: int, outcome: StepOutcome | None) -> None:
+        """Evaluate the weights after ``step`` steps and append their row.
+        A None ``outcome`` marks the initial row: unchecked, no bytes sent."""
+        loss, accuracy = task.evaluate(state.weights)
+        if outcome is not None and not np.isfinite(loss):
+            raise DivergenceError(
+                f"non-finite loss {loss} at step {step} (epoch {epoch}); "
+                "the run diverged"
+            )
+        p50, p90, pmax = _staleness_percentiles(step - state.last_sent)
+        density = ratio = None
+        bytes_total = 0
+        if outcome is not None:
+            all_stats.extend(outcome.stats)
+            bytes_total = outcome.stats.total_bytes()
+            shared = outcome.shared_mask  # None in dense mode: every entry sent
+            density = 1.0 if shared is None else shared.density()
+            ratio = 1.0 if shared is None else compression_ratio(shared)
+        metrics.append(
+            StepMetrics(
+                step=step,
+                epoch=epoch,
+                mode=mode,
+                loss=loss,
+                accuracy=accuracy,
+                mean_density=density,
+                compression_ratio=ratio,
+                bytes_total=bytes_total,
+                staleness_p50=p50,
+                staleness_p90=p90,
+                staleness_max=pmax,
+            )
+        )
+
+    record(0, 0, None)
     step = 0
     for epoch in range(cfg.epochs):
         for _ in range(steps_per_epoch):
@@ -353,43 +382,16 @@ def run_experiment(
                 outcome = baseline_dense_step(
                     state, cfg, step, task=task, topo=topo, epoch=epoch
                 )
-                density: float | None = 1.0
-                ratio: float | None = 1.0
+            elif mode == MODE_COMPRESSED:
+                outcome = compressed_step(
+                    state, policy, mask_cfg, cfg, step, epoch, task=task, topo=topo
+                )
             else:
-                if mode == MODE_COMPRESSED:
-                    outcome = compressed_step(
-                        state, policy, mask_cfg, cfg, step, epoch, task=task, topo=topo
-                    )
-                else:
-                    outcome = dgc_contrast_step(
-                        state, policy, cfg, step, epoch, task=task, topo=topo
-                    )
-                density = outcome.shared_mask.density()
-                ratio = compression_ratio(outcome.shared_mask)
-            loss, accuracy = task.evaluate(state.weights)
+                outcome = dgc_contrast_step(
+                    state, policy, cfg, step, epoch, task=task, topo=topo
+                )
             step += 1
-            if not np.isfinite(loss):
-                raise DivergenceError(
-                    f"non-finite loss {loss} at step {step} (epoch {epoch}); "
-                    "the run diverged"
-                )
-            p50, p90, pmax = _staleness_percentiles(step - state.last_sent)
-            all_stats.extend(outcome.stats)
-            metrics.append(
-                StepMetrics(
-                    step=step,
-                    epoch=epoch,
-                    mode=mode,
-                    loss=loss,
-                    accuracy=accuracy,
-                    mean_density=density,
-                    compression_ratio=ratio,
-                    bytes_total=outcome.stats.total_bytes(),
-                    staleness_p50=p50,
-                    staleness_p90=p90,
-                    staleness_max=pmax,
-                )
-            )
+            record(step, epoch, outcome)
     return RunResult(metrics=metrics, stats=all_stats)
 
 

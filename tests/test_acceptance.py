@@ -310,11 +310,12 @@ def test_criterion_7_probabilistic_inclusion():
             np.full((1, trials), p * threshold), np.ones(trials), layout
         )
         (mask,) = build_local_mask(scores, layout, [[threshold]], 700 + i, 0, (0,))
+        density = np.count_nonzero(mask) / trials
         sigma = math.sqrt(p * (1 - p) / trials)
-        deviation = abs(mask.density() - p)
-        details.append(f"p={p}: {mask.density():.4f} ({deviation / sigma:.2f} sigma)")
+        deviation = abs(density - p)
+        details.append(f"p={p}: {density:.4f} ({deviation / sigma:.2f} sigma)")
         if deviation > 3 * sigma:
-            failures.append(f"p={p}: empirical {mask.density():.4f} off by >3 sigma")
+            failures.append(f"p={p}: empirical {density:.4f} off by >3 sigma")
     report(
         7,
         "probabilistic update rule",

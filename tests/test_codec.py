@@ -250,7 +250,7 @@ def test_ratio_canonical_example():
 
 
 def test_ratio_full_mask_is_densified():
-    ratio = compression_ratio(BitMask.ones(1000))
+    ratio = compression_ratio(BitMask(np.ones(1000, dtype=bool)))
     assert ratio == 0.5 and ratio < 1.0
 
 

@@ -32,6 +32,7 @@ from ringprune.trainer import (
     MODE_COMPRESSED,
     MODE_DENSE,
     MODE_DGC_CONTRAST,
+    StepMetrics,
     _local_masks,
     _node_gradients,
     _staleness_percentiles,
@@ -235,7 +236,7 @@ def per_node_local_masks(state, policy, cfg, step, epoch, task):
         state.accum[k] = cfg.momentum * state.accum[k] + grad
         if epoch < policy.warmup_epochs:
             node_thresholds.append(None)
-            local_masks.append(BitMask.ones(task.layout.total_length))
+            local_masks.append(BitMask(np.ones(task.layout.total_length, dtype=bool)))
             continue
         scores = compute_importance(state.accum[k : k + 1], state.weights, task.layout)
         thresholds = reference_thresholds(scores, task.layout, policy, epoch)[1]
@@ -318,7 +319,7 @@ def test_lockstep_pass_matches_per_node_oracle(n_nodes, case):
         assert np.array_equal(batched.accum, oracle.accum)
         assert len(masks) == n_nodes
         for k in range(n_nodes):
-            assert np.array_equal(masks[k].bits, expected_masks[k].bits), f"node {k}"
+            assert np.array_equal(masks[k], expected_masks[k].bits), f"node {k}"
         if case == "warmup":
             continue  # warm-up takes no thresholds
         scores = compute_importance(batched.accum, batched.weights, task.layout)
@@ -327,11 +328,10 @@ def test_lockstep_pass_matches_per_node_oracle(n_nodes, case):
         assert np.array_equal(thresholds, np.stack(expected_thresholds))
 
     # The cases reach the branches they are meant to.
-    bits = np.stack([m.bits for m in masks])
     if case == "infinite":
-        assert np.all(np.isinf(thresholds)) and not bits.any()
+        assert np.all(np.isinf(thresholds)) and not masks.any()
     elif case == "warmup":
-        assert bits.all()
+        assert masks.all()
     elif case == "layerwise":
         ratios, _ = reference_thresholds(scores, task.layout, policy, epoch)
         unclamped = (thresholds > policy.thr_min) & (thresholds < policy.thr_max)
@@ -341,7 +341,7 @@ def test_lockstep_pass_matches_per_node_oracle(n_nodes, case):
         assert np.any((ratios > policy.ratio_pivot) & unclamped)
         assert np.any((ratios < policy.ratio_pivot) & unclamped)
         below = scores < np.repeat(thresholds, LOCKSTEP_LAYOUT.lengths, axis=1)
-        assert (bits & below).any() and (~bits & below).any()
+        assert (masks & below).any() and (~masks & below).any()
 
 
 def test_warmup_skips_scoring_but_rejects_nonfinite_residual():
@@ -654,7 +654,7 @@ def test_compressed_step_matches_all_node_oracle(n_nodes, case):
         outcome = compressed_step(state, policy, mask_cfg, cfg, step, 0, task=task, topo=topo)
         every_mask = _local_masks(oracle, policy, cfg, step, 0, task, range(n_nodes))
         nodes = select_broadcast_nodes(n_nodes, mask_cfg, step)
-        expected = or_masks([every_mask[k] for k in nodes])
+        expected = or_masks([BitMask(every_mask[k]) for k in nodes])
         assert outcome.shared_mask == expected
         oracle.accum[:, expected.bits] = 0.0
         assert np.array_equal(state.accum, oracle.accum)
@@ -746,13 +746,13 @@ def test_dgc_staleness_follows_node_0s_own_mask():
     for step in range(4):
         masks = _local_masks(oracle, policy, cfg, step, 0, task, range(4))
         outcome = dgc_contrast_step(state, policy, cfg, step, 0, task=task, topo=topo)
-        assert outcome.shared_mask == or_masks(masks)
+        assert outcome.shared_mask == or_masks([BitMask(m) for m in masks])
         stale = staleness(state, step + 1)
-        assert np.array_equal(stale == 0, masks[0].bits)
-        not_node_0 = outcome.shared_mask.bits & ~masks[0].bits
+        assert np.array_equal(stale == 0, masks[0])
+        not_node_0 = outcome.shared_mask.bits & ~masks[0]
         assert np.all(stale[not_node_0] > 0)
         others_only += int(not_node_0.sum())
-        oracle.accum[np.stack([m.bits for m in masks])] = 0.0
+        oracle.accum[masks] = 0.0
         oracle.weights = state.weights.copy()
     assert others_only > 0
 
@@ -760,15 +760,29 @@ def test_dgc_staleness_follows_node_0s_own_mask():
 # --- run_experiment ------------------------------------------------------------------
 
 
-def test_run_zero_epochs_emits_initial_row_only():
+@pytest.mark.parametrize("mode", [MODE_DENSE, MODE_COMPRESSED, MODE_DGC_CONTRAST])
+def test_run_zero_epochs_emits_initial_row_only(mode):
     task = LinearRegressionTask(n_samples=32)
     cfg = TrainingConfig(epochs=0, n_nodes=2)
     result = run_experiment(
-        task, cfg, warmup_policy(), MaskAgreementConfig(n_selected_nodes=1), MODE_DENSE
+        task, cfg, warmup_policy(), MaskAgreementConfig(n_selected_nodes=1), mode
     )
-    assert len(result.metrics) == 1
-    assert result.metrics[0].step == 0
-    assert result.metrics[0].bytes_total == 0
+    loss, accuracy = task.evaluate(init_state(task, cfg, mode).weights)
+    assert result.metrics == [
+        StepMetrics(
+            step=0,
+            epoch=0,
+            mode=mode,
+            loss=loss,
+            accuracy=accuracy,
+            mean_density=None,
+            compression_ratio=None,
+            bytes_total=0,
+            staleness_p50=0,
+            staleness_p90=0,
+            staleness_max=0,
+        )
+    ]
 
 
 def test_run_dense_linear_loss_monotone():

@@ -88,12 +88,6 @@ class SparseGradient:
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "values", val)
 
-    def densify(self) -> np.ndarray:
-        """The dense vector, or the (N, total_length) stack of them."""
-        dense = np.zeros(self.values.shape[:-1] + (self.total_length,), dtype=np.float64)
-        dense[..., self.indices] = self.values
-        return dense
-
 
 def encoded_size(bit_length: int) -> int:
     """Bytes occupied by a bit-packed mask of the given length."""
@@ -109,9 +103,12 @@ def decode_mask(payload: bytes, bit_length: int) -> BitMask:
     """Exact inverse of :func:`encode_mask` for a mask of ``bit_length`` bits.
 
     Raises:
-        CodecError: if the payload size disagrees with ``bit_length`` or any
-            padding bit is set. Either signals wire corruption.
+        CodecError: if ``bit_length`` is negative, the payload size disagrees
+            with it or any padding bit is set. The last two signal wire
+            corruption.
     """
+    if bit_length < 0:
+        raise CodecError(f"bit_length must be >= 0, got {bit_length}")
     expected = encoded_size(bit_length)
     if len(payload) != expected:
         raise CodecError(
@@ -145,7 +142,8 @@ def split_by_mask(rows: np.ndarray, mask: BitMask) -> SparseGradient:
 
     No arithmetic touches the values: the masked entries are copied into one
     (N, nnz) block on the mask's index set and zeroed in ``rows`` in place,
-    so densify(sent) + rows afterwards reconstructs the input exactly.
+    so adding sent's values back at its indices afterwards reconstructs the
+    input exactly.
     Returns the block.
     """
     if rows.ndim != 2 or rows.shape[1] != mask.length:

@@ -27,6 +27,7 @@ node k only ever sends to k+1.
 from __future__ import annotations
 
 import csv
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -191,50 +192,29 @@ class LinkStats:
     def total_bytes(self) -> int:
         return self.bytes_for()
 
-    def bytes_for(self, phase: str | None = None, node: int | None = None) -> int:
-        """Bytes sent under ``phase`` (any if None) by ``node`` (any if None)."""
-        total = 0
-        for block in self._blocks:
-            if phase is None or block.phase == phase:
-                senders, sizes = block.per_sender()
-                total += int((sizes if node is None else sizes[senders == node]).sum())
-        return total
+    def bytes_for(self, phase: str | None = None) -> int:
+        """Bytes sent under ``phase`` (any if None)."""
+        return sum(
+            int(block.per_sender()[1].sum())
+            for block in self._blocks
+            if phase is None or block.phase == phase
+        )
 
-    def iter_aggregated_rows(self, batch: int = 4096) -> Iterator[tuple[int, int, str, int]]:
+    def iter_aggregated_rows(self) -> Iterator[tuple[int, int, str, int]]:
         """Byte totals summed per (step, node, phase), sorted; a key has a row
-        when at least one message, of any size, was sent under it. Made
-        ``batch`` rows at a time, so that a long run's rows are never all
-        held as Python objects at once."""
-        blocks = self._blocks
-        if not blocks:
-            return
-        per_sender = [block.per_sender() for block in blocks]
-        names = sorted({b.phase for b in blocks})
-        steps, step_ranks = np.unique([b.step for b in blocks], return_inverse=True)
-        senders = np.concatenate([s for s, _ in per_sender])
-        n_phases = len(names)
-        per_step = (int(senders.max(initial=-1)) + 1) * n_phases
-        # One integer key per (block, sender) entry: (step rank, sender, phase
-        # rank) in mixed radix, so keys sort as the rows do (a phase's rank
-        # sorts as its name does). Every entry stands for at least one message.
-        block_keys = step_ranks * per_step + [names.index(b.phase) for b in blocks]
-        keys = np.repeat(block_keys, [s.shape[0] for s, _ in per_sender])
-        keys += senders * n_phases
-        n_keys = len(steps) * per_step
-        present = np.flatnonzero(np.bincount(keys, minlength=n_keys))
-        # float64 sums are exact while every total stays below 2**53 bytes
-        totals = np.bincount(keys, np.concatenate([b for _, b in per_sender]), n_keys)
-        totals = totals[present].astype(np.int64)
-        step_rank, rest = np.divmod(present, per_step)
-        nodes, codes = np.divmod(rest, n_phases)
-        for start in range(0, present.shape[0], batch):
-            part = slice(start, start + batch)
-            yield from zip(
-                steps[step_rank[part]].tolist(),
-                nodes[part].tolist(),
-                [names[c] for c in codes[part].tolist()],
-                totals[part].tolist(),
-            )
+        when at least one message, of any size, was sent under it. Made one
+        step at a time, so that a long run's rows are never all held at once."""
+        blocks_by_step: dict[int, list[_Messages | _RingPhase]] = defaultdict(list)
+        for block in self._blocks:
+            blocks_by_step[block.step].append(block)
+        for step in sorted(blocks_by_step):
+            totals: dict[tuple[int, str], int] = defaultdict(int)
+            for block in blocks_by_step[step]:
+                senders, sizes = block.per_sender()
+                for sender, nbytes in zip(senders.tolist(), sizes.tolist()):
+                    totals[sender, block.phase] += nbytes
+            for (sender, phase), nbytes in sorted(totals.items()):
+                yield step, sender, phase, nbytes
 
 
 def write_bandwidth_csv(stats: LinkStats, path) -> None:

@@ -24,8 +24,9 @@ update as lock-step phases. The pruned pipeline:
 5. split all residual rows under the shared mask in one call: the sent
    entries form one (N, nnz) block on the shared index set and are zeroed
    in place, the rest stays as the residual;
-6. ring-reduce the sent block, apply the update and record the step as the
-   last send of every entry in the shared mask.
+6. ring-reduce the sent block, subtract the update from the weights in
+   place at the shared indices and record the step as the last send of
+   every entry in the shared mask.
 
 The reduce hands back the sum of the sent contributions in the same
 owner-first order as the dense baseline's reduce of (1/NB)-scaled
@@ -108,11 +109,13 @@ class TrainingConfig:
 class TrainState:
     """The ring's training state.
 
-    ``weights`` (P,) is every node's replica. In the pruned modes row k of
-    ``accum`` (N, P) is node k's residual buffer; in dense mode ``accum``
-    (P,) is the momentum velocity, the same on every node. ``last_sent`` (P,)
-    holds, per entry, the number of steps done when node 0 last sent it (0
-    if never), so after ``step`` steps its staleness is ``step - last_sent``.
+    ``weights`` (P,) is every node's replica, updated in place: a pruned
+    step writes only the entries the reduce returned. In the pruned modes
+    row k of ``accum`` (N, P) is node k's residual buffer; in dense mode
+    ``accum`` (P,) is the momentum velocity, the same on every node.
+    ``last_sent`` (P,) holds, per entry, the number of steps done when node 0
+    last sent it (0 if never), so after ``step`` steps its staleness is
+    ``step - last_sent``.
     """
 
     weights: np.ndarray
@@ -176,7 +179,7 @@ def baseline_dense_step(
     total, stats = dense_allreduce(_node_gradients(state, cfg, step, task), topo, step=step)
     state.accum *= cfg.momentum
     state.accum += total
-    state.weights = state.weights - cfg.learning_rate.value_at(epoch) * state.accum
+    state.weights -= cfg.learning_rate.value_at(epoch) * state.accum
     state.last_sent[:] = step + 1
     return StepOutcome(stats=stats)
 
@@ -251,7 +254,7 @@ def compressed_step(
     sent = split_by_mask(state.accum, shared)
     total, reduce_stats = sparse_allreduce(sent, topo, step=step)
     stats.extend(reduce_stats)
-    state.weights = state.weights - cfg.learning_rate.value_at(epoch) * total.densify()
+    state.weights[total.indices] -= cfg.learning_rate.value_at(epoch) * total.values
     state.last_sent[shared.bits] = step + 1
     return StepOutcome(stats=stats, shared_mask=shared)
 
@@ -276,7 +279,7 @@ def dgc_contrast_step(
     bits = _local_masks(state, policy, cfg, step, epoch, task, range(cfg.n_nodes))
     total, stats = naive_sparse_allreduce(state.accum, bits, topo, step=step)
     state.accum[bits] = 0.0
-    state.weights = state.weights - cfg.learning_rate.value_at(epoch) * total.densify()
+    state.weights[total.indices] -= cfg.learning_rate.value_at(epoch) * total.values
     state.last_sent[bits[0]] = step + 1
     return StepOutcome(stats=stats, shared_mask=BitMask(bits.any(axis=0)))
 

@@ -278,6 +278,14 @@ def dgc_union_contrast(per_node_masks, topo=None) -> float:
     return or_masks(masks).density()
 
 
+def densify(sparse) -> np.ndarray:
+    """The dense vector of a ``SparseGradient``, zero off its indices, or
+    the (N, total_length) stack of them for a node-stacked block."""
+    dense = np.zeros(sparse.values.shape[:-1] + (sparse.total_length,))
+    dense[..., sparse.indices] = sparse.values
+    return dense
+
+
 def successor(topo, node: int) -> int:
     """The node that ``node`` sends to on the ring."""
     return (node + 1) % topo.n_nodes

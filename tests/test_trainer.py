@@ -588,6 +588,45 @@ def test_compressed_step_splits_all_residuals_in_place():
     assert np.allclose(state.weights[shared], 1.0 - 0.01 * grads[:, shared].sum(axis=0))
 
 
+@pytest.mark.parametrize("mode", [MODE_DENSE, MODE_COMPRESSED, MODE_DGC_CONTRAST])
+def test_step_updates_weights_in_place_and_keeps_unsent_bits(mode):
+    # The update is written into the state's own weight array, and an entry
+    # the step did not send keeps its exact bits. Entry 0 starts at -0.0 with
+    # a zero gradient: the pruned modes never send it, and dense sends 0.0.
+    rng = np.random.default_rng(26)
+    n, length = 4, 30
+    layout = LayerLayout.from_sizes([("a", 12), ("b", 18)])
+    grads = rng.standard_normal((n, length)) * 0.005
+    grads[:, 0] = 0.0
+    start = rng.standard_normal(length)
+    start[0] = -0.0
+    task = PresetGradientTask(layout, lambda node, step: grads[node], start)
+    cfg = TrainingConfig(
+        momentum=0.0, learning_rate=EpochSchedule.constant(0.01), n_nodes=n, seed=6
+    )
+    topo = RingTopology.create(n, length)
+    state = init_state(task, cfg, mode)
+    weights = state.weights
+    if mode == MODE_DENSE:
+        outcome = baseline_dense_step(state, cfg, 0, task=task, topo=topo)
+    elif mode == MODE_COMPRESSED:
+        mask_cfg = MaskAgreementConfig(n_selected_nodes=2, shared_seed=8)
+        outcome = compressed_step(
+            state, fixed_policy(0.03), mask_cfg, cfg, 0, 0, task=task, topo=topo
+        )
+    else:
+        outcome = dgc_contrast_step(state, fixed_policy(0.03), cfg, 0, 0, task=task, topo=topo)
+    assert state.weights is weights
+    if mode == MODE_DENSE:
+        sent = np.ones(length, dtype=bool)
+    else:
+        sent = outcome.shared_mask.bits
+        assert 0 < sent.sum() < length
+    assert state.weights[~sent].tobytes() == start[~sent].tobytes()
+    assert np.signbit(state.weights[0]) and state.weights[0] == 0.0
+    assert np.any(state.weights[sent] != start[sent])
+
+
 def test_compressed_infinite_threshold_freezes_everything():
     # With an unreachable threshold nothing is ever selected, so weights
     # stay put and every staleness counter equals the step count.

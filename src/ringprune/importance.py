@@ -6,7 +6,10 @@ own send threshold, derived from the dispersion (variance / mean) of the
 layer's scores: a disordered layer raises its threshold, a uniformly
 important one lowers it. Parameters at or above the layer threshold are
 always selected; parameters below it are selected with probability
-score / threshold, which keeps long-unsent residuals from going stale.
+score / threshold. That gives every nonzero score a positive chance on each
+step, but it does not keep residuals fresh: at small scores the chance is
+tiny, and the bundled ``mlp_compressed`` run never sends 973 of its 1,204
+entries in its 250 pruned steps.
 
 Every function here takes an (R, P) stack of score or residual rows, one
 row per scored node, and reduces along the last axis, so any set of nodes is

@@ -49,8 +49,8 @@ BANDWIDTH_CSV_HEADER = ("step", "node", "phase", "bytes")
 class RingTopology:
     """A ring of nodes, each owning one contiguous chunk of the vector.
 
-    When the vector is shorter than the ring, it is implicitly zero-padded to
-    one element per node so the message schedule is unchanged.
+    When the vector is shorter than the ring, the chunks past its end are
+    empty, and their messages carry 0 bytes.
     """
 
     n_nodes: int
@@ -63,8 +63,7 @@ class RingTopology:
             raise StructuralError(f"ring needs at least 2 nodes, got {n_nodes}")
         if length < 0:
             raise StructuralError(f"vector length must be >= 0, got {length}")
-        padded = max(length, n_nodes)
-        quotient, remainder = divmod(padded, n_nodes)
+        quotient, remainder = divmod(length, n_nodes)
         bounds = [0]
         for c in range(n_nodes):
             bounds.append(bounds[-1] + quotient + (1 if c < remainder else 0))
@@ -72,7 +71,7 @@ class RingTopology:
 
     @property
     def padded_length(self) -> int:
-        return self.chunk_bounds[-1]
+        return self.length  # no chunk is padded; kept because perfbench reads it
 
 
 @dataclass(frozen=True)
@@ -264,9 +263,10 @@ def _ring_sum(rows: np.ndarray, bounds) -> np.ndarray:
     return total
 
 
-def _fixed_size_reduce(rows, bounds, chunk_bytes, step) -> tuple[np.ndarray, LinkStats]:
+def _fixed_size_reduce(rows, bounds, entry_bytes, step) -> tuple[np.ndarray, LinkStats]:
     """Owner-first sum of ``rows`` over chunks ``bounds``, and the scatter-reduce
-    and allgather phases of chunks that stay ``chunk_bytes`` bytes at every hop."""
+    and allgather phases of those chunks, at ``entry_bytes`` per entry."""
+    chunk_bytes = entry_bytes * np.diff(bounds)
     stats = LinkStats()
     stats.record_ring_phase(step, PHASE_SCATTER, chunk_bytes)
     stats.record_ring_phase(step, PHASE_ALLGATHER, chunk_bytes)
@@ -281,13 +281,11 @@ def dense_allreduce(
 ) -> tuple[np.ndarray, LinkStats]:
     """Elementwise sum of all contributions, delivered to every node.
 
-    Each node sends exactly 2(N-1) chunk messages, padding included. The
-    returned vector is the one every node ends up holding.
+    Each node sends exactly 2(N-1) chunk messages; an empty chunk's carry
+    0 bytes. The returned vector is the one every node ends up holding.
     """
     rows = _stack_vectors(contributions, topo)
-    # Padding entries are zeros: they only add to the message bytes.
-    bounds = np.minimum(topo.chunk_bounds, topo.length)
-    return _fixed_size_reduce(rows, bounds, VALUE_BYTES * np.diff(topo.chunk_bounds), step)
+    return _fixed_size_reduce(rows, topo.chunk_bounds, VALUE_BYTES, step)
 
 
 def select_broadcast_nodes(n_nodes: int, cfg: MaskAgreementConfig, step: int) -> tuple[int, ...]:
@@ -373,9 +371,8 @@ def sparse_allreduce(
     idx = contributions.indices
     # Chunk c carries the sparse entries whose parameter index falls in the
     # chunk's range; those are contiguous in the sorted index list.
-    cuts = np.searchsorted(idx, np.asarray(topo.chunk_bounds))
-    chunk_bytes = (VALUE_BYTES + INDEX_BYTES) * np.diff(cuts)
-    total, stats = _fixed_size_reduce(values, cuts, chunk_bytes, step)
+    cuts = np.searchsorted(idx, topo.chunk_bounds)
+    total, stats = _fixed_size_reduce(values, cuts, VALUE_BYTES + INDEX_BYTES, step)
     return SparseGradient(indices=idx, values=total, total_length=topo.length), stats
 
 
@@ -404,7 +401,7 @@ def naive_sparse_allreduce(
             f"masks of shape {bits.shape} and dtype {bits.dtype} are not one bool row "
             f"per node of vector length {topo.length}"
         )
-    bounds = np.minimum(topo.chunk_bounds, topo.length)
+    bounds = topo.chunk_bounds
     # running[s] is, per column, the OR of the first s + 1 contributors'
     # masks in the column's chunk order; its last row is the full union.
     running = np.logical_or.accumulate(_rotate_chunks(bits, bounds), axis=0)

@@ -378,23 +378,21 @@ def run_experiment(
         )
 
     record(0, 0, None)
-    step = 0
-    for epoch in range(cfg.epochs):
-        for _ in range(steps_per_epoch):
-            if mode == MODE_DENSE:
-                outcome = baseline_dense_step(
-                    state, cfg, step, task=task, topo=topo, epoch=epoch
-                )
-            elif mode == MODE_COMPRESSED:
-                outcome = compressed_step(
-                    state, policy, mask_cfg, cfg, step, epoch, task=task, topo=topo
-                )
-            else:
-                outcome = dgc_contrast_step(
-                    state, policy, cfg, step, epoch, task=task, topo=topo
-                )
-            step += 1
-            record(step, epoch, outcome)
+    for step in range(cfg.epochs * steps_per_epoch):
+        epoch = step // steps_per_epoch
+        if mode == MODE_DENSE:
+            outcome = baseline_dense_step(
+                state, cfg, step, task=task, topo=topo, epoch=epoch
+            )
+        elif mode == MODE_COMPRESSED:
+            outcome = compressed_step(
+                state, policy, mask_cfg, cfg, step, epoch, task=task, topo=topo
+            )
+        else:
+            outcome = dgc_contrast_step(
+                state, policy, cfg, step, epoch, task=task, topo=topo
+            )
+        record(step + 1, epoch, outcome)
     return RunResult(metrics=metrics, stats=all_stats)
 
 

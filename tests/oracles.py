@@ -292,7 +292,7 @@ def successor(topo, node: int) -> int:
 
 
 def chunk_slice(topo, chunk: int) -> slice:
-    """The parameter range of chunk ``chunk``, padding included."""
+    """The parameter range of chunk ``chunk``; empty past a short vector's end."""
     return slice(topo.chunk_bounds[chunk], topo.chunk_bounds[chunk + 1])
 
 

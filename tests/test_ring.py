@@ -72,18 +72,15 @@ def ring_order_sum_oracle(contributions, topo):
     """Independent reimplementation of the documented reduction order:
     chunk c accumulates contributions left to right starting from node c."""
     n = topo.n_nodes
-    padded = [
-        np.concatenate([np.asarray(v, dtype=float), np.zeros(topo.padded_length - topo.length)])
-        for v in contributions
-    ]
-    out = np.zeros(topo.padded_length)
+    vecs = [np.asarray(v, dtype=float) for v in contributions]
+    out = np.zeros(topo.length)
     for c in range(n):
         sl = chunk_slice(topo, c)
-        acc = padded[c][sl].copy()
+        acc = vecs[c][sl].copy()
         for i in range(1, n):
-            acc = acc + padded[(c + i) % n][sl]
+            acc = acc + vecs[(c + i) % n][sl]
         out[sl] = acc
-    return out[: topo.length]
+    return out
 
 
 def _ring_exchange(chunked, topo, stats, step, chunk_nbytes, combine):
@@ -114,10 +111,6 @@ def _ring_exchange(chunked, topo, stats, step, chunk_nbytes, combine):
             chunked[successor(topo, k)][c] = payload
 
 
-def _padded(vec, topo):
-    return np.concatenate([vec, np.zeros(topo.padded_length - topo.length, dtype=vec.dtype)])
-
-
 def _agreed(per_node):
     """The result every node holds after the exchange; all copies must agree."""
     for other in per_node[1:]:
@@ -128,7 +121,7 @@ def _agreed(per_node):
 def hop_dense_oracle(contributions, topo, step):
     """Dense all-reduce moved hop by hop through per-node chunk buffers."""
     chunked = [
-        [np.array(_padded(v, topo)[chunk_slice(topo, c)]) for c in range(topo.n_nodes)]
+        [np.array(v[chunk_slice(topo, c)]) for c in range(topo.n_nodes)]
         for v in contributions
     ]
     stats = LinkStats()
@@ -140,7 +133,7 @@ def hop_dense_oracle(contributions, topo, step):
         chunk_nbytes=lambda chunk: chunk.shape[0] * VALUE_BYTES,
         combine=lambda incoming, own: incoming + own,
     )
-    return _agreed([np.concatenate(c)[: topo.length] for c in chunked]), stats
+    return _agreed([np.concatenate(c) for c in chunked]), stats
 
 
 def hop_sparse_oracle(contributions, topo, step):
@@ -169,11 +162,10 @@ def hop_naive_oracle(contributions, local_bits, topo, step):
     (indices, sums, stats)."""
     chunked = []
     for v, bits in zip(contributions, local_bits):
-        vals = _padded(np.where(bits, v, 0.0), topo)
-        mask = _padded(bits, topo)
+        vals = np.where(bits, v, 0.0)
         chunked.append(
             [
-                (np.array(vals[chunk_slice(topo, c)]), np.array(mask[chunk_slice(topo, c)]))
+                (np.array(vals[chunk_slice(topo, c)]), np.array(bits[chunk_slice(topo, c)]))
                 for c in range(topo.n_nodes)
             ]
         )
@@ -186,8 +178,8 @@ def hop_naive_oracle(contributions, local_bits, topo, step):
         chunk_nbytes=lambda chunk: int(np.count_nonzero(chunk[1])) * (VALUE_BYTES + INDEX_BYTES),
         combine=lambda incoming, own: (incoming[0] + own[0], incoming[1] | own[1]),
     )
-    final_vals = _agreed([np.concatenate([c[0] for c in node])[: topo.length] for node in chunked])
-    final_mask = _agreed([np.concatenate([c[1] for c in node])[: topo.length] for node in chunked])
+    final_vals = _agreed([np.concatenate([c[0] for c in node]) for node in chunked])
+    final_mask = _agreed([np.concatenate([c[1] for c in node]) for node in chunked])
     idx = np.flatnonzero(final_mask)
     return idx, final_vals[idx], stats
 
@@ -236,10 +228,10 @@ def test_topology_partitions_vector():
     assert successor(topo, 3) == 0
 
 
-def test_topology_pads_short_vectors():
+def test_topology_leaves_empty_chunks_past_a_short_vector():
     topo = RingTopology.create(3, 1)
-    assert topo.padded_length == 3
-    assert topo.length == 1
+    assert topo.chunk_bounds == (0, 1, 1, 1)
+    assert topo.padded_length == topo.length == 1
 
 
 def test_topology_rejects_small_rings():
@@ -286,6 +278,21 @@ def test_dense_message_count_across_ring_sizes():
         _, stats = dense_allreduce([rng.standard_normal(40) for _ in range(n)], topo)
         for node in range(n):
             assert message_count(stats, node=node) == 2 * (n - 1)
+
+
+def test_dense_sends_only_the_real_entries_at_any_length():
+    # One chunk rule: chunk bytes are VALUE_BYTES per entry of the chunk, so
+    # a vector shorter than the ring leaves empty chunks whose messages carry
+    # 0 bytes. At N = 3, P = 1 a step sends 2 * 2 * 1 * 4 = 16 bytes.
+    for n in range(2, 18):
+        for length in range(n + 4):
+            topo = RingTopology.create(n, length)
+            vecs = np.arange(n * length, dtype=float).reshape(n, length)
+            total, stats = dense_allreduce(vecs, topo)
+            assert total.tolist() == vecs.sum(axis=0).tolist()
+            for node in range(n):
+                assert message_count(stats, node=node) == 2 * (n - 1)
+            assert stats.total_bytes() == 2 * (n - 1) * length * VALUE_BYTES, (n, length)
 
 
 def test_dense_length_mismatch():
@@ -537,7 +544,7 @@ def _oracle_cases():
 
 @pytest.mark.parametrize("n, length", _oracle_cases())
 def test_collectives_match_hop_by_hop_oracle(n, length):
-    # Lengths below N leave chunks that are only padding.
+    # Lengths below N leave empty chunks.
     rng = np.random.default_rng(10_000 * n + length)
     topo = RingTopology.create(n, length)
     step = 7
@@ -701,8 +708,8 @@ def phase_oracle(step, phase, chunk_bytes):
     return [r for r in stats.records if r[2] == phase]
 
 
-# (kind, step, ...): reduces at N from 2 to 17 with P from 0 (all padding)
-# up, ring phases of random chunk sizes (zeros common), and message blocks.
+# (kind, step, ...): reduces at N from 2 to 17 with P from 0 (all chunks
+# empty) up, ring phases of random chunk sizes (zeros common), and message blocks.
 _reduce_ops = st.tuples(
     st.sampled_from(("dense", "sparse")),
     st.integers(0, 3),

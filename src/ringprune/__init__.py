@@ -7,7 +7,6 @@ from .codec import (
     VALUE_BYTES,
     BitMask,
     SparseGradient,
-    compression_ratio,
     decode_mask,
     encode_mask,
     encoded_size,
@@ -92,7 +91,6 @@ __all__ = [
     "build_local_mask",
     "clip_gradient",
     "compressed_step",
-    "compression_ratio",
     "compute_importance",
     "decode_mask",
     "dense_allreduce",

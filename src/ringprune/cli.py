@@ -57,7 +57,8 @@ def cmd_run(config_path: str, *, seed: int | None = None, out: str | None = None
     return 0
 
 
-def _load_run(run_dir: str) -> tuple[dict, list[dict]]:
+def _load_run(run_dir: str) -> tuple[dict, dict[str, float | None]]:
+    """A finished run's manifest and the summary of its metrics.csv."""
     base = Path(run_dir)
     manifest_path = base / MANIFEST_NAME
     metrics_path = base / METRICS_NAME
@@ -70,40 +71,41 @@ def _load_run(run_dir: str) -> tuple[dict, list[dict]]:
         rows = list(csv.DictReader(fh))
     if not rows:
         raise ConfigError(f"{metrics_path}: no metric rows")
-    return manifest, rows
+    return manifest, _summarise(rows, metrics_path)
 
 
-def _cell_float(row: dict, key: str) -> float | None:
-    text = row.get(key, "")
+def _optional_float(text: str) -> float | None:
     return float(text) if text else None
 
 
-def _summarise(rows: list[dict]) -> dict[str, float | None]:
-    final = rows[-1]
-    ratios = [
-        r
-        for row in rows
-        if (r := _cell_float(row, "compression_ratio")) is not None and math.isfinite(r)
-    ]
+def _summarise(rows: list[dict], path: Path) -> dict[str, float | None]:
+    def column(key: str, parse=_optional_float) -> list:
+        """Column ``key`` of the metrics.csv at ``path``, each cell parsed."""
+        try:
+            return [parse(row[key]) for row in rows]
+        except KeyError:
+            raise ConfigError(f"{path}: no '{key}' column") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: bad '{key}' cell: {exc}") from None
+
+    ratios = [r for r in column("compression_ratio") if r is not None and math.isfinite(r)]
     return {
-        "final_loss": _cell_float(final, "loss"),
-        "final_accuracy": _cell_float(final, "accuracy"),
+        "final_loss": column("loss")[-1],
+        "final_accuracy": column("accuracy")[-1],
         "mean_compression_ratio": sum(ratios) / len(ratios) if ratios else None,
-        "total_bytes": float(sum(int(row["bytes_total"]) for row in rows)),
+        "total_bytes": float(sum(column("bytes_total", int))),
     }
 
 
 def cmd_compare(run_dir_a: str, run_dir_b: str) -> int:
-    manifest_a, rows_a = _load_run(run_dir_a)
-    manifest_b, rows_b = _load_run(run_dir_b)
+    manifest_a, summary_a = _load_run(run_dir_a)
+    manifest_b, summary_b = _load_run(run_dir_b)
     task_a = manifest_a.get("experiment", {}).get("task")
     task_b = manifest_b.get("experiment", {}).get("task")
     if task_a != task_b:
         raise ConfigError(
             f"task specs differ between runs: {task_a!r} vs {task_b!r}"
         )
-    summary_a = _summarise(rows_a)
-    summary_b = _summarise(rows_b)
     writer = csv.writer(sys.stdout)
     writer.writerow(COMPARE_CSV_HEADER)
     for metric in ("final_loss", "final_accuracy", "mean_compression_ratio", "total_bytes"):

@@ -1,4 +1,4 @@
-"""Mask and sparse-gradient wire formats plus compression accounting.
+"""Mask and sparse-gradient wire formats.
 
 The byte-packed mask layout is the bit-exact format circulated during the
 simulator's mask-agreement round: bit i of a mask is stored in byte i // 8 at
@@ -9,12 +9,11 @@ wire corruption.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CodecError, InputError, StructuralError
+from .errors import CodecError, StructuralError
 
 # Default wire sizes. The protocol ships 4-byte values and 4-byte indices for
 # sparse entries; masks are bit-packed.
@@ -155,19 +154,3 @@ def split_by_mask(rows: np.ndarray, mask: BitMask) -> SparseGradient:
     sent = SparseGradient(indices=idx, values=np.take(rows, idx, axis=1), total_length=mask.length)
     rows[:, idx] = 0.0
     return sent
-
-
-def compression_ratio(mask: BitMask) -> float:
-    """Dense payload bytes divided by the sparse payload bytes of sending the
-    entries of ``mask`` as (value, index) pairs.
-
-    Larger means more compression; a value below 1 flags a densified payload
-    that costs more on the wire than the dense gradient would. Returns +inf
-    when the mask is empty.
-    """
-    if mask.length == 0:
-        raise InputError("compression_ratio needs a mask of length > 0")
-    sparse_bytes = mask.popcount() * (VALUE_BYTES + INDEX_BYTES)
-    if sparse_bytes == 0:
-        return math.inf
-    return mask.length * VALUE_BYTES / sparse_bytes

@@ -19,6 +19,7 @@ separate calls; :func:`build_local_mask` returns one (R, P) bool stack.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -94,6 +95,10 @@ class ThresholdPolicy:
     warmup_epochs: int = 1
 
     def __post_init__(self) -> None:
+        # An infinite weight times a layer's zero dispersion would be NaN.
+        for _start, _end, value in self.ratio_weight.spans:
+            if not math.isfinite(value):
+                raise ConfigError(f"threshold.ratio_weight must be finite, got {value}")
         # Written as "not (valid)" so that NaN, which compares false, fails.
         if not self.ratio_pivot > 0:
             raise ConfigError(f"ratio_pivot must be > 0, got {self.ratio_pivot}")

@@ -111,6 +111,9 @@ class _Messages(NamedTuple):
 
     per_sender = messages
 
+    def payload_bytes(self) -> int:
+        return int(self.sizes.sum())
+
 
 class _RingPhase(NamedTuple):
     """One reduce phase of the ring schedule over chunks whose size does not
@@ -135,6 +138,10 @@ class _RingPhase(NamedTuple):
         skipped = self.chunk_bytes[(senders + _PHASE_OFFSETS[self.phase] + 1) % n]
         return senders, int(self.chunk_bytes.sum()) - skipped
 
+    def payload_bytes(self) -> int:
+        # each chunk crosses N-1 hops
+        return (self.chunk_bytes.shape[0] - 1) * int(self.chunk_bytes.sum())
+
 
 class LinkStats:
     """Ring traffic, stored as columns.
@@ -143,8 +150,9 @@ class LinkStats:
     equal-length int64 arrays, the senders and the payload bytes of its
     messages (a mask round's N-1 forwards, say). :meth:`record_ring_phase`
     keeps a reduce phase whose chunks do not change size in transit as its N
-    per-chunk byte counts, O(N) where its messages number N(N-1). Queries
-    sum per-sender totals; :attr:`records` is a read-only view that expands
+    per-chunk byte counts, O(N) where its messages number N(N-1). Byte
+    counts sum each block's total and the bandwidth rows its per-sender
+    totals; :attr:`records` is a read-only view that expands
     the blocks into one (step, sender, phase, payload_bytes) tuple per
     message, in recording order.
     """
@@ -188,13 +196,10 @@ class LinkStats:
             for sender, nbytes in zip(senders.tolist(), sizes.tolist())
         )
 
-    def total_bytes(self) -> int:
-        return self.bytes_for()
-
     def bytes_for(self, phase: str | None = None) -> int:
         """Bytes sent under ``phase`` (any if None)."""
         return sum(
-            int(block.per_sender()[1].sum())
+            block.payload_bytes()
             for block in self._blocks
             if phase is None or block.phase == phase
         )

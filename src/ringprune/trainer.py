@@ -43,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codec import BitMask, compression_ratio, split_by_mask
+from .codec import VALUE_BYTES, BitMask, split_by_mask
 from .errors import ConfigError, DivergenceError, InputError, StructuralError
 from .importance import (
     EpochSchedule,
@@ -54,6 +54,7 @@ from .importance import (
     thresholds_for,
 )
 from .ring import (
+    PHASE_ALLGATHER,
     LinkStats,
     MaskAgreementConfig,
     RingTopology,
@@ -155,25 +156,29 @@ def clip_gradient(grad: np.ndarray, clip_norm: float) -> np.ndarray:
 
 @dataclass
 class StepOutcome:
-    """What one super-step produced, for metrics and assertions."""
+    """What one super-step produced, for metrics and assertions: its link
+    traffic and the mask of the entries its reduce delivered (all ones in
+    dense mode, the shared mask in compressed mode, the union of the
+    nodes' masks in the contrast mode)."""
 
     stats: LinkStats
-    shared_mask: BitMask | None = None
+    shared_mask: BitMask
 
 
 def baseline_dense_step(
     state: TrainState,
     cfg: TrainingConfig,
     step: int,
+    epoch: int,
     *,
     task,
     topo: RingTopology,
-    epoch: int = 0,
 ) -> StepOutcome:
     """Vanilla momentum SGD: velocity = m * velocity + sum of node gradients.
 
     The velocity, the same on every node, is ``state.accum``, updated in
-    place. Every entry is sent on every step.
+    place. Every entry is sent on every step, so the outcome's mask is all
+    ones.
     """
     _check_accum(state, state.weights.shape, MODE_DENSE)
     total, stats = dense_allreduce(_node_gradients(state, cfg, step, task), topo, step=step)
@@ -181,7 +186,7 @@ def baseline_dense_step(
     state.accum += total
     state.weights -= cfg.learning_rate.value_at(epoch) * state.accum
     state.last_sent[:] = step + 1
-    return StepOutcome(stats=stats)
+    return StepOutcome(stats=stats, shared_mask=BitMask(np.ones(total.shape[0], dtype=bool)))
 
 
 def _node_gradients(state: TrainState, cfg: TrainingConfig, step: int, task) -> np.ndarray:
@@ -342,6 +347,8 @@ def run_experiment(
     steps_per_epoch = max(1, task.n_samples // (cfg.n_nodes * cfg.batch_size))
     metrics: list[StepMetrics] = []
     all_stats = LinkStats()
+    # each reduced entry crosses N-1 allgather hops, dense at VALUE_BYTES
+    dense_gather_bytes = (cfg.n_nodes - 1) * task.layout.total_length * VALUE_BYTES
 
     def record(step: int, epoch: int, outcome: StepOutcome | None) -> None:
         """Evaluate the weights after ``step`` steps and append their row.
@@ -357,10 +364,10 @@ def run_experiment(
         bytes_total = 0
         if outcome is not None:
             all_stats.extend(outcome.stats)
-            bytes_total = outcome.stats.total_bytes()
-            shared = outcome.shared_mask  # None in dense mode: every entry sent
-            density = 1.0 if shared is None else shared.density()
-            ratio = 1.0 if shared is None else compression_ratio(shared)
+            bytes_total = outcome.stats.bytes_for()
+            density = outcome.shared_mask.density()
+            gathered = outcome.stats.bytes_for(PHASE_ALLGATHER)
+            ratio = dense_gather_bytes / gathered if gathered else math.inf
         metrics.append(
             StepMetrics(
                 step=step,
@@ -381,9 +388,7 @@ def run_experiment(
     for step in range(cfg.epochs * steps_per_epoch):
         epoch = step // steps_per_epoch
         if mode == MODE_DENSE:
-            outcome = baseline_dense_step(
-                state, cfg, step, task=task, topo=topo, epoch=epoch
-            )
+            outcome = baseline_dense_step(state, cfg, step, epoch, task=task, topo=topo)
         elif mode == MODE_COMPRESSED:
             outcome = compressed_step(
                 state, policy, mask_cfg, cfg, step, epoch, task=task, topo=topo

@@ -121,7 +121,7 @@ def test_criterion_2_zero_threshold_equivalence(n_nodes, clip_norm):
     steps = 200
     mismatch = None
     for step in range(steps):
-        baseline_dense_step(dense_state, cfg, step, task=task, topo=topo)
+        baseline_dense_step(dense_state, cfg, step, 0, task=task, topo=topo)
         compressed_step(
             pruned_state, policy, mask_cfg, cfg, step, 0, task=task, topo=topo
         )
@@ -159,7 +159,7 @@ def test_criterion_3_closed_form_weight_change():
         topo = RingTopology.create(2, length)
         start = state.weights.copy()
         for step in range(horizon):
-            baseline_dense_step(state, cfg, step, task=task, topo=topo)
+            baseline_dense_step(state, cfg, step, 0, task=task, topo=topo)
         iterated = state.weights - start
         predicted = closed_form_weight_change(history, momentum, lr)
         rel = float(
@@ -345,13 +345,13 @@ def test_criterion_8_bandwidth_accounting():
         ratio_sum = 0.0
         for step in range(steps):
             _, dstats = dense_allreduce(vectors, topo, step=step)
-            dense_total += dstats.total_bytes()
+            dense_total += dstats.bytes_for()
             nodes = select_broadcast_nodes(n, mask_cfg, step)
             shared, mstats = mask_agreement_round([local] * len(nodes), nodes, n, step)
             parts = SparseGradient(idx, np.stack(vectors)[:, idx], length)
             _, sstats = sparse_allreduce(parts, topo, step=step)
             mask_total += mstats.bytes_for(phase=PHASE_MASK)
-            sparse_total += mstats.total_bytes() + sstats.total_bytes()
+            sparse_total += mstats.bytes_for() + sstats.bytes_for()
             ratio_sum += length * 4 / (idx.shape[0] * 8)
         bytes_ratio = dense_total / sparse_total
         adjusted = dense_total / (sparse_total - mask_total)

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from ringprune.cli import main
-from ringprune.config import resolve_experiment
+from ringprune.config import BANDWIDTH_NAME, METRICS_NAME, resolve_experiment
 from ringprune.errors import ConfigError
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -359,6 +360,14 @@ MLP = "mlp_classification_synthetic"
             "threshold.ratio_weight: schedule value must be a number",
             [],
         ),
+        # inf x the one-entry intercept layer's zero dispersion would be NaN
+        ("threshold", {"ratio_weight": INF}, "threshold.ratio_weight must be finite, got inf", []),
+        (
+            "threshold",
+            {"ratio_weight": [{"start": 0, "value": -INF}]},
+            "threshold.ratio_weight must be finite, got -inf",
+            [],
+        ),
         (
             "training",
             {"learning_rate": [{"start": 0, "value": NAN}]},
@@ -413,6 +422,8 @@ MLP = "mlp_classification_synthetic"
         "removed-scale-key",
         "nan-base",
         "nan-ratio-weight-span",
+        "inf-ratio-weight",
+        "neg-inf-ratio-weight-span",
         "nan-learning-rate-span",
         "negative-learning-rate",
         "inf-learning-rate-span",
@@ -606,6 +617,36 @@ def test_compare_rejects_unfinished_dir(tmp_path, capsys):
     assert main(["compare", str(tmp_path / "empty"), str(tmp_path / "empty")]) == 2
 
 
+def _drop_bytes_total(rows):
+    return [{k: v for k, v in row.items() if k != "bytes_total"} for row in rows]
+
+
+def _spoil_final_loss(rows):
+    rows[-1]["loss"] = "abc"  # the final row, the one the summary reads
+    return rows
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [(_drop_bytes_total, "no 'bytes_total' column"), (_spoil_final_loss, "bad 'loss' cell")],
+    ids=["missing-column", "non-numeric-cell"],
+)
+def test_compare_rejects_malformed_metrics(tmp_path, capsys, edit, message):
+    config = write_config(tmp_path, minimal_config(tmp_path / "a"))
+    assert main(["run", str(config), "--quiet"]) == 0
+    metrics = tmp_path / "a" / "metrics.csv"
+    with open(metrics, newline="") as fh:
+        rows = edit(list(csv.DictReader(fh)))
+    with open(metrics, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    capsys.readouterr()
+    assert main(["compare", str(tmp_path / "a"), str(tmp_path / "a")]) == 2
+    err = capsys.readouterr().err
+    assert str(metrics) in err and message in err
+
+
 # --- config resolution details ------------------------------------------------------
 
 
@@ -636,6 +677,22 @@ def test_reference_config_lists_the_defaults():
     reference = json.loads((REPO_ROOT / "configs" / "reference.json").read_text())
     defaults = resolve_experiment({"task": {"kind": MLP}})
     assert resolve_experiment(reference).resolved == defaults.resolved
+
+
+def test_digest_list_names_exactly_the_bundled_configs_artifacts():
+    """configs/SHA256SUMS, which the CI checks the bundled runs against,
+    lists metrics.csv and bandwidth.csv of every configs/*.json and nothing
+    else: ``sha256sum -c`` skips a config it has no line for."""
+    configs = REPO_ROOT / "configs"
+    lines = (configs / "SHA256SUMS").read_text().splitlines()
+    listed = [re.fullmatch(r"[0-9a-f]{64}  (\S+)", line) for line in lines]
+    assert all(listed), lines
+    expected = [
+        f"{path.stem}/{name}"
+        for path in configs.glob("*.json")
+        for name in (METRICS_NAME, BANDWIDTH_NAME)
+    ]
+    assert sorted(m.group(1) for m in listed) == sorted(expected)
 
 
 def test_resolver_rejects_schedule_gap():

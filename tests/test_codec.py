@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,10 +8,8 @@ from ringprune import (
     VALUE_BYTES,
     BitMask,
     CodecError,
-    InputError,
     SparseGradient,
     StructuralError,
-    compression_ratio,
     decode_mask,
     encode_mask,
     encoded_size,
@@ -228,38 +224,3 @@ def test_sparse_stacked_block_densifies_row_by_row():
     assert sg.indices.shape[0] == 2
     assert sg.indices.shape[0] * (VALUE_BYTES + INDEX_BYTES) == 16  # one row's entries
     assert sg.values.tolist() == [[0.5, -1.0], [2.0, 0.0]]
-
-
-# --- compression_ratio ---------------------------------------------------------
-
-
-def _picks(count, total):
-    """A mask of ``total`` entries with ``count`` of them set, spread out."""
-    bits = np.zeros(total, dtype=bool)
-    bits[np.linspace(0, total - 1, count).astype(int)] = True
-    assert int(bits.sum()) == count
-    return BitMask(bits)
-
-
-def test_ratio_canonical_example():
-    # 1000 params, 4 B dense, 25 entries at 4+4 B: 4000 / 200 = 20x.
-    assert compression_ratio(_picks(25, 1000)) == 20.0
-
-
-def test_ratio_full_mask_is_densified():
-    ratio = compression_ratio(BitMask(np.ones(1000, dtype=bool)))
-    assert ratio == 0.5 and ratio < 1.0
-
-
-def test_ratio_empty_payload_is_infinite():
-    assert compression_ratio(_picks(0, 1000)) == math.inf
-
-
-def test_ratio_requires_positive_dense_bytes():
-    with pytest.raises(InputError):
-        compression_ratio(BitMask(np.zeros(0, dtype=bool)))
-
-
-def test_ratio_strictly_decreasing_in_nnz():
-    ratios = [compression_ratio(_picks(k, 1000)) for k in range(1, 50)]
-    assert all(b < a for a, b in zip(ratios, ratios[1:]))

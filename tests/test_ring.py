@@ -292,7 +292,7 @@ def test_dense_sends_only_the_real_entries_at_any_length():
             assert total.tolist() == vecs.sum(axis=0).tolist()
             for node in range(n):
                 assert message_count(stats, node=node) == 2 * (n - 1)
-            assert stats.total_bytes() == 2 * (n - 1) * length * VALUE_BYTES, (n, length)
+            assert stats.bytes_for() == 2 * (n - 1) * length * VALUE_BYTES, (n, length)
 
 
 def test_dense_length_mismatch():
@@ -676,7 +676,7 @@ def test_linkstats_queries_match_per_message_reference(blocks):
         reference += [(step, sender, phase, nbytes) for sender, nbytes in messages]
 
     assert stats.records == tuple(reference)
-    assert stats.total_bytes() == sum(r[3] for r in reference)
+    assert stats.bytes_for() == sum(r[3] for r in reference)
     for phase in (None, *PHASES):
         assert stats.bytes_for(phase=phase) == sum(
             r[3] for r in reference if phase is None or r[2] == phase
@@ -767,7 +767,7 @@ def test_ring_phase_queries_match_per_message_reference(ops):
             stats.extend(target)
 
     assert stats.records == tuple(reference)
-    assert stats.total_bytes() == sum(r[3] for r in reference)
+    assert stats.bytes_for() == sum(r[3] for r in reference)
     for phase in (None, *PHASES):
         assert stats.bytes_for(phase=phase) == sum(
             r[3] for r in reference if phase is None or r[2] == phase
@@ -811,7 +811,7 @@ def test_dense_vs_sparse_bytes_track_compression():
         _, dstats = dense_allreduce(vecs, topo, step=step)
         parts = SparseGradient(idx, np.stack(vecs)[:, idx], length)
         _, sstats = sparse_allreduce(parts, topo, step=step)
-        dense_total += dstats.total_bytes()
-        sparse_total += sstats.total_bytes()
+        dense_total += dstats.bytes_for()
+        sparse_total += sstats.bytes_for()
     # Payload ratio equals the codec ratio L*4 / (nnz*8) = 25x here.
     assert dense_total / sparse_total == pytest.approx(length * 4 / (20 * 8), rel=1e-9)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,7 +145,7 @@ def test_steps_reject_a_state_built_for_another_mode():
     dense = init_state(task, cfg, MODE_DENSE)
     pruned = init_state(task, cfg, MODE_COMPRESSED)
     with pytest.raises(StructuralError, match=r"dense step needs .* \(3,\), got \(2, 3\)"):
-        baseline_dense_step(pruned, cfg, 0, task=task, topo=topo)
+        baseline_dense_step(pruned, cfg, 0, 0, task=task, topo=topo)
     with pytest.raises(StructuralError, match=r"pruned step needs .* \(2, 3\), got \(3,\)"):
         compressed_step(dense, warmup_policy(), mask_cfg, cfg, 0, 0, task=task, topo=topo)
     with pytest.raises(StructuralError, match="built for another mode"):
@@ -169,7 +171,7 @@ def test_baseline_one_step_arithmetic():
     )
     state = init_state(task, cfg, MODE_DENSE)
     topo = RingTopology.create(2, 1)
-    baseline_dense_step(state, cfg, 0, task=task, topo=topo)
+    baseline_dense_step(state, cfg, 0, 0, task=task, topo=topo)
     assert state.weights[0] == pytest.approx(0.95)
     assert state.accum.shape == (1,)
     assert state.accum[0] == pytest.approx(0.5)
@@ -182,7 +184,7 @@ def test_baseline_zero_step_size_freezes_weights():
     state = init_state(task, cfg, MODE_DENSE)
     topo = RingTopology.create(2, 3)
     for step in range(5):
-        baseline_dense_step(state, cfg, step, task=task, topo=topo)
+        baseline_dense_step(state, cfg, step, 0, task=task, topo=topo)
     assert np.array_equal(state.weights, [0.5, 0.5, 0.5])
 
 
@@ -214,7 +216,7 @@ def test_baseline_matches_single_process_oracle():
         w = w - 0.05 * vel
 
     for step in range(100):
-        baseline_dense_step(state, cfg, step, task=task, topo=topo)
+        baseline_dense_step(state, cfg, step, 0, task=task, topo=topo)
     assert np.allclose(state.weights, w, rtol=1e-6, atol=1e-9)
 
 
@@ -394,7 +396,7 @@ def test_closed_form_matches_iterated_baseline():
     topo = RingTopology.create(2, length)
     start = state.weights.copy()
     for step in range(horizon):
-        baseline_dense_step(state, cfg, step, task=task, topo=topo)
+        baseline_dense_step(state, cfg, step, 0, task=task, topo=topo)
     iterated = state.weights - start
     predicted = closed_form_weight_change(history, momentum=0.9, learning_rate=0.07)
     assert np.linalg.norm(iterated - predicted) <= 1e-10 * np.linalg.norm(predicted)
@@ -414,7 +416,7 @@ def test_compressed_warmup_equals_baseline_exactly():
     pruned_state = init_state(task, cfg, MODE_COMPRESSED)
     policy = warmup_policy()
     for step in range(20):
-        baseline_dense_step(dense_state, cfg, step, task=task, topo=topo)
+        baseline_dense_step(dense_state, cfg, step, 0, task=task, topo=topo)
         outcome = compressed_step(
             pruned_state, policy, mask_cfg, cfg, step, 0, task=task, topo=topo
         )
@@ -608,7 +610,7 @@ def test_step_updates_weights_in_place_and_keeps_unsent_bits(mode):
     state = init_state(task, cfg, mode)
     weights = state.weights
     if mode == MODE_DENSE:
-        outcome = baseline_dense_step(state, cfg, 0, task=task, topo=topo)
+        outcome = baseline_dense_step(state, cfg, 0, 0, task=task, topo=topo)
     elif mode == MODE_COMPRESSED:
         mask_cfg = MaskAgreementConfig(n_selected_nodes=2, shared_seed=8)
         outcome = compressed_step(
@@ -928,6 +930,77 @@ def test_run_modes_emit_schema_fields():
         if mode == MODE_DENSE:
             # Every entry is sent on every dense step.
             assert all(m.staleness_max == 0 for m in result.metrics)
+
+
+# --- compression ratio rows ----------------------------------------------------
+# A row's compression_ratio is the dense allgather bytes over the step's:
+# P x 4 over k x (4 + 4) for the k entries the reduce delivered.
+
+
+def _ratio_rows(mode, policy, epochs=2):
+    """P and the per-step rows of a small four-node MLP run."""
+    task = MlpClassificationTask(
+        n_samples=64, n_features=6, hidden_units=8, n_classes=3, data_seed=43
+    )
+    cfg = TrainingConfig(
+        momentum=0.9,
+        learning_rate=EpochSchedule.constant(0.02),
+        batch_size=4,
+        n_nodes=4,
+        epochs=epochs,
+        seed=17,
+    )
+    mask_cfg = MaskAgreementConfig(n_selected_nodes=2, shared_seed=23)
+    result = run_experiment(task, cfg, policy, mask_cfg, mode)
+    return task.layout.total_length, result.metrics[1:]
+
+
+def test_dense_rows_read_density_and_ratio_one():
+    _, rows = _ratio_rows(MODE_DENSE, fixed_policy(0.05))
+    assert rows and all(m.mean_density == 1.0 and m.compression_ratio == 1.0 for m in rows)
+
+
+@pytest.mark.parametrize("mode", [MODE_COMPRESSED, MODE_DGC_CONTRAST])
+def test_warmup_rows_read_half(mode):
+    # Every entry at 4 + 4 bytes against 4: the payload densified.
+    _, rows = _ratio_rows(mode, warmup_policy())
+    assert rows and all(m.mean_density == 1.0 and m.compression_ratio == 0.5 for m in rows)
+
+
+@pytest.mark.parametrize("mode", [MODE_COMPRESSED, MODE_DGC_CONTRAST])
+def test_pruned_rows_read_dense_over_sparse_payload(mode):
+    # Exact for every k, so the ratio falls strictly as k grows.
+    length, rows = _ratio_rows(mode, fixed_policy(1.0), epochs=4)
+    counts = [round(m.mean_density * length) for m in rows]
+    assert len(set(counts)) > 2 and 0 < min(counts) and max(counts) < length
+    for m, k in zip(rows, counts):
+        assert m.compression_ratio == length * 4 / (k * 8), (k, m.compression_ratio)
+
+
+def test_pruned_row_canonical_ratio():
+    # 1000 entries, 4 B dense; 25 sent at 4 + 4 B: 4000 / 200 = 20x. A zero
+    # gradient scores 0 and is never drawn, so exactly the 25 are sent.
+    length = 1000
+    grad = np.zeros(length)
+    grad[np.linspace(0, length - 1, 25).astype(int)] = 1.0
+    task = PresetGradientTask(
+        LayerLayout.from_sizes([("w", length)]), lambda node, step: grad, np.ones(length)
+    )
+    task.n_samples = 16  # one step per epoch at 2 nodes x batch 8
+    cfg = TrainingConfig(momentum=0.0, batch_size=8, n_nodes=2, epochs=1)
+    result = run_experiment(
+        task, cfg, fixed_policy(0.5), MaskAgreementConfig(n_selected_nodes=1), MODE_COMPRESSED
+    )
+    assert [m.compression_ratio for m in result.metrics[1:]] == [20.0]
+
+
+@pytest.mark.parametrize("mode", [MODE_COMPRESSED, MODE_DGC_CONTRAST])
+def test_empty_payload_rows_read_infinite_ratio(mode):
+    policy = ThresholdPolicy(
+        base=EpochSchedule.constant(math.inf), thr_max=math.inf, warmup_epochs=0
+    )
+    _, rows = _ratio_rows(mode, policy)
+    assert rows and all(m.mean_density == 0.0 and m.compression_ratio == math.inf for m in rows)
 
 
 # Staleness vectors as runs produce them: all zeros in warm-up, then a few

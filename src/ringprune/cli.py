@@ -67,6 +67,10 @@ def _load_run(run_dir: str) -> tuple[dict, dict[str, float | None]]:
             f"{run_dir}: not a finished run directory (needs {MANIFEST_NAME} and {METRICS_NAME})"
         )
     manifest = load_config_file(manifest_path)
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("experiment", {}), dict):
+        raise ConfigError(
+            f"{manifest_path}: the manifest and its 'experiment' must be JSON objects"
+        )
     with open(metrics_path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     if not rows:

@@ -13,12 +13,17 @@ multiplies the dataset itself (no gathered copy) and takes the log-softmax
 at the labels only, and the gradient writes its four layer groups into one
 preallocated (..., P) output. They keep the floating-point operations and
 their order of the plain formulas, so every output is bit-identical to
-those.
+those. A wide evaluation (see ``EVALUATE_SPLIT_MACS``) runs its forward
+pass as two row halves, one on a helper thread when the process may use two
+CPUs; the rows are cut at the same place whatever the CPU count, so the
+results do not depend on it.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,6 +39,47 @@ from .seeds import DATA_STREAM, substream
 # per-call overhead, but past about this size the temporaries leave the
 # cache and the stacked call runs slower than one node at a time.
 GRADIENT_CHUNK_ELEMENTS = 1 << 15
+
+# Multiply-adds in each half's output product (S // 2 x hidden x classes) at
+# and above which the classifier's evaluation runs its forward pass in two
+# row halves. Both conditions matter: threading pays only for large
+# products, and the BLAS multiplies a product of under about 10**6
+# multiply-adds with a small-matrix kernel that sums in another order, so a
+# smaller half would not give the whole product's bits.
+EVALUATE_SPLIT_MACS = 1 << 20
+
+# Whether the process may run on two CPUs (read once, at import); with one,
+# both halves run inline.
+if hasattr(os, "sched_getaffinity"):
+    TWO_CPUS = len(os.sched_getaffinity(0)) >= 2
+else:
+    TWO_CPUS = (os.cpu_count() or 1) >= 2
+
+
+def run_pair(first, second) -> None:
+    """Call ``first`` on a helper thread and ``second`` on this one, and
+    return once both are done; with one CPU, call both here. An exception
+    of the helper's is raised here."""
+    if not TWO_CPUS:
+        first()
+        second()
+        return
+    errors = []
+
+    def helper_body():
+        try:
+            first()
+        except BaseException as exc:
+            errors.append(exc)
+
+    helper = threading.Thread(target=helper_body)
+    helper.start()
+    try:
+        second()
+    finally:
+        helper.join()
+    if errors:
+        raise errors[0]
 
 
 class SyntheticTask:
@@ -226,14 +272,15 @@ class MlpClassificationTask(SyntheticTask):
                 group[...] = 0.01 * rng.standard_normal(group.shape)
         return weights
 
-    def _forward(self, weights: np.ndarray, x: np.ndarray):
+    def _forward(self, weights: np.ndarray, x: np.ndarray, hidden=None, logits=None):
         """Hidden activations and logits of the sample rows ``x``, each
-        computed in one fresh buffer that the caller may overwrite."""
+        computed in one buffer that the caller may overwrite: ``hidden`` and
+        ``logits`` if given, else a fresh one."""
         hidden_w, hidden_b, output_w, output_b = self._unpack(weights)
-        hidden = x @ hidden_w
+        hidden = np.matmul(x, hidden_w, out=hidden)
         hidden += hidden_b
         np.tanh(hidden, out=hidden)
-        logits = hidden @ output_w
+        logits = np.matmul(hidden, output_w, out=logits)
         logits += output_b
         return hidden, logits
 
@@ -264,7 +311,21 @@ class MlpClassificationTask(SyntheticTask):
         return out
 
     def evaluate(self, weights: np.ndarray) -> tuple[float, float | None]:
-        _, logits = self._forward(weights, self.features)
+        """Mean cross-entropy and accuracy over the whole dataset. A wide
+        forward pass (see ``EVALUATE_SPLIT_MACS``) runs as two row halves,
+        cut at n_samples // 2 whatever the CPU count, each writing its own
+        rows of preallocated buffers, one half on a helper thread."""
+        mid = self.n_samples // 2
+        if mid * self.hidden_units * self.n_classes < EVALUATE_SPLIT_MACS:
+            _, logits = self._forward(weights, self.features)
+        else:
+            hidden = np.empty((self.n_samples, self.hidden_units))
+            logits = np.empty((self.n_samples, self.n_classes))
+
+            def half(rows: slice) -> None:
+                self._forward(weights, self.features[rows], hidden[rows], logits[rows])
+
+            run_pair(lambda: half(slice(0, mid)), lambda: half(slice(mid, None)))
         accuracy = float(np.mean(np.argmax(logits, axis=1) == self.labels))
         # shift in place, then take the log-softmax at the labels only
         logits -= logits.max(axis=-1, keepdims=True)

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -645,6 +646,19 @@ def test_compare_rejects_malformed_metrics(tmp_path, capsys, edit, message):
     assert main(["compare", str(tmp_path / "a"), str(tmp_path / "a")]) == 2
     err = capsys.readouterr().err
     assert str(metrics) in err and message in err
+
+
+@pytest.mark.parametrize(
+    "manifest", ["[1]", '{"format": "x", "experiment": 3}'], ids=["list", "experiment-not-object"]
+)
+def test_compare_rejects_malformed_manifest(tmp_path, capsys, manifest):
+    config = write_config(tmp_path, minimal_config(tmp_path / "a"))
+    assert main(["run", str(config), "--quiet"]) == 0
+    shutil.copytree(tmp_path / "a", tmp_path / "b")
+    (tmp_path / "b" / "manifest.json").write_text(manifest)
+    capsys.readouterr()
+    assert main(["compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 2
+    assert str(tmp_path / "b" / "manifest.json") in capsys.readouterr().err
 
 
 # --- config resolution details ------------------------------------------------------

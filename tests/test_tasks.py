@@ -1,9 +1,10 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 
-from ringprune import LinearRegressionTask, MlpClassificationTask
+from ringprune import LinearRegressionTask, MlpClassificationTask, tasks
 
 from oracles import (
     batch_indices,
@@ -221,6 +222,85 @@ def test_mlp_evaluate_reports_loss_and_accuracy():
     loss, accuracy = task.evaluate(task.init_weights(np.random.default_rng(1)))
     assert loss > 0
     assert 0.0 <= accuracy <= 1.0
+
+
+def _spy_run_pair(monkeypatch) -> list:
+    """Record each ``tasks.run_pair`` call, then run it as usual."""
+    calls = []
+    real = tasks.run_pair
+
+    def spy(first, second):
+        calls.append((first, second))
+        real(first, second)
+
+    monkeypatch.setattr(tasks, "run_pair", spy)
+    return calls
+
+
+# 1024 hidden units and 4 classes: the halves split from this many samples on
+SPLIT_SAMPLES = 2 * math.ceil(tasks.EVALUATE_SPLIT_MACS / (1024 * 4))
+
+
+@pytest.mark.parametrize(
+    "n_samples", [2051, SPLIT_SAMPLES, SPLIT_SAMPLES - 1], ids=["odd", "at-constant", "below"]
+)
+def test_wide_evaluate_matches_reference_in_halves(monkeypatch, n_samples):
+    """At and above EVALUATE_SPLIT_MACS evaluate runs two row halves (unequal
+    ones at odd S), below it one pass; either way its bits are the plain
+    formulas'."""
+    task = MlpClassificationTask(
+        n_samples=n_samples, n_features=20, hidden_units=1024, n_classes=4, data_seed=4
+    )
+    calls = _spy_run_pair(monkeypatch)
+    rng = np.random.default_rng(12)
+    init = task.init_weights(rng)
+    for weights in (init, rng.standard_normal(init.shape)):
+        assert task.evaluate(weights) == mlp_evaluate(task, weights)
+    assert len(calls) == (2 if n_samples >= SPLIT_SAMPLES else 0)
+
+
+def test_wide_evaluate_same_bits_on_one_cpu(monkeypatch):
+    """The rows split at n_samples // 2 whatever the CPU count, so one CPU
+    (both halves inline) gives the bits of two."""
+    task = MlpClassificationTask(n_samples=1027, hidden_units=1024, data_seed=5)
+    weights = task.init_weights(np.random.default_rng(13))
+    calls = _spy_run_pair(monkeypatch)
+    results = []
+    for two_cpus in (True, False):
+        monkeypatch.setattr(tasks, "TWO_CPUS", two_cpus)
+        results.append(task.evaluate(weights))
+    assert len(calls) == 2 and results[0] == results[1]
+
+
+def test_run_pair_raises_the_helpers_exception(monkeypatch):
+    """The helper thread's exception reaches the caller, after the caller's
+    own half has run."""
+    monkeypatch.setattr(tasks, "TWO_CPUS", True)
+    threads = []
+
+    def failing_half():
+        threads.append(threading.get_ident())
+        raise ValueError("helper half failed")
+
+    with pytest.raises(ValueError, match="helper half failed"):
+        tasks.run_pair(failing_half, lambda: threads.append(threading.get_ident()))
+    assert len(set(threads)) == 2 and threading.get_ident() in threads
+
+
+def test_run_pair_inline_on_one_cpu(monkeypatch):
+    monkeypatch.setattr(tasks, "TWO_CPUS", False)
+    threads = []
+    tasks.run_pair(*[lambda: threads.append(threading.get_ident())] * 2)
+    assert threads == [threading.get_ident()] * 2
+
+
+def test_linear_evaluate_never_splits(monkeypatch):
+    task = LinearRegressionTask(n_samples=1 << 16, n_features=8, data_seed=6)
+    calls = _spy_run_pair(monkeypatch)
+    weights = task.init_weights(np.random.default_rng(14))
+    residual = task.features @ weights[:-1] + weights[-1] - task.targets
+    assert task.evaluate(weights) == (float(0.5 * np.sum(residual**2)) / task.n_samples, None)
+    assert calls == []
 
 
 def test_linear_evaluate_has_no_accuracy():

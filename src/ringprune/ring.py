@@ -206,31 +206,19 @@ class LinkStats:
 
     def iter_aggregated_rows(self) -> Iterator[tuple[int, int, str, int]]:
         """Byte totals summed per (step, node, phase), sorted; a key has a row
-        when at least one message, of any size, was sent under it. Each
-        step's per-sender totals are summed as an int64 (node, phase) array,
-        then turned into rows; made one step at a time, so that a long run's
-        rows are never all held at once."""
+        when at least one message, of any size, was sent under it. Made one
+        step at a time, so that a long run's rows are never all held at once."""
         blocks_by_step: dict[int, list[_Messages | _RingPhase]] = defaultdict(list)
         for block in self._blocks:
             blocks_by_step[block.step].append(block)
         for step in sorted(blocks_by_step):
-            blocks = blocks_by_step[step]
-            phases = sorted({block.phase for block in blocks})
-            per_sender = [block.per_sender() for block in blocks]
-            n_nodes = 1 + max(
-                (int(senders.max()) for senders, _ in per_sender if senders.size), default=-1
-            )
-            totals = np.zeros((n_nodes, len(phases)), dtype=np.int64)
-            sent = np.zeros((n_nodes, len(phases)), dtype=bool)
-            for block, (senders, sizes) in zip(blocks, per_sender):
-                column = phases.index(block.phase)
-                np.add.at(totals[:, column], senders, sizes)
-                sent[senders, column] = True
-            nodes, columns = np.nonzero(sent)
-            for node, column, nbytes in zip(
-                nodes.tolist(), columns.tolist(), totals[nodes, columns].tolist()
-            ):
-                yield step, node, phases[column], nbytes
+            totals: dict[tuple[int, str], int] = defaultdict(int)
+            for block in blocks_by_step[step]:
+                senders, sizes = block.per_sender()
+                for sender, nbytes in zip(senders.tolist(), sizes.tolist()):
+                    totals[sender, block.phase] += nbytes
+            for (sender, phase), nbytes in sorted(totals.items()):
+                yield step, sender, phase, nbytes
 
 
 def write_bandwidth_csv(stats: LinkStats, path) -> None:

@@ -14,15 +14,13 @@ at the labels only, and the gradient writes its four layer groups into one
 preallocated (..., P) output. They keep the floating-point operations and
 their order of the plain formulas, so every output is bit-identical to
 those. A wide evaluation (see ``EVALUATE_SPLIT_MACS``) runs its forward
-pass as two row halves, one on a helper thread when the process may use two
-CPUs; the rows are cut at the same place whatever the CPU count, so the
-results do not depend on it.
+pass as two row halves, one on a helper thread; the rows are cut at the
+same place whatever the CPU count, so the results do not depend on it.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import threading
 from dataclasses import dataclass
 from functools import cached_property
@@ -40,30 +38,19 @@ from .seeds import DATA_STREAM, substream
 # cache and the stacked call runs slower than one node at a time.
 GRADIENT_CHUNK_ELEMENTS = 1 << 15
 
-# Multiply-adds in each half's output product (S // 2 x hidden x classes) at
-# and above which the classifier's evaluation runs its forward pass in two
-# row halves. Both conditions matter: threading pays only for large
-# products, and the BLAS multiplies a product of under about 10**6
-# multiply-adds with a small-matrix kernel that sums in another order, so a
-# smaller half would not give the whole product's bits.
+# Multiply-adds in each half's smaller product, S // 2 x hidden x
+# min(features, classes), at and above which the classifier's evaluation
+# runs its forward pass in two row halves. Both conditions matter:
+# threading pays only for large products, and the BLAS multiplies a product
+# of under about 10**6 multiply-adds with a small-matrix kernel that sums in
+# another order, so a smaller half would not give the whole product's bits.
 EVALUATE_SPLIT_MACS = 1 << 20
-
-# Whether the process may run on two CPUs (read once, at import); with one,
-# both halves run inline.
-if hasattr(os, "sched_getaffinity"):
-    TWO_CPUS = len(os.sched_getaffinity(0)) >= 2
-else:
-    TWO_CPUS = (os.cpu_count() or 1) >= 2
 
 
 def run_pair(first, second) -> None:
     """Call ``first`` on a helper thread and ``second`` on this one, and
-    return once both are done; with one CPU, call both here. An exception
-    of the helper's is raised here."""
-    if not TWO_CPUS:
-        first()
-        second()
-        return
+    return once both are done. An exception of the helper's is raised
+    here."""
     errors = []
 
     def helper_body():
@@ -313,10 +300,11 @@ class MlpClassificationTask(SyntheticTask):
     def evaluate(self, weights: np.ndarray) -> tuple[float, float | None]:
         """Mean cross-entropy and accuracy over the whole dataset. A wide
         forward pass (see ``EVALUATE_SPLIT_MACS``) runs as two row halves,
-        cut at n_samples // 2 whatever the CPU count, each writing its own
-        rows of preallocated buffers, one half on a helper thread."""
+        cut at n_samples // 2, each writing its own rows of preallocated
+        buffers, one half on a helper thread."""
         mid = self.n_samples // 2
-        if mid * self.hidden_units * self.n_classes < EVALUATE_SPLIT_MACS:
+        narrowest = min(self.n_features, self.n_classes)
+        if mid * self.hidden_units * narrowest < EVALUATE_SPLIT_MACS:
             _, logits = self._forward(weights, self.features)
         else:
             hidden = np.empty((self.n_samples, self.hidden_units))

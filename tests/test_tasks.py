@@ -237,45 +237,43 @@ def _spy_run_pair(monkeypatch) -> list:
     return calls
 
 
-# 1024 hidden units and 4 classes: the halves split from this many samples on
-SPLIT_SAMPLES = 2 * math.ceil(tasks.EVALUATE_SPLIT_MACS / (1024 * 4))
+def _split_samples(n_features: int) -> int:
+    """The smallest S at which evaluate splits, at 1024 hidden units and 4
+    classes."""
+    narrowest = min(n_features, 4)
+    return 2 * math.ceil(tasks.EVALUATE_SPLIT_MACS / (1024 * narrowest))
 
 
 @pytest.mark.parametrize(
-    "n_samples", [2051, SPLIT_SAMPLES, SPLIT_SAMPLES - 1], ids=["odd", "at-constant", "below"]
+    "n_features, n_samples",
+    [
+        (20, 2051),
+        (20, _split_samples(20)),
+        (20, _split_samples(20) - 1),
+        (3, _split_samples(3)),
+        (3, _split_samples(20)),
+    ],
+    ids=["odd", "at-constant", "below", "few-features-at-constant", "few-features-below"],
 )
-def test_wide_evaluate_matches_reference_in_halves(monkeypatch, n_samples):
+def test_wide_evaluate_matches_reference_in_halves(monkeypatch, n_features, n_samples):
     """At and above EVALUATE_SPLIT_MACS evaluate runs two row halves (unequal
     ones at odd S), below it one pass; either way its bits are the plain
-    formulas'."""
+    formulas'. With fewer features than classes, the features product is
+    each half's smaller one and sets the split."""
     task = MlpClassificationTask(
-        n_samples=n_samples, n_features=20, hidden_units=1024, n_classes=4, data_seed=4
+        n_samples=n_samples, n_features=n_features, hidden_units=1024, n_classes=4, data_seed=4
     )
     calls = _spy_run_pair(monkeypatch)
     rng = np.random.default_rng(12)
     init = task.init_weights(rng)
     for weights in (init, rng.standard_normal(init.shape)):
         assert task.evaluate(weights) == mlp_evaluate(task, weights)
-    assert len(calls) == (2 if n_samples >= SPLIT_SAMPLES else 0)
+    assert len(calls) == (2 if n_samples >= _split_samples(n_features) else 0)
 
 
-def test_wide_evaluate_same_bits_on_one_cpu(monkeypatch):
-    """The rows split at n_samples // 2 whatever the CPU count, so one CPU
-    (both halves inline) gives the bits of two."""
-    task = MlpClassificationTask(n_samples=1027, hidden_units=1024, data_seed=5)
-    weights = task.init_weights(np.random.default_rng(13))
-    calls = _spy_run_pair(monkeypatch)
-    results = []
-    for two_cpus in (True, False):
-        monkeypatch.setattr(tasks, "TWO_CPUS", two_cpus)
-        results.append(task.evaluate(weights))
-    assert len(calls) == 2 and results[0] == results[1]
-
-
-def test_run_pair_raises_the_helpers_exception(monkeypatch):
+def test_run_pair_raises_the_helpers_exception():
     """The helper thread's exception reaches the caller, after the caller's
     own half has run."""
-    monkeypatch.setattr(tasks, "TWO_CPUS", True)
     threads = []
 
     def failing_half():
@@ -285,13 +283,6 @@ def test_run_pair_raises_the_helpers_exception(monkeypatch):
     with pytest.raises(ValueError, match="helper half failed"):
         tasks.run_pair(failing_half, lambda: threads.append(threading.get_ident()))
     assert len(set(threads)) == 2 and threading.get_ident() in threads
-
-
-def test_run_pair_inline_on_one_cpu(monkeypatch):
-    monkeypatch.setattr(tasks, "TWO_CPUS", False)
-    threads = []
-    tasks.run_pair(*[lambda: threads.append(threading.get_ident())] * 2)
-    assert threads == [threading.get_ident()] * 2
 
 
 def test_linear_evaluate_never_splits(monkeypatch):

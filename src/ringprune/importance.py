@@ -82,7 +82,8 @@ class ThresholdPolicy:
 
     threshold(layer) = base(epoch) + ratio_weight(epoch) * dispersion  when
     the dispersion ratio exceeds ``ratio_pivot``, and base - weight * ratio
-    otherwise, clamped into [thr_min, thr_max]. The first ``warmup_epochs``
+    otherwise, clamped into [thr_min, thr_max]; a zero weight adds nothing,
+    even to an infinite ratio. The first ``warmup_epochs``
     epochs send every entry; the trainer decides warm-up and skips the rule
     for those epochs.
     """
@@ -173,7 +174,10 @@ def thresholds_for(
         ratio[:, j] = variance / np.maximum(mean, STAT_EPS)
     base = policy.base.value_at(epoch)
     weight = policy.ratio_weight.value_at(epoch)
-    thr = np.where(ratio > policy.ratio_pivot, base + weight * ratio, base - weight * ratio)
+    # A zero weight adds no term, also where the ratio overflowed to inf
+    # (0 * inf would be NaN).
+    term = weight * ratio if weight else 0.0
+    thr = np.where(ratio > policy.ratio_pivot, base + term, base - term)
     return np.minimum(np.maximum(thr, policy.thr_min), policy.thr_max)
 
 

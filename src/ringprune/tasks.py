@@ -13,9 +13,20 @@ multiplies the dataset itself (no gathered copy) and takes the log-softmax
 at the labels only, and the gradient writes its four layer groups into one
 preallocated (..., P) output. They keep the floating-point operations and
 their order of the plain formulas, so every output is bit-identical to
-those. A wide evaluation (see ``EVALUATE_SPLIT_MACS``) runs its forward
-pass as two row halves, one on a helper thread; the rows are cut at the
-same place whatever the CPU count, so the results do not depend on it.
+those. The gradient gathers all of a call's sample rows once, as (M, D),
+and runs each row-wise product (features @ hidden weights, hidden @ output
+weights, logit gradient @ output weights transposed) as one 2-D GEMM over
+all M rows, or per batch where only the whole GEMM would cross OpenBLAS's
+small-matrix line (``row_product``); the weight-gradient products and sums
+run per batch. Reductions over the few classes (row maximum, row sum,
+first maximum) run as loops over the class columns in numpy's own order,
+one long call per column instead of one short reduction per row.
+Bit-identity with the per-batch products rests on the BLAS computing a
+row block of a GEMM as the GEMM of that block alone; the pinned artifact
+digests hold for numpy 2.4.6's bundled OpenBLAS with its SkylakeX kernels.
+A wide evaluation (see ``EVALUATE_SPLIT_MACS``) runs its forward pass as
+two row halves, one on a helper thread; the rows are cut at the same place
+whatever the CPU count, so the results do not depend on it.
 """
 
 from __future__ import annotations
@@ -38,13 +49,93 @@ from .seeds import DATA_STREAM, substream
 # cache and the stacked call runs slower than one node at a time.
 GRADIENT_CHUNK_ELEMENTS = 1 << 15
 
+# OpenBLAS multiplies a product of at most this many multiply-adds with its
+# small-matrix kernel and a larger one with its blocked kernel, and on its
+# AVX-512 kernels the two sum an inner dimension of 512 or more in different
+# orders. So a block of a product's rows gets the product's bits only when
+# both fall on the same side of this line.
+SMALL_GEMM_MACS = 10**6
+
 # Multiply-adds in each half's smaller product, S // 2 x hidden x
 # min(features, classes), at and above which the classifier's evaluation
 # runs its forward pass in two row halves. Both conditions matter:
-# threading pays only for large products, and the BLAS multiplies a product
-# of under about 10**6 multiply-adds with a small-matrix kernel that sums in
-# another order, so a smaller half would not give the whole product's bits.
+# threading pays only for large products, and a half below SMALL_GEMM_MACS
+# would not give the whole product's bits.
 EVALUATE_SPLIT_MACS = 1 << 20
+
+# Numpy's pairwise summation adds a row of fewer than PAIRWISE_LANES entries
+# one by one, a row of up to PAIRWISE_BLOCK entries in PAIRWISE_LANES
+# interleaved running sums, and a longer row as two parts, the first the
+# largest multiple of PAIRWISE_LANES not above half the row.
+PAIRWISE_LANES = 8
+PAIRWISE_BLOCK = 128
+
+
+def row_product(rows: np.ndarray, matrix: np.ndarray, batch_rows: int, out=None) -> np.ndarray:
+    """``rows @ matrix`` for (M, K) ``rows`` that form batches of
+    ``batch_rows`` rows, with each row's bits those of its batch's own
+    product: one 2-D GEMM over all M rows, unless that GEMM would cross
+    SMALL_GEMM_MACS where a batch's would not; then one GEMM per batch.
+    ``out``, which only a caller with one batch of all M rows passes,
+    receives the one GEMM's result."""
+    m, k = rows.shape
+    row_macs = k * matrix.shape[1]
+    if batch_rows * row_macs <= SMALL_GEMM_MACS < m * row_macs:
+        return np.matmul(rows.reshape(-1, batch_rows, k), matrix).reshape(m, -1)
+    return np.matmul(rows, matrix, out=out)
+
+
+def class_max(values: np.ndarray) -> np.ndarray:
+    """The row maxima of (M, C) ``values``, as np.max(values, axis=-1) gives
+    them, by one np.maximum per column: a long column call costs far less
+    than numpy's per-row reduction over a few classes."""
+    out = values[:, 0].copy()
+    for j in range(1, values.shape[1]):
+        np.maximum(out, values[:, j], out=out)
+    return out
+
+
+def class_sum(values: np.ndarray) -> np.ndarray:
+    """The row sums of (M, C) ``values`` by column additions in numpy's own
+    order, so that they equal np.sum(values, axis=-1) bit for bit (up to the
+    sign of a zero sum, which numpy starts from +0.0)."""
+    n = values.shape[1]
+    if n > PAIRWISE_BLOCK:
+        half = n // 2 - (n // 2) % PAIRWISE_LANES
+        return class_sum(values[:, :half]) + class_sum(values[:, half:])
+    if n < PAIRWISE_LANES:
+        out = values[:, 0].copy()
+        for j in range(1, n):
+            out += values[:, j]
+        return out
+    lanes = values[:, :PAIRWISE_LANES].copy()
+    tail = n - n % PAIRWISE_LANES
+    for start in range(PAIRWISE_LANES, tail, PAIRWISE_LANES):
+        lanes += values[:, start : start + PAIRWISE_LANES]
+    # the eight lanes combine as ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7))
+    while lanes.shape[1] > 1:
+        lanes = lanes[:, 0::2] + lanes[:, 1::2]
+    out = lanes[:, 0]
+    for j in range(tail, n):
+        out += values[:, j]
+    return out
+
+
+def first_max_is(values: np.ndarray, maxima: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """Whether np.argmax(values, axis=-1) equals ``classes``, row by row,
+    given the rows' ``maxima`` from ``class_max`` (NaN in a row with a NaN).
+    The argmax is the first column that holds the maximum, or in a row with
+    a NaN the first NaN; a column scan from the last column to the first
+    finds it."""
+    found = np.zeros(values.shape[0], dtype=bool)
+    hit = np.empty_like(found)
+    nan = np.empty_like(found)
+    for j in range(values.shape[1] - 1, -1, -1):
+        column = values[:, j]
+        np.equal(column, maxima, out=hit)
+        hit |= np.isnan(column, out=nan)
+        np.copyto(found, classes == j, where=hit)
+    return found
 
 
 def run_pair(first, second) -> None:
@@ -259,41 +350,57 @@ class MlpClassificationTask(SyntheticTask):
                 group[...] = 0.01 * rng.standard_normal(group.shape)
         return weights
 
-    def _forward(self, weights: np.ndarray, x: np.ndarray, hidden=None, logits=None):
-        """Hidden activations and logits of the sample rows ``x``, each
-        computed in one buffer that the caller may overwrite: ``hidden`` and
-        ``logits`` if given, else a fresh one."""
+    def _forward(
+        self, weights: np.ndarray, x: np.ndarray, hidden=None, logits=None, batch_rows=None
+    ):
+        """Hidden activations and logits of the (M, D) sample rows ``x``,
+        each computed in one buffer that the caller may overwrite:
+        ``hidden`` and ``logits`` if given, else a fresh one. The rows form
+        batches of ``batch_rows`` (one batch of all M by default), and each
+        row's bits are those of its batch's own products."""
         hidden_w, hidden_b, output_w, output_b = self._unpack(weights)
-        hidden = np.matmul(x, hidden_w, out=hidden)
+        batch_rows = batch_rows or x.shape[0]
+        hidden = row_product(x, hidden_w, batch_rows, out=hidden)
         hidden += hidden_b
         np.tanh(hidden, out=hidden)
-        logits = np.matmul(hidden, output_w, out=logits)
+        logits = row_product(hidden, output_w, batch_rows, out=logits)
         logits += output_b
         return hidden, logits
 
     def gradient_sum(
         self, weights: np.ndarray, idx: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
-        x = self.features[idx]
-        hidden, dlogits = self._forward(weights, x)
+        """Row-wise products run over all of the call's rows at once, as
+        (M, ...) with M = idx.size (see ``row_product``); the weight-gradient
+        products and sums run per batch of B rows, on (..., B, ...) views of
+        the same buffers."""
+        batch_rows = idx.shape[-1]
+        batches = idx.shape[:-1] + (batch_rows, -1)
+        rows = idx.reshape(-1)
+        x = self.features.take(rows, axis=0)
+        hidden, dlogits = self._forward(weights, x, batch_rows=batch_rows)
         # softmax as exp(log_softmax): exp(shifted) / sum is not bit-identical
-        dlogits -= dlogits.max(axis=-1, keepdims=True)
-        dlogits -= np.log(np.sum(np.exp(dlogits), axis=-1, keepdims=True))
+        dlogits -= class_max(dlogits)[:, None]
+        dlogits -= np.log(class_sum(np.exp(dlogits)))[:, None]
         np.exp(dlogits, out=dlogits)
-        rows = dlogits.reshape(-1, self.n_classes)
-        rows[np.arange(rows.shape[0]), self.labels[idx].ravel()] -= 1.0
+        dlogits.reshape(-1)[self.n_classes * np.arange(rows.size) + self.labels[rows]] -= 1.0
         if out is None:
             out = np.empty(idx.shape[:-1] + (self.layout.total_length,))
         grad_hidden_w, grad_hidden_b, grad_output_w, grad_output_b = self._unpack(out)
-        np.matmul(np.swapaxes(hidden, -1, -2), dlogits, out=grad_output_w)
-        np.sum(dlogits, axis=-2, out=grad_output_b)
+        np.matmul(
+            np.swapaxes(hidden.reshape(batches), -1, -2),
+            dlogits.reshape(batches),
+            out=grad_output_w,
+        )
+        np.sum(dlogits.reshape(batches), axis=-2, out=grad_output_b)
         _, _, output_w, _ = self._unpack(weights)
-        dpre = dlogits @ output_w.T
+        dpre = row_product(dlogits, output_w.T, batch_rows)
         # 1 - hidden**2, in hidden's buffer
         np.square(hidden, out=hidden)
         np.subtract(1.0, hidden, out=hidden)
         dpre *= hidden
-        np.matmul(np.swapaxes(x, -1, -2), dpre, out=grad_hidden_w)
+        dpre = dpre.reshape(batches)
+        np.matmul(np.swapaxes(x.reshape(batches), -1, -2), dpre, out=grad_hidden_w)
         np.sum(dpre, axis=-2, out=grad_hidden_b)
         return out
 
@@ -314,11 +421,13 @@ class MlpClassificationTask(SyntheticTask):
                 self._forward(weights, self.features[rows], hidden[rows], logits[rows])
 
             run_pair(lambda: half(slice(0, mid)), lambda: half(slice(mid, None)))
-        accuracy = float(np.mean(np.argmax(logits, axis=1) == self.labels))
+        maxima = class_max(logits)
+        accuracy = np.count_nonzero(first_max_is(logits, maxima, self.labels)) / self.n_samples
         # shift in place, then take the log-softmax at the labels only
-        logits -= logits.max(axis=-1, keepdims=True)
-        lse = np.log(np.sum(np.exp(logits), axis=-1))
-        log_probs = logits[np.arange(self.n_samples), self.labels] - lse
+        logits -= maxima[:, None]
+        lse = np.log(class_sum(np.exp(logits)))
+        at_labels = self.n_classes * np.arange(self.n_samples) + self.labels
+        log_probs = logits.reshape(-1).take(at_labels) - lse
         return float(-np.mean(log_probs)), accuracy
 
 

@@ -44,9 +44,10 @@ class ParamStream:
 def reference_thresholds(scores, layout, policy, epoch):
     """The threshold rule one row and one layer at a time: a two-pass mean
     and population variance (exactly 0 for a constant layer), the ratio
-    variance / max(mean, STAT_EPS), then the pivot branch and the
-    [thr_min, thr_max] clamp. Returns the (R, L) ratios and thresholds of the
-    (R, P) score rows: the reference for ``thresholds_for``."""
+    variance / max(mean, STAT_EPS), then the pivot branch (a zero weight adds
+    no term, even to an infinite ratio) and the [thr_min, thr_max] clamp.
+    Returns the (R, L) ratios and thresholds of the (R, P) score rows: the
+    reference for ``thresholds_for``."""
     ratios = np.empty((scores.shape[0], layout.n_layers))
     thresholds = np.empty_like(ratios)
     base = policy.base.value_at(epoch)
@@ -57,10 +58,11 @@ def reference_thresholds(scores, layout, policy, epoch):
             mean = s.mean()
             variance = 0.0 if np.all(s == s[0]) else np.mean((s - mean) ** 2)
             ratio = float(variance) / max(float(mean), STAT_EPS)
+            term = weight * ratio if weight else 0.0
             if ratio > policy.ratio_pivot:
-                thr = base + weight * ratio
+                thr = base + term
             else:
-                thr = base - weight * ratio
+                thr = base - term
             ratios[k, j] = ratio
             thresholds[k, j] = min(max(thr, policy.thr_min), policy.thr_max)
     return ratios, thresholds

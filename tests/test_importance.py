@@ -173,6 +173,26 @@ def test_threshold_clamps_at_ceiling():
     assert thr.tolist() == [[1.0]]
 
 
+def test_threshold_zero_weight_ignores_overflowed_ratio():
+    """A layer whose score variance overflows to inf (numpy warns) has an
+    infinite ratio; under the default policy's zero weight it still gets the
+    clamped base, not 0 * inf = NaN, and its mask builds."""
+    scores, layout = _imp([[1e160, 1.0, 2.0, 3.0]])
+    policy = ThresholdPolicy()
+    with np.errstate(over="ignore"):
+        ratios, expected = reference_thresholds(scores, layout, policy, 0)
+    assert ratios.tolist() == [[math.inf]]
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        thr = thresholds_for(scores, layout, policy, 0)
+    assert thr.tolist() == expected.tolist() == [[0.01]]
+    (mask,) = build_local_mask(scores, layout, thr, SEED, STEP, (0,))
+    assert mask[0]
+    # A non-zero weight sends the infinite ratio to the ceiling.
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        thr = thresholds_for(scores, layout, _policy(0.01, 0.002), 0)
+    assert thr.tolist() == [[1.0]]
+
+
 def test_threshold_epoch_outside_schedule():
     pol = ThresholdPolicy(
         base=EpochSchedule(((0, 5, 0.01),)),

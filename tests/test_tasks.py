@@ -129,12 +129,28 @@ def test_mlp_gradient_matches_finite_differences():
 
 
 @pytest.mark.parametrize(
-    "d, h, c", [(20, 48, 4), (64, 1024, 4), (7, 9, 3), (7, 9, 2)]
+    "d, h, c",
+    [
+        (20, 48, 4),
+        (64, 1024, 4),
+        (7, 9, 3),
+        (7, 9, 2),
+        (7, 9, 8),
+        (7, 9, 9),
+        (7, 9, 17),
+        (7, 9, 130),
+        (512, 64, 4),
+        (20, 1024, 48),
+    ],
 )
 def test_mlp_matches_reference_formulas(d, h, c):
     """evaluate and gradient_sum are bit-identical to the plain formulas in
     ``oracles`` (fresh temporaries, full log-softmax, concatenated pieces),
-    with tanh saturated or not and for stacked and lone batch rows."""
+    with tanh saturated or not and for stacked and lone batch rows. From 8
+    classes on, numpy sums a row in eight running sums, and from 129 on in
+    two halves, so a plain column sum would differ there. At 512 features,
+    or 1,024 hidden units and 48 classes, the stacked rows' product would
+    cross SMALL_GEMM_MACS where a batch's does not, so it runs per batch."""
     task = MlpClassificationTask(
         n_samples=2051, n_features=d, hidden_units=h, n_classes=c, data_seed=3
     )
@@ -151,6 +167,65 @@ def test_mlp_matches_reference_formulas(d, h, c):
             assert grad.shape == idx.shape[:-1] + init.shape
             assert np.array_equal(grad, mlp_gradient_sum(task, weights, idx))
     assert saturated > 0
+
+
+def _edge_case_weights(task, case):
+    """MLP weights whose logits tie or hold NaN and infinities."""
+    weights = task.init_weights(np.random.default_rng(9))
+    hidden_w, hidden_b, output_w, output_b = task._unpack(weights)
+    if case == "all-tied":
+        output_w[...] = 0.0
+        output_b[...] = 0.5
+    elif case == "top-two-tied":
+        output_w[...] = 0.0
+        output_b[...] = [0.0, 1.0, 1.0, 0.5]
+    elif case == "nan-columns":
+        output_b[[1, 3]] = math.nan
+    elif case == "nan-hidden":
+        hidden_w[0, 0] = math.nan
+    elif case == "mixed-nan-rows":
+        # hidden unit 0 is tanh(feature 0), which is exactly 0 on even rows:
+        # there class 2 is 0 * inf = NaN, on odd rows +inf or -inf.
+        task.features[::2, 0] = 0.0
+        hidden_w[:, 0] = [1.0, 0.0, 0.0]
+        hidden_b[0] = 0.0
+        output_w[0, 2] = math.inf
+    return weights
+
+
+@pytest.mark.parametrize(
+    "case, first_max",
+    [
+        ("all-tied", 0),
+        ("top-two-tied", 1),
+        ("nan-columns", 1),
+        ("nan-hidden", 0),
+        ("mixed-nan-rows", None),
+    ],
+)
+def test_evaluate_edge_case_logits(case, first_max):
+    """On tied logits the accuracy follows np.argmax's first maximum, and on
+    NaN logits its first NaN, as in ``oracles.mlp_evaluate``; with NaN
+    logits the loss is NaN."""
+    task = MlpClassificationTask(
+        n_samples=301, n_features=3, hidden_units=5, n_classes=4, data_seed=10
+    )
+    weights = _edge_case_weights(task, case)
+    with np.errstate(invalid="ignore"):
+        loss, accuracy = task.evaluate(weights)
+        ref_loss, ref_accuracy = mlp_evaluate(task, weights)
+        _, _, logits = mlp_forward(task, weights, np.arange(task.n_samples))
+    assert accuracy == ref_accuracy
+    if first_max is not None:
+        assert accuracy == np.mean(task.labels == first_max)
+    if np.isnan(logits).any():
+        assert math.isnan(loss) and math.isnan(ref_loss)
+    else:
+        assert loss == ref_loss
+    if case == "mixed-nan-rows":
+        nan_rows = np.isnan(logits).any(axis=1)
+        assert nan_rows[::2].all() and not nan_rows[1::2].any()
+        assert np.isinf(logits[1::2, 2]).all()
 
 
 @pytest.mark.parametrize(

@@ -1058,10 +1058,15 @@ def record_gradient_calls(task) -> list:
 @pytest.mark.parametrize("shape", sorted(GRADIENT_TASKS))
 def test_batched_gradients_match_per_node_loop(shape, n_nodes, clipped):
     """The trainer's one-call gradient rows are bit-identical to the per-node
-    loop. 2051 samples split unevenly over every N here. This rests on the
-    BLAS computing each slice of a stacked matmul as it computes a lone 2-D
-    product, which holds for the pinned numpy and OpenBLAS but is not
-    promised: another BLAS can break it, and then this test fails."""
+    loop. 2051 samples split unevenly over every N here. A call runs each
+    row-wise product as one 2-D GEMM over all of its rows (per batch where
+    only that GEMM would cross SMALL_GEMM_MACS), and its class-axis
+    reductions as column loops in numpy's own order. The GEMMs' share rests
+    on the BLAS computing each row block of a 2-D product, and each slice of
+    a stacked matmul, as it computes a lone 2-D product. That holds for the
+    pinned numpy's OpenBLAS under its SkylakeX kernels, for which the pinned
+    digests hold, and under its Haswell kernels, but is not promised:
+    another BLAS can break it, and then this test fails."""
     task = GRADIENT_TASKS[shape]()
     cfg = TrainingConfig(n_nodes=n_nodes, batch_size=8, seed=5)
     state = init_state(task, cfg, MODE_DENSE)

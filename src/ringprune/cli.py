@@ -34,6 +34,11 @@ COMPARE_CSV_HEADER = ("metric", "run_a", "run_b", "delta", "ratio")
 def cmd_run(config_path: str, *, seed: int | None = None, out: str | None = None, quiet: bool = False) -> int:
     raw = load_config_file(config_path)
     experiment = resolve_experiment(raw, seed_override=seed, out_override=out)
+    out_dir = Path(experiment.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out_dir: cannot create {out_dir}: {exc}") from exc
     result = run_experiment(
         experiment.task,
         experiment.training,
@@ -41,8 +46,6 @@ def cmd_run(config_path: str, *, seed: int | None = None, out: str | None = None
         experiment.mask_cfg,
         experiment.mode,
     )
-    out_dir = Path(experiment.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(result.metrics, out_dir / METRICS_NAME)
     write_bandwidth_csv(result.stats, out_dir / BANDWIDTH_NAME)
     write_manifest(experiment, out_dir / MANIFEST_NAME)

@@ -63,6 +63,14 @@ def _expect_number(value, path: str):
     return value
 
 
+def _expect_float(value, path: str) -> float:
+    """A number as a float; an integer too large for one is rejected."""
+    try:
+        return float(_expect_number(value, path))
+    except OverflowError:
+        raise ConfigError(f"{path}: number too large for a float") from None
+
+
 def _expect_int(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
@@ -93,7 +101,7 @@ def _parse_schedule(value, path: str) -> EpochSchedule:
         start = _expect_int(span["start"], f"{path}[{i}].start")
         end_raw = span.get("end")
         end = SCHEDULE_OPEN_END if end_raw is None else _expect_int(end_raw, f"{path}[{i}].end")
-        val = float(_expect_number(span["value"], f"{path}[{i}].value"))
+        val = _expect_float(span["value"], f"{path}[{i}].value")
         spans.append((start, end, val))
     try:
         return EpochSchedule(tuple(spans))
@@ -103,7 +111,7 @@ def _parse_schedule(value, path: str) -> EpochSchedule:
 
 _PARSERS = {
     "int": _expect_int,
-    "float": lambda value, path: float(_expect_number(value, path)),
+    "float": _expect_float,
     "EpochSchedule": _parse_schedule,
 }
 

@@ -18,9 +18,11 @@ and runs each row-wise product (features @ hidden weights, hidden @ output
 weights, logit gradient @ output weights transposed) as one 2-D GEMM over
 all M rows, or per batch where only the whole GEMM would cross OpenBLAS's
 small-matrix line (``row_product``); the weight-gradient products and sums
-run per batch. Reductions over the few classes (row maximum, row sum,
-first maximum) run as loops over the class columns in numpy's own order,
-one long call per column instead of one short reduction per row.
+run per batch. The row maximum over the few classes, and the row sum
+below PAIRWISE_LANES classes, run as folds over the class columns in
+numpy's own order, one long call per column instead of one short
+reduction per row; the accuracy's argmax, and the row sum from
+PAIRWISE_LANES classes on, are numpy's own calls.
 Bit-identity with the per-batch products rests on the BLAS computing a
 row block of a GEMM as the GEMM of that block alone; the pinned artifact
 digests hold for numpy 2.4.6's bundled OpenBLAS with its SkylakeX kernels.
@@ -63,12 +65,9 @@ SMALL_GEMM_MACS = 10**6
 # would not give the whole product's bits.
 EVALUATE_SPLIT_MACS = 1 << 20
 
-# Numpy's pairwise summation adds a row of fewer than PAIRWISE_LANES entries
-# one by one, a row of up to PAIRWISE_BLOCK entries in PAIRWISE_LANES
-# interleaved running sums, and a longer row as two parts, the first the
-# largest multiple of PAIRWISE_LANES not above half the row.
+# Numpy adds a row of fewer than PAIRWISE_LANES entries one by one, and a
+# longer one pairwise.
 PAIRWISE_LANES = 8
-PAIRWISE_BLOCK = 128
 
 
 def row_product(rows: np.ndarray, matrix: np.ndarray, batch_rows: int, out=None) -> np.ndarray:
@@ -85,57 +84,24 @@ def row_product(rows: np.ndarray, matrix: np.ndarray, batch_rows: int, out=None)
     return np.matmul(rows, matrix, out=out)
 
 
-def class_max(values: np.ndarray) -> np.ndarray:
-    """The row maxima of (M, C) ``values``, as np.max(values, axis=-1) gives
-    them, by one np.maximum per column: a long column call costs far less
-    than numpy's per-row reduction over a few classes."""
+def column_fold(ufunc, values: np.ndarray) -> np.ndarray:
+    """``ufunc`` folded over the columns of (M, C) ``values``, first to
+    last, one row result each: one long call per column costs far less than
+    numpy's per-row reduction over a few classes."""
     out = values[:, 0].copy()
     for j in range(1, values.shape[1]):
-        np.maximum(out, values[:, j], out=out)
+        ufunc(out, values[:, j], out=out)
     return out
 
 
 def class_sum(values: np.ndarray) -> np.ndarray:
-    """The row sums of (M, C) ``values`` by column additions in numpy's own
-    order, so that they equal np.sum(values, axis=-1) bit for bit (up to the
-    sign of a zero sum, which numpy starts from +0.0)."""
-    n = values.shape[1]
-    if n > PAIRWISE_BLOCK:
-        half = n // 2 - (n // 2) % PAIRWISE_LANES
-        return class_sum(values[:, :half]) + class_sum(values[:, half:])
-    if n < PAIRWISE_LANES:
-        out = values[:, 0].copy()
-        for j in range(1, n):
-            out += values[:, j]
-        return out
-    lanes = values[:, :PAIRWISE_LANES].copy()
-    tail = n - n % PAIRWISE_LANES
-    for start in range(PAIRWISE_LANES, tail, PAIRWISE_LANES):
-        lanes += values[:, start : start + PAIRWISE_LANES]
-    # the eight lanes combine as ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7))
-    while lanes.shape[1] > 1:
-        lanes = lanes[:, 0::2] + lanes[:, 1::2]
-    out = lanes[:, 0]
-    for j in range(tail, n):
-        out += values[:, j]
-    return out
-
-
-def first_max_is(values: np.ndarray, maxima: np.ndarray, classes: np.ndarray) -> np.ndarray:
-    """Whether np.argmax(values, axis=-1) equals ``classes``, row by row,
-    given the rows' ``maxima`` from ``class_max`` (NaN in a row with a NaN).
-    The argmax is the first column that holds the maximum, or in a row with
-    a NaN the first NaN; a column scan from the last column to the first
-    finds it."""
-    found = np.zeros(values.shape[0], dtype=bool)
-    hit = np.empty_like(found)
-    nan = np.empty_like(found)
-    for j in range(values.shape[1] - 1, -1, -1):
-        column = values[:, j]
-        np.equal(column, maxima, out=hit)
-        hit |= np.isnan(column, out=nan)
-        np.copyto(found, classes == j, where=hit)
-    return found
+    """The row sums of (M, C) ``values``, equal to np.sum(values, axis=-1)
+    bit for bit (up to the sign of a zero sum, which numpy starts from
+    +0.0): a column fold below PAIRWISE_LANES classes, where numpy adds one
+    by one, and np.sum itself from there on."""
+    if values.shape[1] < PAIRWISE_LANES:
+        return column_fold(np.add, values)
+    return np.sum(values, axis=-1)
 
 
 def run_pair(first, second) -> None:
@@ -380,7 +346,7 @@ class MlpClassificationTask(SyntheticTask):
         x = self.features.take(rows, axis=0)
         hidden, dlogits = self._forward(weights, x, batch_rows=batch_rows)
         # softmax as exp(log_softmax): exp(shifted) / sum is not bit-identical
-        dlogits -= class_max(dlogits)[:, None]
+        dlogits -= column_fold(np.maximum, dlogits)[:, None]
         dlogits -= np.log(class_sum(np.exp(dlogits)))[:, None]
         np.exp(dlogits, out=dlogits)
         dlogits.reshape(-1)[self.n_classes * np.arange(rows.size) + self.labels[rows]] -= 1.0
@@ -421,10 +387,9 @@ class MlpClassificationTask(SyntheticTask):
                 self._forward(weights, self.features[rows], hidden[rows], logits[rows])
 
             run_pair(lambda: half(slice(0, mid)), lambda: half(slice(mid, None)))
-        maxima = class_max(logits)
-        accuracy = np.count_nonzero(first_max_is(logits, maxima, self.labels)) / self.n_samples
+        accuracy = np.count_nonzero(np.argmax(logits, axis=1) == self.labels) / self.n_samples
         # shift in place, then take the log-softmax at the labels only
-        logits -= maxima[:, None]
+        logits -= column_fold(np.maximum, logits)[:, None]
         lse = np.log(class_sum(np.exp(logits)))
         at_labels = self.n_classes * np.arange(self.n_samples) + self.labels
         log_probs = logits.reshape(-1).take(at_labels) - lse

@@ -394,6 +394,18 @@ MLP = "mlp_classification_synthetic"
         ("task", {"kind": MLP, "n_classes": "3"}, "task.n_classes: expected an integer", []),
         ("task", {"kind": MLP, "center_scale": "3"}, "task.center_scale: expected a number", []),
         ("task", {"kind": "resnet"}, "task.kind: unknown kind 'resnet'", []),
+        (
+            "training",
+            {"momentum": 10**400},
+            "training.momentum: number too large for a float",
+            [],
+        ),
+        (
+            "threshold",
+            {"base": 10**400},
+            "threshold.base[0].value: number too large for a float",
+            [],
+        ),
     ],
     ids=[
         "unknown-key",
@@ -435,6 +447,8 @@ MLP = "mlp_classification_synthetic"
         "string-n-classes",
         "string-center-scale",
         "unknown-kind",
+        "huge-int-momentum",
+        "huge-int-base",
     ],
 )
 def test_run_rejects_unknown_key(tmp_path, capsys, section, value, message, flags):
@@ -452,6 +466,19 @@ def test_run_rejects_unknown_key(tmp_path, capsys, section, value, message, flag
 
 def test_run_rejects_missing_file(tmp_path, capsys):
     assert main(["run", str(tmp_path / "absent.json"), "--quiet"]) == 2
+
+
+def test_run_rejects_unwritable_out_before_training(tmp_path, capsys, monkeypatch):
+    """An --out that names a regular file is a config error (exit 2) found
+    before any step runs."""
+    calls = []
+    monkeypatch.setattr("ringprune.cli.run_experiment", lambda *args: calls.append(args))
+    config = write_config(tmp_path, minimal_config(tmp_path / "run"))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["run", str(config), "--out", str(taken), "--quiet"]) == 2
+    assert f"out_dir: cannot create {taken}" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_run_exit_3_on_divergence(tmp_path, capsys):

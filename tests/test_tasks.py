@@ -146,11 +146,12 @@ def test_mlp_gradient_matches_finite_differences():
 def test_mlp_matches_reference_formulas(d, h, c):
     """evaluate and gradient_sum are bit-identical to the plain formulas in
     ``oracles`` (fresh temporaries, full log-softmax, concatenated pieces),
-    with tanh saturated or not and for stacked and lone batch rows. From 8
-    classes on, numpy sums a row in eight running sums, and from 129 on in
-    two halves, so a plain column sum would differ there. At 512 features,
-    or 1,024 hidden units and 48 classes, the stacked rows' product would
-    cross SMALL_GEMM_MACS where a batch's does not, so it runs per batch."""
+    with tanh saturated or not and for stacked and lone batch rows. Below 8
+    classes the row sum is a column fold, and from 8 on it is np.sum itself,
+    which sums a row in eight running sums and from 129 on in two halves, so
+    a column fold would differ there. At 512 features, or 1,024 hidden units
+    and 48 classes, the stacked rows' product would cross SMALL_GEMM_MACS
+    where a batch's does not, so it runs per batch."""
     task = MlpClassificationTask(
         n_samples=2051, n_features=d, hidden_units=h, n_classes=c, data_seed=3
     )
@@ -167,6 +168,28 @@ def test_mlp_matches_reference_formulas(d, h, c):
             assert grad.shape == idx.shape[:-1] + init.shape
             assert np.array_equal(grad, mlp_gradient_sum(task, weights, idx))
     assert saturated > 0
+
+
+@pytest.mark.parametrize("n_classes", range(2, 21))
+def test_class_reductions_match_numpy(n_classes):
+    """The column folds give np.max's row maxima, and class_sum np.sum's row
+    sums, on either side of PAIRWISE_LANES: the same values, NaN where numpy
+    has NaN, and a zero sum equal up to its sign. The rows mix magnitudes,
+    so another order of addition changes bits, and some hold +-inf and NaN."""
+    rng = np.random.default_rng(n_classes)
+    shape = (4096, n_classes)
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+    special = rng.random(values.shape) < 0.02
+    values[special] = rng.choice([math.inf, -math.inf, math.nan], size=np.count_nonzero(special))
+    values[:64] = 0.0
+    values[:32] = -0.0
+    with np.errstate(invalid="ignore"):
+        sums = np.sum(values, axis=-1)
+        assert np.array_equal(tasks.class_sum(values), sums, equal_nan=True)
+        assert np.array_equal(
+            tasks.column_fold(np.maximum, values), np.max(values, axis=-1), equal_nan=True
+        )
+    assert np.isnan(sums).any() and np.isinf(sums).any()
 
 
 def _edge_case_weights(task, case):

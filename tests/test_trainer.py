@@ -1060,8 +1060,9 @@ def test_batched_gradients_match_per_node_loop(shape, n_nodes, clipped):
     """The trainer's one-call gradient rows are bit-identical to the per-node
     loop. 2051 samples split unevenly over every N here. A call runs each
     row-wise product as one 2-D GEMM over all of its rows (per batch where
-    only that GEMM would cross SMALL_GEMM_MACS), and its class-axis
-    reductions as column loops in numpy's own order. The GEMMs' share rests
+    only that GEMM would cross SMALL_GEMM_MACS). Its class maximum, and its
+    row sum below 8 classes, are column folds in numpy's own order, and the
+    sum from 8 classes on is np.sum itself. The GEMMs' share rests
     on the BLAS computing each row block of a 2-D product, and each slice of
     a stacked matmul, as it computes a lone 2-D product. That holds for the
     pinned numpy's OpenBLAS under its SkylakeX kernels, for which the pinned

@@ -248,12 +248,14 @@ def resolve_experiment(
 def load_config_file(path) -> dict:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers json.JSONDecodeError and an integer literal past
+        # Python's int-string digit limit; RecursionError, nesting too deep
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
 
 
 def manifest_json(experiment: Experiment) -> str:

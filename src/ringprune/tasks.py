@@ -27,8 +27,10 @@ Bit-identity with the per-batch products rests on the BLAS computing a
 row block of a GEMM as the GEMM of that block alone; the pinned artifact
 digests hold for numpy 2.4.6's bundled OpenBLAS with its SkylakeX kernels.
 A wide evaluation (see ``EVALUATE_SPLIT_MACS``) runs its forward pass as
-two row halves, one on a helper thread; the rows are cut at the same place
-whatever the CPU count, so the results do not depend on it.
+two row halves, one on a helper thread, and a gradient whose nodes each fill
+a chunk (see ``GRADIENT_CHUNK_ELEMENTS``) runs the first half of its chunks
+on a helper thread. Rows and chunks are cut at the same places whatever the
+CPU count, so the results do not depend on it.
 """
 
 from __future__ import annotations
@@ -48,7 +50,11 @@ from .seeds import DATA_STREAM, substream
 # Float64 elements allowed in the widest activation of one gradient_sum
 # call (nodes x batch x width; 256 KiB). Stacking nodes into one call saves
 # per-call overhead, but past about this size the temporaries leave the
-# cache and the stacked call runs slower than one node at a time.
+# cache and the stacked call runs slower than one node at a time. Where one
+# node's activation alone reaches this size, the nodes run as two halves on
+# two threads: there, at 64 x 1,024 (wide4-pruned), node_gradient ran about
+# 1.25x faster on two threads, while two-node chunks of 256 x 48 (the mlp_*
+# configs) ran about 1.5x slower, their numpy calls too short to overlap.
 GRADIENT_CHUNK_ELEMENTS = 1 << 15
 
 # OpenBLAS multiplies a product of at most this many multiply-adds with its
@@ -181,14 +187,28 @@ class SyntheticTask:
 
         Nodes go to ``gradient_sum`` in chunks whose widest activation stays
         within ``GRADIENT_CHUNK_ELEMENTS``, one node per call at the least,
-        and each chunk writes straight into its rows of the result.
+        and each chunk writes straight into its rows of the result. When one
+        node's activation alone fills a chunk and there are two or more
+        nodes, the first half of the chunks (n_chunks // 2) runs on a helper
+        thread and the rest on this one; a chunk's call is the same either
+        way, so the rows do not depend on the CPU count.
         """
         idx = self.batch_indices(step, n_nodes, batch_size)
-        chunk = max(1, GRADIENT_CHUNK_ELEMENTS // (batch_size * self.activation_width))
+        node_elements = batch_size * self.activation_width
+        chunk = max(1, GRADIENT_CHUNK_ELEMENTS // node_elements)
         grads = np.empty((n_nodes, self.layout.total_length))
-        for start in range(0, n_nodes, chunk):
-            rows = slice(start, start + chunk)
-            self.gradient_sum(weights, idx[rows], out=grads[rows])
+
+        def chunks(starts: range) -> None:
+            for start in starts:
+                rows = slice(start, start + chunk)
+                self.gradient_sum(weights, idx[rows], out=grads[rows])
+
+        starts = range(0, n_nodes, chunk)
+        if len(starts) < 2 or node_elements < GRADIENT_CHUNK_ELEMENTS:
+            chunks(starts)
+        else:
+            mid = len(starts) // 2
+            run_pair(lambda: chunks(starts[:mid]), lambda: chunks(starts[mid:]))
         grads /= float(n_nodes * batch_size)
         return grads
 

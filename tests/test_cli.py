@@ -468,6 +468,28 @@ def test_run_rejects_missing_file(tmp_path, capsys):
     assert main(["run", str(tmp_path / "absent.json"), "--quiet"]) == 2
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # json.loads raises a plain ValueError past Python's 4,300-digit limit
+        ('{"task": {"n_samples": 1' + "0" * 5000 + "}}", "cannot parse config file"),
+        ("{" + '"a":[' * 100_000 + "]" * 100_000 + "}", "cannot parse config file"),
+        (b"\xff\xfe{}", "cannot read config file"),
+    ],
+    ids=["huge-int-literal", "deep-nesting", "not-utf8"],
+)
+def test_run_rejects_unparsable_file(tmp_path, capsys, text, message):
+    """A file json.loads cannot turn into values is a config error that
+    names the file (exit 2), not a traceback."""
+    config = tmp_path / "config.json"
+    if isinstance(text, bytes):
+        config.write_bytes(text)
+    else:
+        config.write_text(text)
+    assert main(["run", str(config), "--quiet"]) == 2
+    assert f"{message} {config}" in capsys.readouterr().err
+
+
 def test_run_rejects_unwritable_out_before_training(tmp_path, capsys, monkeypatch):
     """An --out that names a regular file is a config error (exit 2) found
     before any step runs."""

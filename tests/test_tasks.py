@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 
 import numpy as np
@@ -381,6 +382,75 @@ def test_run_pair_raises_the_helpers_exception():
     with pytest.raises(ValueError, match="helper half failed"):
         tasks.run_pair(failing_half, lambda: threads.append(threading.get_ident()))
     assert len(set(threads)) == 2 and threading.get_ident() in threads
+
+
+def _record_gradient_threads(task, fail_off_caller=False) -> list:
+    """Wrap ``task.gradient_sum`` to record each call's first sample row and
+    thread; with ``fail_off_caller``, a call off this thread raises."""
+    calls = []
+    caller = threading.get_ident()
+    gradient_sum = task.gradient_sum
+
+    def recording(weights, idx, out=None):
+        calls.append((int(idx.flat[0]), threading.get_ident()))
+        if fail_off_caller and threading.get_ident() != caller:
+            raise FloatingPointError("helper chunk failed")
+        return gradient_sum(weights, idx, out=out)
+
+    task.gradient_sum = recording
+    return calls
+
+
+@pytest.mark.parametrize(
+    "shape, n_nodes, batch_size, helper_nodes",
+    [
+        ({"n_features": 64, "hidden_units": 1024}, 4, 64, 2),
+        ({"n_features": 64, "hidden_units": 1024}, 5, 64, 2),
+        ({"n_features": 20, "hidden_units": 48}, 8, 256, 0),
+        ({"n_features": 20, "hidden_units": 48}, 64, 8, 0),
+    ],
+    ids=["wide4-pruned", "wide-5-nodes", "mlp-configs", "ring64-pruned"],
+)
+def test_node_gradient_splits_only_one_node_chunks(
+    monkeypatch, shape, n_nodes, batch_size, helper_nodes
+):
+    """Where one node's activation fills a chunk (64 x 1,024, as in
+    wide4-pruned) gradient_sum runs on two threads: the first n_nodes // 2
+    nodes on a helper, the rest on the caller's. At the mlp_* configs' shape
+    (four two-node chunks) and ring64-pruned's (one chunk) it runs on the
+    caller's thread only, with no helper started. Either way the rows are
+    the per-node gradients, scaled."""
+    task = MlpClassificationTask(n_samples=2048, data_seed=3, **shape)
+    weights = task.init_weights(np.random.default_rng(5))
+    idx = task.batch_indices(3, n_nodes, batch_size)
+    expected = np.stack([task.gradient_sum(weights, row) for row in idx])
+    calls = _record_gradient_threads(task)
+    pairs = _spy_run_pair(monkeypatch)
+    # switch threads as often as the interpreter allows while both halves run
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = task.node_gradient(weights, 3, n_nodes, batch_size)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(pairs) == (1 if helper_nodes else 0)
+    assert np.array_equal(got, expected / float(n_nodes * batch_size))
+    caller = threading.get_ident()
+    off_caller = sorted(first for first, thread in calls if thread != caller)
+    assert off_caller == sorted(idx[:helper_nodes, 0].tolist())
+    threads = {thread for _, thread in calls}
+    assert len(threads) == (2 if helper_nodes else 1) and caller in threads
+
+
+def test_node_gradient_raises_the_helpers_exception():
+    """An exception in the helper thread's chunks reaches node_gradient's
+    caller, after the caller's own chunks have run."""
+    task = MlpClassificationTask(n_samples=2048, n_features=64, hidden_units=1024, data_seed=3)
+    calls = _record_gradient_threads(task, fail_off_caller=True)
+    with pytest.raises(FloatingPointError, match="helper chunk failed"):
+        task.node_gradient(task.init_weights(np.random.default_rng(5)), 0, 4, 64)
+    # the helper stops at its first chunk; the caller's two chunks still run
+    assert len(calls) == 3
 
 
 def test_linear_evaluate_never_splits(monkeypatch):

@@ -74,8 +74,11 @@ def _load_run(run_dir: str) -> tuple[dict, dict[str, float | None]]:
         raise ConfigError(
             f"{manifest_path}: the manifest and its 'experiment' must be JSON objects"
         )
-    with open(metrics_path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    try:
+        with open(metrics_path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"cannot read {metrics_path}: {exc}") from exc
     if not rows:
         raise ConfigError(f"{metrics_path}: no metric rows")
     return manifest, _summarise(rows, metrics_path)

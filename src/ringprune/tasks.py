@@ -26,11 +26,10 @@ PAIRWISE_LANES classes on, are numpy's own calls.
 Bit-identity with the per-batch products rests on the BLAS computing a
 row block of a GEMM as the GEMM of that block alone; the pinned artifact
 digests hold for numpy 2.4.6's bundled OpenBLAS with its SkylakeX kernels.
-A wide evaluation (see ``EVALUATE_SPLIT_MACS``) runs its forward pass as
-two row halves, one on a helper thread, and a gradient whose nodes each fill
-a chunk (see ``GRADIENT_CHUNK_ELEMENTS``) runs the first half of its chunks
-on a helper thread. Rows and chunks are cut at the same places whatever the
-CPU count, so the results do not depend on it.
+Wide work runs as two halves through ``in_halves``, the first on a helper
+thread: the evaluation's rows once each half's products pass
+SMALL_GEMM_MACS, the gradient's chunks once one node fills a chunk. The
+cuts, and so the results, do not depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -63,13 +62,6 @@ GRADIENT_CHUNK_ELEMENTS = 1 << 15
 # orders. So a block of a product's rows gets the product's bits only when
 # both fall on the same side of this line.
 SMALL_GEMM_MACS = 10**6
-
-# Multiply-adds in each half's smaller product, S // 2 x hidden x
-# min(features, classes), at and above which the classifier's evaluation
-# runs its forward pass in two row halves. Both conditions matter:
-# threading pays only for large products, and a half below SMALL_GEMM_MACS
-# would not give the whole product's bits.
-EVALUATE_SPLIT_MACS = 1 << 20
 
 # Numpy adds a row of fewer than PAIRWISE_LANES entries one by one, and a
 # longer one pairwise.
@@ -110,22 +102,31 @@ def class_sum(values: np.ndarray) -> np.ndarray:
     return np.sum(values, axis=-1)
 
 
-def run_pair(first, second) -> None:
-    """Call ``first`` on a helper thread and ``second`` on this one, and
-    return once both are done. An exception of the helper's is raised
-    here."""
+def shift_log_sum_exp(logits: np.ndarray) -> np.ndarray:
+    """Shift (M, C) ``logits`` in place by their row maximum; return the
+    shifted rows' log-sum-exp (M,), which the log-softmax subtracts."""
+    logits -= column_fold(np.maximum, logits)[:, None]
+    return np.log(class_sum(np.exp(logits)))
+
+
+def in_halves(work, n: int, split: bool) -> None:
+    """Call ``work(0, n)``; or, when ``split``, ``work(0, n // 2)`` on a
+    helper thread and ``work(n // 2, n)`` on this one, returning once both
+    are done. An exception of the helper's is raised here."""
+    if not split:
+        return work(0, n)
     errors = []
 
     def helper_body():
         try:
-            first()
+            work(0, n // 2)
         except BaseException as exc:
             errors.append(exc)
 
     helper = threading.Thread(target=helper_body)
     helper.start()
     try:
-        second()
+        work(n // 2, n)
     finally:
         helper.join()
     if errors:
@@ -189,26 +190,21 @@ class SyntheticTask:
         within ``GRADIENT_CHUNK_ELEMENTS``, one node per call at the least,
         and each chunk writes straight into its rows of the result. When one
         node's activation alone fills a chunk and there are two or more
-        nodes, the first half of the chunks (n_chunks // 2) runs on a helper
-        thread and the rest on this one; a chunk's call is the same either
-        way, so the rows do not depend on the CPU count.
+        nodes, the chunks run as two halves (``in_halves``); a chunk's call
+        is the same either way, so the rows do not depend on the CPU count.
         """
         idx = self.batch_indices(step, n_nodes, batch_size)
         node_elements = batch_size * self.activation_width
         chunk = max(1, GRADIENT_CHUNK_ELEMENTS // node_elements)
         grads = np.empty((n_nodes, self.layout.total_length))
+        starts = range(0, n_nodes, chunk)
 
-        def chunks(starts: range) -> None:
-            for start in starts:
+        def chunks(lo: int, hi: int) -> None:
+            for start in starts[lo:hi]:
                 rows = slice(start, start + chunk)
                 self.gradient_sum(weights, idx[rows], out=grads[rows])
 
-        starts = range(0, n_nodes, chunk)
-        if len(starts) < 2 or node_elements < GRADIENT_CHUNK_ELEMENTS:
-            chunks(starts)
-        else:
-            mid = len(starts) // 2
-            run_pair(lambda: chunks(starts[:mid]), lambda: chunks(starts[mid:]))
+        in_halves(chunks, len(starts), len(starts) > 1 and node_elements >= GRADIENT_CHUNK_ELEMENTS)
         grads /= float(n_nodes * batch_size)
         return grads
 
@@ -337,15 +333,14 @@ class MlpClassificationTask(SyntheticTask):
         return weights
 
     def _forward(
-        self, weights: np.ndarray, x: np.ndarray, hidden=None, logits=None, batch_rows=None
+        self, weights: np.ndarray, x: np.ndarray, batch_rows: int, hidden=None, logits=None
     ):
         """Hidden activations and logits of the (M, D) sample rows ``x``,
         each computed in one buffer that the caller may overwrite:
         ``hidden`` and ``logits`` if given, else a fresh one. The rows form
-        batches of ``batch_rows`` (one batch of all M by default), and each
-        row's bits are those of its batch's own products."""
+        batches of ``batch_rows``, and each row's bits are those of its
+        batch's own products."""
         hidden_w, hidden_b, output_w, output_b = self._unpack(weights)
-        batch_rows = batch_rows or x.shape[0]
         hidden = row_product(x, hidden_w, batch_rows, out=hidden)
         hidden += hidden_b
         np.tanh(hidden, out=hidden)
@@ -364,10 +359,9 @@ class MlpClassificationTask(SyntheticTask):
         batches = idx.shape[:-1] + (batch_rows, -1)
         rows = idx.reshape(-1)
         x = self.features.take(rows, axis=0)
-        hidden, dlogits = self._forward(weights, x, batch_rows=batch_rows)
+        hidden, dlogits = self._forward(weights, x, batch_rows)
         # softmax as exp(log_softmax): exp(shifted) / sum is not bit-identical
-        dlogits -= column_fold(np.maximum, dlogits)[:, None]
-        dlogits -= np.log(class_sum(np.exp(dlogits)))[:, None]
+        dlogits -= shift_log_sum_exp(dlogits)[:, None]
         np.exp(dlogits, out=dlogits)
         dlogits.reshape(-1)[self.n_classes * np.arange(rows.size) + self.labels[rows]] -= 1.0
         if out is None:
@@ -391,26 +385,22 @@ class MlpClassificationTask(SyntheticTask):
         return out
 
     def evaluate(self, weights: np.ndarray) -> tuple[float, float | None]:
-        """Mean cross-entropy and accuracy over the whole dataset. A wide
-        forward pass (see ``EVALUATE_SPLIT_MACS``) runs as two row halves,
-        cut at n_samples // 2, each writing its own rows of preallocated
-        buffers, one half on a helper thread."""
-        mid = self.n_samples // 2
-        narrowest = min(self.n_features, self.n_classes)
-        if mid * self.hidden_units * narrowest < EVALUATE_SPLIT_MACS:
-            _, logits = self._forward(weights, self.features)
-        else:
-            hidden = np.empty((self.n_samples, self.hidden_units))
-            logits = np.empty((self.n_samples, self.n_classes))
+        """Mean cross-entropy and accuracy over the whole dataset. The forward
+        pass fills preallocated buffers, in two row halves (``in_halves``)
+        once each half's smaller product, S // 2 x hidden x min(features,
+        classes), is past SMALL_GEMM_MACS, so that each half runs the
+        whole's kernel."""
+        hidden = np.empty((self.n_samples, self.hidden_units))
+        logits = np.empty((self.n_samples, self.n_classes))
 
-            def half(rows: slice) -> None:
-                self._forward(weights, self.features[rows], hidden[rows], logits[rows])
+        def forward(lo: int, hi: int) -> None:
+            self._forward(weights, self.features[lo:hi], hi - lo, hidden[lo:hi], logits[lo:hi])
 
-            run_pair(lambda: half(slice(0, mid)), lambda: half(slice(mid, None)))
+        half = (self.n_samples // 2) * self.hidden_units * min(self.n_features, self.n_classes)
+        in_halves(forward, self.n_samples, half > SMALL_GEMM_MACS)
+        # the accuracy first: the shift below runs in place
         accuracy = np.count_nonzero(np.argmax(logits, axis=1) == self.labels) / self.n_samples
-        # shift in place, then take the log-softmax at the labels only
-        logits -= column_fold(np.maximum, logits)[:, None]
-        lse = np.log(class_sum(np.exp(logits)))
+        lse = shift_log_sum_exp(logits)
         at_labels = self.n_classes * np.arange(self.n_samples) + self.labels
         log_probs = logits.reshape(-1).take(at_labels) - lse
         return float(-np.mean(log_probs)), accuracy

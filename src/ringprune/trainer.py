@@ -340,7 +340,8 @@ def run_experiment(
     """Run epochs of super-steps and collect per-step metrics.
 
     Emits an initial evaluation row (step 0) before any training, then one
-    row per step. Aborts with DivergenceError on a non-finite loss.
+    row per step. Aborts with DivergenceError on a non-finite loss, and on
+    the InputError a pruned step raises for a non-finite residual.
     """
     state = init_state(task, cfg, mode)
     topo = RingTopology.create(cfg.n_nodes, task.layout.total_length)
@@ -387,16 +388,19 @@ def run_experiment(
     record(0, 0, None)
     for step in range(cfg.epochs * steps_per_epoch):
         epoch = step // steps_per_epoch
-        if mode == MODE_DENSE:
-            outcome = baseline_dense_step(state, cfg, step, epoch, task=task, topo=topo)
-        elif mode == MODE_COMPRESSED:
-            outcome = compressed_step(
-                state, policy, mask_cfg, cfg, step, epoch, task=task, topo=topo
-            )
-        else:
-            outcome = dgc_contrast_step(
-                state, policy, cfg, step, epoch, task=task, topo=topo
-            )
+        try:
+            if mode == MODE_DENSE:
+                outcome = baseline_dense_step(state, cfg, step, epoch, task=task, topo=topo)
+            elif mode == MODE_COMPRESSED:
+                outcome = compressed_step(
+                    state, policy, mask_cfg, cfg, step, epoch, task=task, topo=topo
+                )
+            else:
+                outcome = dgc_contrast_step(
+                    state, policy, cfg, step, epoch, task=task, topo=topo
+                )
+        except InputError as exc:
+            raise DivergenceError(f"{exc} at step {step + 1} (epoch {epoch})") from exc
         record(step + 1, epoch, outcome)
     return RunResult(metrics=metrics, stats=all_stats)
 

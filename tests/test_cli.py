@@ -515,6 +515,21 @@ def test_run_exit_3_on_divergence(tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize("mode", ["compressed", "dgc_contrast"])
+def test_run_exit_3_on_non_finite_residual(tmp_path, capsys, mode):
+    cfg = minimal_config(tmp_path / "run", mode, epochs=1, batch_size=8)
+    # class centres near the float maximum overflow the first gradient
+    cfg["task"] = {
+        "kind": "mlp_classification_synthetic",
+        "n_samples": 64,
+        "center_scale": 1.7e308,
+    }
+    assert main(["run", str(write_config(tmp_path, cfg)), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert "run diverged: non-finite gradient" in err and "at step 1 (epoch 0)" in err
+
+
 def test_identical_configs_produce_identical_csvs(tmp_path):
     config = write_config(tmp_path, minimal_config(tmp_path / "a"))
     assert main(["run", str(config), "--quiet"]) == 0
@@ -667,6 +682,20 @@ def test_compare_rejects_unfinished_dir(tmp_path, capsys):
     assert main(["compare", str(tmp_path / "empty"), str(tmp_path / "empty")]) == 2
 
 
+def _edit_rows(edit):
+    """A rewrite of a metrics.csv through ``edit`` on its rows."""
+
+    def rewrite(path):
+        with open(path, newline="") as fh:
+            rows = edit(list(csv.DictReader(fh)))
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+
+    return rewrite
+
+
 def _drop_bytes_total(rows):
     return [{k: v for k, v in row.items() if k != "bytes_total"} for row in rows]
 
@@ -676,21 +705,30 @@ def _spoil_final_loss(rows):
     return rows
 
 
+def _huge_final_loss(rows):
+    rows[-1]["loss"] = "1" * 200_000  # past the csv module's field limit
+    return rows
+
+
+def _prefix_utf16_bom(path):
+    path.write_bytes(b"\xff\xfe" + path.read_bytes())
+
+
 @pytest.mark.parametrize(
     "edit, message",
-    [(_drop_bytes_total, "no 'bytes_total' column"), (_spoil_final_loss, "bad 'loss' cell")],
-    ids=["missing-column", "non-numeric-cell"],
+    [
+        (_edit_rows(_drop_bytes_total), "no 'bytes_total' column"),
+        (_edit_rows(_spoil_final_loss), "bad 'loss' cell"),
+        (_prefix_utf16_bom, "can't decode byte 0xff"),
+        (_edit_rows(_huge_final_loss), "field larger than field limit"),
+    ],
+    ids=["missing-column", "non-numeric-cell", "not-utf8", "huge-cell"],
 )
 def test_compare_rejects_malformed_metrics(tmp_path, capsys, edit, message):
     config = write_config(tmp_path, minimal_config(tmp_path / "a"))
     assert main(["run", str(config), "--quiet"]) == 0
     metrics = tmp_path / "a" / "metrics.csv"
-    with open(metrics, newline="") as fh:
-        rows = edit(list(csv.DictReader(fh)))
-    with open(metrics, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+    edit(metrics)
     capsys.readouterr()
     assert main(["compare", str(tmp_path / "a"), str(tmp_path / "a")]) == 2
     err = capsys.readouterr().err

@@ -323,64 +323,113 @@ def test_mlp_evaluate_reports_loss_and_accuracy():
     assert 0.0 <= accuracy <= 1.0
 
 
-def _spy_run_pair(monkeypatch) -> list:
-    """Record each ``tasks.run_pair`` call, then run it as usual."""
+def _spy_in_halves(monkeypatch) -> list:
+    """Record the length of each ``tasks.in_halves`` call that splits, then
+    run it as usual."""
     calls = []
-    real = tasks.run_pair
+    real = tasks.in_halves
 
-    def spy(first, second):
-        calls.append((first, second))
-        real(first, second)
+    def spy(work, n, split):
+        if split:
+            calls.append(n)
+        real(work, n, split)
 
-    monkeypatch.setattr(tasks, "run_pair", spy)
+    monkeypatch.setattr(tasks, "in_halves", spy)
     return calls
 
 
 def _split_samples(n_features: int) -> int:
     """The smallest S at which evaluate splits, at 1024 hidden units and 4
-    classes."""
+    classes: each half's smaller product must pass SMALL_GEMM_MACS."""
     narrowest = min(n_features, 4)
-    return 2 * math.ceil(tasks.EVALUATE_SPLIT_MACS / (1024 * narrowest))
+    return 2 * (tasks.SMALL_GEMM_MACS // (1024 * narrowest) + 1)
 
 
 @pytest.mark.parametrize(
-    "n_features, n_samples",
+    "n_features, hidden_units, n_samples, splits",
     [
-        (20, 2051),
-        (20, _split_samples(20)),
-        (20, _split_samples(20) - 1),
-        (3, _split_samples(3)),
-        (3, _split_samples(20)),
+        (20, 1024, 2051, True),
+        (20, 1024, _split_samples(20), True),
+        (20, 1024, _split_samples(20) - 1, False),
+        (3, 1024, _split_samples(3), True),
+        (3, 1024, _split_samples(3) - 1, False),
+        (20, 1000, 500, False),
     ],
-    ids=["odd", "at-constant", "below", "few-features-at-constant", "few-features-below"],
+    ids=[
+        "odd",
+        "at-constant",
+        "below",
+        "few-features-at-constant",
+        "few-features-below",
+        "half-at-kernel-line",
+    ],
 )
-def test_wide_evaluate_matches_reference_in_halves(monkeypatch, n_features, n_samples):
-    """At and above EVALUATE_SPLIT_MACS evaluate runs two row halves (unequal
-    ones at odd S), below it one pass; either way its bits are the plain
-    formulas'. With fewer features than classes, the features product is
-    each half's smaller one and sets the split."""
+def test_wide_evaluate_matches_reference_in_halves(
+    monkeypatch, n_features, hidden_units, n_samples, splits
+):
+    """Past SMALL_GEMM_MACS in each half's smaller product evaluate runs two
+    row halves (unequal ones at odd S), otherwise one pass; either way its
+    bits are the plain formulas'. With fewer features than classes, the
+    features product is each half's smaller one and sets the split. Halves
+    of exactly SMALL_GEMM_MACS (250 x 1,000 x 4) must not split: they would
+    run the small-matrix kernel where the whole runs the blocked one."""
     task = MlpClassificationTask(
-        n_samples=n_samples, n_features=n_features, hidden_units=1024, n_classes=4, data_seed=4
+        n_samples=n_samples,
+        n_features=n_features,
+        hidden_units=hidden_units,
+        n_classes=4,
+        data_seed=4,
     )
-    calls = _spy_run_pair(monkeypatch)
+    calls = _spy_in_halves(monkeypatch)
     rng = np.random.default_rng(12)
     init = task.init_weights(rng)
     for weights in (init, rng.standard_normal(init.shape)):
         assert task.evaluate(weights) == mlp_evaluate(task, weights)
-    assert len(calls) == (2 if n_samples >= _split_samples(n_features) else 0)
+    assert calls == ([n_samples] * 2 if splits else [])
 
 
-def test_run_pair_raises_the_helpers_exception():
+def _record_thread_starts(monkeypatch) -> list:
+    """Record each thread started through ``threading.Thread``."""
+    started = []
+
+    class RecordingThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", RecordingThread)
+    return started
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8])
+@pytest.mark.parametrize("split", [False, True], ids=["inline", "split"])
+def test_in_halves_cuts_at_the_middle(monkeypatch, split, n):
+    """Split, ``work`` runs on [0, n // 2) on one helper thread and on
+    [n // 2, n) on the caller's; unsplit, on [0, n) on the caller's, with
+    no thread started."""
+    started = _record_thread_starts(monkeypatch)
+    calls = []
+    tasks.in_halves(lambda lo, hi: calls.append((lo, hi, threading.get_ident())), n, split)
+    caller = threading.get_ident()
+    if split:
+        assert len(started) == 1
+        assert sorted(calls) == [(0, n // 2, started[0].ident), (n // 2, n, caller)]
+    else:
+        assert started == [] and calls == [(0, n, caller)]
+
+
+def test_in_halves_raises_the_helpers_exception():
     """The helper thread's exception reaches the caller, after the caller's
     own half has run."""
     threads = []
 
-    def failing_half():
+    def work(lo, hi):
         threads.append(threading.get_ident())
-        raise ValueError("helper half failed")
+        if lo == 0:
+            raise ValueError("helper half failed")
 
     with pytest.raises(ValueError, match="helper half failed"):
-        tasks.run_pair(failing_half, lambda: threads.append(threading.get_ident()))
+        tasks.in_halves(work, 2, True)
     assert len(set(threads)) == 2 and threading.get_ident() in threads
 
 
@@ -425,7 +474,7 @@ def test_node_gradient_splits_only_one_node_chunks(
     idx = task.batch_indices(3, n_nodes, batch_size)
     expected = np.stack([task.gradient_sum(weights, row) for row in idx])
     calls = _record_gradient_threads(task)
-    pairs = _spy_run_pair(monkeypatch)
+    splits = _spy_in_halves(monkeypatch)
     # switch threads as often as the interpreter allows while both halves run
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -433,7 +482,7 @@ def test_node_gradient_splits_only_one_node_chunks(
         got = task.node_gradient(weights, 3, n_nodes, batch_size)
     finally:
         sys.setswitchinterval(interval)
-    assert len(pairs) == (1 if helper_nodes else 0)
+    assert len(splits) == (1 if helper_nodes else 0)
     assert np.array_equal(got, expected / float(n_nodes * batch_size))
     caller = threading.get_ident()
     off_caller = sorted(first for first, thread in calls if thread != caller)
@@ -455,7 +504,7 @@ def test_node_gradient_raises_the_helpers_exception():
 
 def test_linear_evaluate_never_splits(monkeypatch):
     task = LinearRegressionTask(n_samples=1 << 16, n_features=8, data_seed=6)
-    calls = _spy_run_pair(monkeypatch)
+    calls = _spy_in_halves(monkeypatch)
     weights = task.init_weights(np.random.default_rng(14))
     residual = task.features @ weights[:-1] + weights[-1] - task.targets
     assert task.evaluate(weights) == (float(0.5 * np.sum(residual**2)) / task.n_samples, None)

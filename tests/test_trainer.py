@@ -887,6 +887,24 @@ def test_run_divergence_aborts_with_diagnostic(mode, policy):
         run_experiment(task, cfg, policy, MaskAgreementConfig(n_selected_nodes=1), mode)
 
 
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize(
+    "mode, policy",
+    [(MODE_COMPRESSED, warmup_policy()), (MODE_DGC_CONTRAST, fixed_policy(0.05))],
+    ids=["compressed", "dgc_contrast"],
+)
+def test_run_divergence_on_non_finite_residual(mode, policy):
+    # Class centres near the float maximum overflow the first gradient, so a
+    # pruned step's residual check fails before any loss is recorded.
+    task = MlpClassificationTask(n_samples=64, center_scale=1.7e308)
+    cfg = TrainingConfig(batch_size=8, n_nodes=2, epochs=1)
+    with pytest.raises(
+        DivergenceError, match=r"non-finite gradient at node 0, index 0 at step 1 \(epoch 0\)"
+    ) as caught:
+        run_experiment(task, cfg, policy, MaskAgreementConfig(n_selected_nodes=1), mode)
+    assert isinstance(caught.value.__cause__, InputError)
+
+
 def test_run_is_deterministic():
     task = MlpClassificationTask(
         n_samples=128, n_features=8, hidden_units=10, n_classes=3, data_seed=41

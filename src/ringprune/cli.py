@@ -99,11 +99,15 @@ def _summarise(rows: list[dict], path: Path) -> dict[str, float | None]:
             raise ConfigError(f"{path}: bad '{key}' cell: {exc}") from None
 
     ratios = [r for r in column("compression_ratio") if r is not None and math.isfinite(r)]
+    try:
+        total_bytes = float(sum(column("bytes_total", int)))
+    except OverflowError:
+        raise ConfigError(f"{path}: 'bytes_total' sums past the float range") from None
     return {
         "final_loss": column("loss")[-1],
         "final_accuracy": column("accuracy")[-1],
         "mean_compression_ratio": sum(ratios) / len(ratios) if ratios else None,
-        "total_bytes": float(sum(column("bytes_total", int))),
+        "total_bytes": total_bytes,
     }
 
 

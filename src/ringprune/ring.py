@@ -8,10 +8,11 @@ contributions in ring order starting from the owner:
 
 Fixing the summation order this way makes repeated runs bit-identical and
 lets an independent checker reproduce the exact floating-point result. The
-reduce kernel does not move buffers hop by hop: it rotates each chunk's
-column block of the (node, entry) array once, so that row i holds the
-chunk's i-th contributor, then adds the rows in order. Every element then
-sees the additions of the hop-by-hop ring in the same order.
+reduce kernel does not move buffers hop by hop, nor copy the (node, entry)
+array: it adds the rows in place into one total that starts at -0.0, in two
+passes. The first adds each node i's entries of chunks 0..i, the second
+each node i's entries of chunks i+1..N-1, so every element sees the
+additions of the hop-by-hop ring in the same order.
 
 The messages are those of the scatter-reduce and allgather schedules of
 Patarasuk & Yuan (JPDC 2009), 2(N-1) per node: at scatter hop s node k
@@ -245,7 +246,8 @@ def _stack_vectors(contributions, topo: RingTopology) -> np.ndarray:
 
 def _rotate_chunks(rows: np.ndarray, bounds) -> np.ndarray:
     """Reorder each chunk's column block so that row i holds the chunk's i-th
-    contributor: columns bounds[c]:bounds[c + 1] of row i come from node c + i."""
+    contributor: columns bounds[c]:bounds[c + 1] of row i come from node c + i.
+    Only the contrast reduce uses it, for the running OR of its masks."""
     n = rows.shape[0]
     rotated = np.empty_like(rows)
     for c in range(n):
@@ -258,13 +260,24 @@ def _rotate_chunks(rows: np.ndarray, bounds) -> np.ndarray:
 def _ring_sum(rows: np.ndarray, bounds) -> np.ndarray:
     """Owner-first sum of ``rows`` (one per node) over chunks ``bounds``.
 
-    The rows are added one at a time: ``np.add.reduce(rotated, axis=0)``
-    sums a one-column array pairwise, which breaks the ring's order.
+    Chunk c's sum is x_c + x_{c+1} + ... + x_{N-1} + x_0 + ... + x_{c-1},
+    added left to right into one (P,) total in two passes. Pass 1 adds row
+    i's columns :bounds[i + 1], so every chunk c <= i gets its term x_i in
+    the order c, ..., N-1; pass 2 then adds row i's columns bounds[i + 1]:,
+    so every chunk c > i gets x_0, ..., x_{c-1}. The total starts at -0.0,
+    which leaves the first term's bits as they are (+0.0 would turn a sum of
+    -0.0s into +0.0). The rows are added one at a time:
+    ``np.add.reduce(..., axis=0)`` sums a one-column array pairwise, which
+    breaks the ring's order.
     """
-    rotated = _rotate_chunks(rows, bounds)
-    total = rotated[0].copy()
-    for row in rotated[1:]:
-        total += row
+    total = np.full(rows.shape[1], -0.0)
+    ends = bounds[1:]
+    for row, end in zip(rows, ends):
+        head = total[:end]
+        np.add(head, row[:end], out=head)
+    for row, end in zip(rows[:-1], ends):
+        tail = total[end:]
+        np.add(tail, row[end:], out=tail)
     return total
 
 

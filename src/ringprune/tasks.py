@@ -25,7 +25,8 @@ reduction per row; the accuracy's argmax, and the row sum from
 PAIRWISE_LANES classes on, are numpy's own calls.
 Bit-identity with the per-batch products rests on the BLAS computing a
 row block of a GEMM as the GEMM of that block alone; the pinned artifact
-digests hold for numpy 2.4.6's bundled OpenBLAS with its SkylakeX kernels.
+digests hold for numpy 2.4.6 with its AVX-512 loops and its bundled
+OpenBLAS's SkylakeX kernels.
 Wide work runs as two halves through ``in_halves``, the first on a helper
 thread: the evaluation's rows once each half's products pass
 SMALL_GEMM_MACS, the gradient's chunks once one node fills a chunk. The

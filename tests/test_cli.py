@@ -710,6 +710,11 @@ def _huge_final_loss(rows):
     return rows
 
 
+def _huge_bytes_total(rows):
+    rows[-1]["bytes_total"] = "1" + "0" * 400  # an int, but past float's range
+    return rows
+
+
 def _prefix_utf16_bom(path):
     path.write_bytes(b"\xff\xfe" + path.read_bytes())
 
@@ -721,8 +726,9 @@ def _prefix_utf16_bom(path):
         (_edit_rows(_spoil_final_loss), "bad 'loss' cell"),
         (_prefix_utf16_bom, "can't decode byte 0xff"),
         (_edit_rows(_huge_final_loss), "field larger than field limit"),
+        (_edit_rows(_huge_bytes_total), "'bytes_total' sums past the float range"),
     ],
-    ids=["missing-column", "non-numeric-cell", "not-utf8", "huge-cell"],
+    ids=["missing-column", "non-numeric-cell", "not-utf8", "huge-cell", "huge-bytes-total"],
 )
 def test_compare_rejects_malformed_metrics(tmp_path, capsys, edit, message):
     config = write_config(tmp_path, minimal_config(tmp_path / "a"))

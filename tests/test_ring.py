@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -569,6 +570,67 @@ def test_collectives_match_hop_by_hop_oracle(n, length):
     assert np.array_equal(reduced.indices, idx)
     assert reduced.values.tobytes() == values.tobytes()
     assert stats.records == oracle_stats.records
+
+
+def _edge_case_rows(rng, n, length):
+    """(n, length) contributions whose columns cycle through four kinds: all
+    -0.0, mixed +-0.0, subnormals (signed multiples of the smallest, zeros
+    among them) and normals of mixed magnitude, whose sums depend on the
+    order of their additions."""
+    kinds = np.arange(length) % 4
+    rows = np.empty((n, length))
+    rows[:, kinds == 0] = -0.0
+    rows[:, kinds == 1] = rng.choice([-0.0, 0.0], size=(n, np.count_nonzero(kinds == 1)))
+    tiny = np.finfo(np.float64).smallest_subnormal
+    rows[:, kinds == 2] = tiny * rng.integers(-3, 4, size=(n, np.count_nonzero(kinds == 2)))
+    shape = (n, np.count_nonzero(kinds == 3))
+    rows[:, kinds == 3] = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, shape)
+    return rows
+
+
+@pytest.mark.parametrize("n", [2, 3, 64])
+def test_reduces_match_hop_by_hop_oracle_bit_for_bit_on_edge_cases(n):
+    # Signed zeros catch a sum that starts from +0.0; the mixed-magnitude
+    # normals catch any other order of the additions.
+    rng = np.random.default_rng(n)
+    for length in sorted({n - 1, 4 * n + 3}):
+        topo = RingTopology.create(n, length)
+        rows = _edge_case_rows(rng, n, length)
+        total, _ = dense_allreduce(rows, topo, step=3)
+        expected, _ = hop_dense_oracle(list(rows), topo, 3)
+        assert total.tobytes() == expected.tobytes()
+        for nnz in sorted({0, 1, 2, length} & set(range(length + 1))):
+            shared = np.sort(rng.choice(length, size=nnz, replace=False))
+            parts = SparseGradient(shared, rows[:, shared], length)
+            reduced, _ = sparse_allreduce(parts, topo, step=3)
+            _, values, _ = hop_sparse_oracle(parts, topo, 3)
+            assert reduced.values.tobytes() == values.tobytes()
+        bits = rng.random((n, length)) < 0.5
+        reduced, _ = naive_sparse_allreduce(rows, bits, topo, step=3)
+        idx, values, _ = hop_naive_oracle(list(rows), bits, topo, 3)
+        assert np.array_equal(reduced.indices, idx)
+        assert reduced.values.tobytes() == values.tobytes()
+
+
+def test_fixed_size_reduces_allocate_o_p_not_o_np():
+    # A kernel that copies the (N, nnz) block, rotated or not, would fail here.
+    rng = np.random.default_rng(12)
+    n, length = 64, 1204
+    topo = RingTopology.create(n, length)
+    rows = rng.standard_normal((n, length))
+    shared = np.flatnonzero(rng.random(length) < 0.5)
+    parts = SparseGradient(shared, rows[:, shared], length)
+    for reduce, args, block in (
+        (dense_allreduce, (rows, topo), rows),
+        (sparse_allreduce, (parts, topo), parts.values),
+    ):
+        tracemalloc.start()
+        try:
+            reduce(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < block.nbytes // 8, (reduce.__name__, peak, block.nbytes)
 
 
 def test_fixed_size_reduces_store_o_n_integers_per_phase():

@@ -46,13 +46,19 @@ def cmd_run(config_path: str, *, seed: int | None = None, out: str | None = None
         experiment.mask_cfg,
         experiment.mode,
     )
-    write_metrics_csv(result.metrics, out_dir / METRICS_NAME)
-    write_bandwidth_csv(result.stats, out_dir / BANDWIDTH_NAME)
-    write_manifest(experiment, out_dir / MANIFEST_NAME)
+    for name, write, content in (
+        (METRICS_NAME, write_metrics_csv, result.metrics),
+        (BANDWIDTH_NAME, write_bandwidth_csv, result.stats),
+        (MANIFEST_NAME, write_manifest, experiment),
+    ):
+        path = out_dir / name
+        try:
+            write(content, path)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
+        if not quiet:
+            print(f"wrote {path}")
     if not quiet:
-        print(f"wrote {out_dir / METRICS_NAME}")
-        print(f"wrote {out_dir / BANDWIDTH_NAME}")
-        print(f"wrote {out_dir / MANIFEST_NAME}")
         print(
             f"mode={experiment.mode} steps={result.metrics[-1].step} "
             f"final_loss={result.final_loss():.6g} total_bytes={result.total_bytes()}"

@@ -71,15 +71,24 @@ def _expect_float(value, path: str) -> float:
         raise ConfigError(f"{path}: number too large for a float") from None
 
 
-def _expect_int(value, path: str) -> int:
+def _expect_integer(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
     return value
 
 
+def _expect_int(value, path: str) -> int:
+    """An integer that fits a signed 64-bit integer, as numpy's sizes and
+    counts must."""
+    if not -(2**63) <= _expect_integer(value, path) < 2**63:
+        raise ConfigError(f"{path}: integer too large for a signed 64-bit integer")
+    return value
+
+
 def _expect_seed(value, path: str) -> int:
-    """A seed keys numpy's SeedSequence, which takes non-negative integers."""
-    if _expect_int(value, path) < 0:
+    """A seed keys numpy's SeedSequence, which takes any non-negative
+    integer, so a seed has no upper bound."""
+    if _expect_integer(value, path) < 0:
         raise ConfigError(f"{path}: expected a non-negative integer, got {value!r}")
     return value
 

@@ -68,12 +68,13 @@ class EpochSchedule:
         raise ConfigError(f"epoch {epoch} is not covered by the schedule")
 
     def covers(self, first_epoch: int, last_epoch: int) -> bool:
-        try:
-            for epoch in range(first_epoch, last_epoch + 1):
-                self.value_at(epoch)
-        except ConfigError:
-            return False
-        return True
+        """Whether a span holds every epoch of first..last. The spans are
+        sorted and disjoint, so one pass moves the first uncovered epoch
+        past each span that holds it."""
+        for start, end, _value in self.spans:
+            if start <= first_epoch < end:
+                first_epoch = end
+        return first_epoch > last_epoch
 
 
 @dataclass(frozen=True)

@@ -244,19 +244,6 @@ def _stack_vectors(contributions, topo: RingTopology) -> np.ndarray:
     return rows
 
 
-def _rotate_chunks(rows: np.ndarray, bounds) -> np.ndarray:
-    """Reorder each chunk's column block so that row i holds the chunk's i-th
-    contributor: columns bounds[c]:bounds[c + 1] of row i come from node c + i.
-    Only the contrast reduce uses it, for the running OR of its masks."""
-    n = rows.shape[0]
-    rotated = np.empty_like(rows)
-    for c in range(n):
-        cols = slice(bounds[c], bounds[c + 1])
-        rotated[: n - c, cols] = rows[c:, cols]
-        rotated[n - c :, cols] = rows[:c, cols]
-    return rotated
-
-
 def _ring_sum(rows: np.ndarray, bounds) -> np.ndarray:
     """Owner-first sum of ``rows`` (one per node) over chunks ``bounds``.
 
@@ -406,11 +393,12 @@ def naive_sparse_allreduce(
     ``local_bits`` is the (N, P) bool stack of the nodes' masks, row k node
     k's. Each node contributes only its own masked entries, but partial sums
     union their index sets hop by hop, so payloads grow as they travel.
-    Message bytes reflect the growing unions: a running OR of the masks in
-    each chunk's owner-first order. The result is the sum of the masked
-    contributions on the union support. Since scatter payloads change size
-    hop by hop, that phase is recorded message by message, from an (N, N)
-    table of entry counts.
+    Message bytes reflect the growing unions: a running OR of the masks,
+    built per chunk from chunk c's column block, stacked in the chunk's
+    owner-first order and OR-accumulated in place. The result is the sum of
+    the masked contributions on the union support. Since scatter payloads
+    change size hop by hop, that phase is recorded message by message, from
+    an (N, N) table of entry counts.
     """
     rows = _stack_vectors(contributions, topo)
     bits = np.asarray(local_bits)
@@ -420,15 +408,17 @@ def naive_sparse_allreduce(
             f"per node of vector length {topo.length}"
         )
     bounds = topo.chunk_bounds
-    # running[s] is, per column, the OR of the first s + 1 contributors'
-    # masks in the column's chunk order; its last row is the full union.
-    running = np.logical_or.accumulate(_rotate_chunks(bits, bounds), axis=0)
     n = topo.n_nodes
     # counts[s, c]: entries in chunk c's partial once it holds s + 1 contributions
-    counts = np.stack(
-        [np.count_nonzero(running[:, bounds[c] : bounds[c + 1]], axis=1) for c in range(n)],
-        axis=1,
-    )
+    counts = np.empty((n, n), dtype=np.int64)
+    union = np.empty(topo.length, dtype=bool)
+    for c in range(n):
+        cols = slice(bounds[c], bounds[c + 1])
+        # row s: the OR of chunk c's first s + 1 contributors' masks
+        running = np.concatenate((bits[c:, cols], bits[:c, cols]))
+        np.logical_or.accumulate(running, axis=0, out=running)
+        counts[:, c] = np.count_nonzero(running, axis=1)
+        union[cols] = running[-1]
     entry_bytes = VALUE_BYTES + INDEX_BYTES
     senders = np.arange(n)
     hops = senders[: n - 1, None]
@@ -437,5 +427,5 @@ def naive_sparse_allreduce(
     stats.record_messages(step, PHASE_SCATTER, np.tile(senders, n - 1), scatter.ravel())
     stats.record_ring_phase(step, PHASE_ALLGATHER, entry_bytes * counts[n - 1])
     total = _ring_sum(np.where(bits, rows, 0.0), bounds)
-    idx = np.flatnonzero(running[-1])
+    idx = np.flatnonzero(union)
     return SparseGradient(indices=idx, values=total[idx], total_length=topo.length), stats

@@ -7,13 +7,24 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from ringprune.cli import main
-from ringprune.config import BANDWIDTH_NAME, METRICS_NAME, resolve_experiment
+from ringprune.config import (
+    _SEED_FIELDS,
+    BANDWIDTH_NAME,
+    MANIFEST_NAME,
+    METRICS_NAME,
+    resolve_experiment,
+)
 from ringprune.errors import ConfigError
+from ringprune.importance import ThresholdPolicy
+from ringprune.ring import MaskAgreementConfig
+from ringprune.tasks import TASK_KINDS
+from ringprune.trainer import TrainingConfig
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -81,8 +92,11 @@ def test_module_entry_point_runs_from_checkout(tmp_path):
 # Two short runs that go through every branch of the pruned pipeline: a
 # compressed run at N = 64 whose layer-wise thresholds (ratio_weight > 0) fall
 # on both sides of ratio_pivot and clamp at thr_max, and a clipped
-# dgc_contrast run. A third, clipped dense run at N = 6 (not a power of two)
-# covers the baseline's momentum velocity. The next three are the benchmark's
+# dgc_contrast run. The compressed run's task and training also run as a
+# dgc_contrast run at a higher base threshold, which pins the contrast
+# reduce's growing unions over 64 chunks at densities of 0.67 to 0.88. A
+# clipped dense run at N = 6 (not a power of two) covers the baseline's
+# momentum velocity. The next three are the benchmark's
 # ring64-pruned, wide4-pruned and dense64 configs at run seed 16, written out
 # here so that the pins do not move with the benchmark's workload definitions.
 # The last is a compressed run whose learning rate drops when warm-up ends.
@@ -143,6 +157,37 @@ PINNED_RUNS = {
         },
         "26d03370b06c26d3c7fb979f43311fcda3bf00f37c17bceacf33a1391674b22e",
         "75f9bdcc4c8b5baf84cc52953bb743ec3518dff29bc4fc61b0141c8fe6e19b93",
+    ),
+    "dgc_contrast64": (
+        {
+            "task": {
+                "kind": "mlp_classification_synthetic",
+                "n_samples": 1024,
+                "n_features": 8,
+                "hidden_units": 12,
+                "n_classes": 3,
+                "data_seed": 5,
+            },
+            "training": {
+                "momentum": 0.9,
+                "learning_rate": 0.1,
+                "batch_size": 4,
+                "n_nodes": 64,
+                "seed": 11,
+                "epochs": 4,
+            },
+            "threshold": {
+                "base": 0.2,
+                "ratio_weight": 0.01,
+                "ratio_pivot": 1.0,
+                "warmup_epochs": 1,
+                "thr_max": 0.3,
+            },
+            "mask_agreement": {"n_selected_nodes": 2, "shared_seed": 3},
+            "mode": "dgc_contrast",
+        },
+        "68cefec7dbef1cec93f926445b828514411a6c5eabd59c51697ea302f48ebedd",
+        "761f831e789aa08d48c9a14a5e2b897e01d94bb2cea381de31607adc21d25320",
     ),
     "dense6": (
         {
@@ -464,6 +509,62 @@ def test_run_rejects_unknown_key(tmp_path, capsys, section, value, message, flag
     assert message in capsys.readouterr().err
 
 
+def _bounded_integer_keys():
+    """(section, task kind, key, span bound) of every integer a config gives
+    other than a seed, read from the config dataclasses' fields: each plain
+    integer field, and the start and end of each schedule span."""
+    sections = [("task", kind, cls) for kind, cls in TASK_KINDS.items()]
+    sections += [
+        ("training", None, TrainingConfig),
+        ("threshold", None, ThresholdPolicy),
+        ("mask_agreement", None, MaskAgreementConfig),
+    ]
+    for section, kind, cls in sections:
+        for f in fields(cls):
+            if f.type in ("int", "int | None") and f.name not in _SEED_FIELDS:
+                yield pytest.param(section, kind, f.name, None, id=f"{kind or section}.{f.name}")
+            elif f.type == "EpochSchedule":
+                for bound in ("start", "end"):
+                    yield pytest.param(
+                        section, kind, f.name, bound, id=f"{kind or section}.{f.name}.{bound}"
+                    )
+
+
+@pytest.mark.parametrize("value", [2**63, -(2**63) - 1], ids=["2^63", "-2^63-1"])
+@pytest.mark.parametrize("section, kind, key, bound", _bounded_integer_keys())
+def test_run_rejects_integer_past_int64(tmp_path, capsys, monkeypatch, section, kind, key, bound, value):
+    """An integer outside the signed 64-bit range is a config error naming
+    its path (exit 2), found before any step runs."""
+    calls = []
+    monkeypatch.setattr("ringprune.cli.run_experiment", lambda *args: calls.append(args))
+    cfg = minimal_config(tmp_path / "run")
+    if kind is not None:
+        cfg[section] = {"kind": kind}
+    path = f"{section}.{key}"
+    if bound is None:
+        cfg[section][key] = value
+    else:
+        cfg[section][key] = [{"start": 0, "end": None, "value": 0.05, bound: value}]
+        path += f"[0].{bound}"
+    config = write_config(tmp_path, cfg)
+    assert main(["run", str(config), "--quiet"]) == 2
+    assert f"{path}: integer too large" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_seeds_and_int64_bounds_are_accepted(tmp_path):
+    """Seeds key numpy's SeedSequence, which takes any non-negative integer,
+    so they have no upper bound; the largest signed 64-bit integer passes."""
+    cfg = minimal_config(tmp_path / "run")
+    cfg["task"]["data_seed"] = 2**200
+    cfg["training"]["seed"] = 2**200
+    cfg["mask_agreement"]["shared_seed"] = 2**200
+    cfg["training"]["learning_rate"] = [{"start": 0, "end": 2**63 - 1, "value": 0.05}]
+    experiment = resolve_experiment(cfg)
+    assert experiment.training.seed == 2**200
+    assert experiment.training.learning_rate.spans == ((0, 2**63 - 1, 0.05),)
+
+
 def test_run_rejects_missing_file(tmp_path, capsys):
     assert main(["run", str(tmp_path / "absent.json"), "--quiet"]) == 2
 
@@ -501,6 +602,17 @@ def test_run_rejects_unwritable_out_before_training(tmp_path, capsys, monkeypatc
     assert main(["run", str(config), "--out", str(taken), "--quiet"]) == 2
     assert f"out_dir: cannot create {taken}" in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize("name", [METRICS_NAME, BANDWIDTH_NAME, MANIFEST_NAME])
+def test_run_rejects_unwritable_output_file(tmp_path, capsys, name):
+    """An output file that cannot be written (here a directory holds its
+    name) is a config error naming the file (exit 2), not a traceback."""
+    config = write_config(tmp_path, minimal_config(tmp_path / "run"))
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert main(["run", str(config), "--out", str(out), "--quiet"]) == 2
+    assert f"cannot write {out / name}" in capsys.readouterr().err
 
 
 def test_run_exit_3_on_divergence(tmp_path, capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringprune import (
     BitMask,
@@ -16,7 +18,12 @@ from ringprune import (
     split_by_mask,
     thresholds_for,
 )
-from ringprune.importance import DEFAULT_WEIGHT_EPS, STAT_EPS, check_finite
+from ringprune.importance import (
+    DEFAULT_WEIGHT_EPS,
+    SCHEDULE_OPEN_END,
+    STAT_EPS,
+    check_finite,
+)
 
 from oracles import ParamStream, reference_masks, reference_thresholds
 
@@ -281,6 +288,39 @@ def test_schedule_span_validation():
     assert sched.value_at(5) == 0.2
     assert sched.covers(0, 9)
     assert not sched.covers(0, 10)
+
+
+@st.composite
+def _schedules(draw):
+    """Valid span lists: sorted and disjoint, each next span adjacent to the
+    last or after a gap, the last one open-ended or not."""
+    spans = []
+    start = draw(st.integers(0, 4))
+    for _ in range(draw(st.integers(1, 4))):
+        end = start + draw(st.integers(1, 4))
+        spans.append((start, end, 0.1))
+        start = end + draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        spans[-1] = (spans[-1][0], SCHEDULE_OPEN_END, 0.1)
+    return EpochSchedule(tuple(spans))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_schedules(), st.integers(-2, 24), st.integers(-2, 24))
+def test_schedule_covers_matches_per_epoch_definition(sched, first, last):
+    # first > last is an empty range, which every schedule covers.
+    expected = all(
+        any(start <= epoch < end for start, end, _ in sched.spans)
+        for epoch in range(first, last + 1)
+    )
+    assert sched.covers(first, last) == expected
+
+
+def test_schedule_covers_a_long_range_without_visiting_each_epoch():
+    two_spans = EpochSchedule(((0, 5, 0.1), (5, SCHEDULE_OPEN_END, 0.2)))
+    assert two_spans.covers(0, 10**18)
+    assert not EpochSchedule(((0, 5, 0.1), (6, SCHEDULE_OPEN_END, 0.2))).covers(0, 10**18)
+    assert not EpochSchedule(((0, 10**17, 0.1),)).covers(0, 10**18)
 
 
 # --- build_local_mask --------------------------------------------------------

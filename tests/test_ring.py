@@ -633,6 +633,25 @@ def test_fixed_size_reduces_allocate_o_p_not_o_np():
         assert peak < block.nbytes // 8, (reduce.__name__, peak, block.nbytes)
 
 
+def test_contrast_reduce_copies_no_n_by_p_bool_stack():
+    # The (N, P) masked float copy stays, since it is what the shared sum
+    # kernel adds: that is 1x the rows' bytes, and the growing unions must
+    # fit in the rest. A rotated copy of the (N, P) masks and a running OR of
+    # that size would take the peak to about 1.31x.
+    rng = np.random.default_rng(13)
+    n, length = 64, 1204
+    topo = RingTopology.create(n, length)
+    rows = rng.standard_normal((n, length))
+    bits = rng.random((n, length)) < 0.1
+    tracemalloc.start()
+    try:
+        naive_sparse_allreduce(rows, bits, topo)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * rows.nbytes, (peak, rows.nbytes)
+
+
 def test_fixed_size_reduces_store_o_n_integers_per_phase():
     # A return to stored per-message arrays, 2 x N(N-1) integers per phase,
     # would fail here.

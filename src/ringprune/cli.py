@@ -5,7 +5,8 @@ trainer, and serialises what comes back. ``run`` writes metrics.csv,
 bandwidth.csv, and manifest.json into the output directory; ``compare``
 prints an alignment of two finished runs as CSV on stdout.
 
-Exit codes: 0 success, 2 configuration error, 3 diverged run.
+Exit codes: 0 success, 2 configuration error (a run that cannot get its
+memory included), 3 diverged run.
 """
 
 from __future__ import annotations
@@ -168,7 +169,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            return cmd_run(args.config, seed=args.seed, out=args.out, quiet=args.quiet)
+            try:
+                return cmd_run(args.config, seed=args.seed, out=args.out, quiet=args.quiet)
+            except MemoryError:
+                raise ConfigError("the run needs more memory than it can get") from None
         return cmd_compare(args.run_dir_a, args.run_dir_b)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -17,7 +17,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .importance import SCHEDULE_OPEN_END, EpochSchedule, ThresholdPolicy
 from .ring import MaskAgreementConfig
-from .tasks import TASK_KINDS, SyntheticTask
+from .tasks import TASK_KINDS, SyntheticTask, check_array_sizes
 from .trainer import MODE_COMPRESSED, MODE_DENSE, MODES, TrainingConfig
 
 MANIFEST_FORMAT = "ringprune-run-manifest"
@@ -210,6 +210,12 @@ def resolve_experiment(
             f"task.n_samples: {task.n_samples} is below training.n_nodes {training.n_nodes}, "
             "which would leave a node without samples"
         )
+    n, batch = training.n_nodes, training.batch_size
+    check_array_sizes([
+        ("training.n_nodes x the task's parameter count", (n, task.layout.total_length)),
+        ("training.n_nodes x training.batch_size x the task's widest layer",
+         (n * batch, task.activation_width)),
+    ])
     if mask_cfg.n_selected_nodes > training.n_nodes:
         raise ConfigError(
             f"mask_agreement.n_selected_nodes: {mask_cfg.n_selected_nodes} exceeds "

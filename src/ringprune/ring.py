@@ -18,11 +18,10 @@ The messages are those of the scatter-reduce and allgather schedules of
 Patarasuk & Yuan (JPDC 2009), 2(N-1) per node: at scatter hop s node k
 forwards its partial of chunk k - s, and at allgather hop s the finished
 chunk k + 1 - s. So over a phase scatter sender k sends every chunk but
-k + 1, and allgather sender k every chunk but k + 2. When a chunk's size does
-not change in transit (the dense and the shared-index reduce), a phase's
-payload bytes follow from its N per-chunk byte counts, and :class:`LinkStats`
-stores just those; on a ring the sending node identifies the link, since
-node k only ever sends to k+1.
+k + 1, and allgather sender k every chunk but k + 2. A phase's messages thus
+follow from a table of chunk bytes, one row, or one row per hop when chunks
+grow in transit (the contrast's scatter), which is all :class:`LinkStats`
+stores. The sending node identifies the link: node k only sends to k+1.
 """
 
 from __future__ import annotations
@@ -117,9 +116,9 @@ class _Messages(NamedTuple):
 
 
 class _RingPhase(NamedTuple):
-    """One reduce phase of the ring schedule over chunks whose size does not
-    change in transit: at hop s node k sends chunk (k + offset - s) mod N, of
-    ``chunk_bytes[c]`` bytes."""
+    """One reduce phase of the ring schedule: at hop s node k sends chunk
+    c = (k + offset - s) mod N, of ``chunk_bytes[s mod rows, c]`` bytes. The
+    table has one row, or N-1, one per hop, when chunks grow in transit."""
 
     step: int
     phase: str
@@ -127,21 +126,24 @@ class _RingPhase(NamedTuple):
 
     def messages(self) -> tuple[np.ndarray, np.ndarray]:
         """(N-1) x N messages, hop by hop, each hop's in sender order."""
-        n = self.chunk_bytes.shape[0]
+        n = self.chunk_bytes.shape[1]
         senders = np.arange(n)
         chunks = (senders + _PHASE_OFFSETS[self.phase] - senders[: n - 1, None]) % n
-        return np.tile(senders, n - 1), self.chunk_bytes[chunks].ravel()
+        return np.tile(senders, n - 1), np.take_along_axis(self.chunk_bytes, chunks, 1).ravel()
 
     def per_sender(self) -> tuple[np.ndarray, np.ndarray]:
-        # over its N-1 hops node k sends every chunk but k + offset + 1
-        n = self.chunk_bytes.shape[0]
+        rows, n = self.chunk_bytes.shape
         senders = np.arange(n)
-        skipped = self.chunk_bytes[(senders + _PHASE_OFFSETS[self.phase] + 1) % n]
+        if rows > 1:  # a per-hop table: sum its messages by sender
+            return senders, self.messages()[1].reshape(n - 1, n).sum(axis=0)
+        # over its N-1 hops node k sends every chunk but k + offset + 1
+        skipped = self.chunk_bytes[0, (senders + _PHASE_OFFSETS[self.phase] + 1) % n]
         return senders, int(self.chunk_bytes.sum()) - skipped
 
     def payload_bytes(self) -> int:
-        # each chunk crosses N-1 hops
-        return (self.chunk_bytes.shape[0] - 1) * int(self.chunk_bytes.sum())
+        # each chunk crosses N-1 hops, at one row's bytes or at each hop's own
+        rows, n = self.chunk_bytes.shape
+        return (n - 1) * int(self.chunk_bytes.sum()) // rows
 
 
 class LinkStats:
@@ -149,9 +151,9 @@ class LinkStats:
 
     Each recording call appends one block. :meth:`record_messages` keeps two
     equal-length int64 arrays, the senders and the payload bytes of its
-    messages (a mask round's N-1 forwards, say). :meth:`record_ring_phase`
-    keeps a reduce phase whose chunks do not change size in transit as its N
-    per-chunk byte counts, O(N) where its messages number N(N-1). Byte
+    messages: a mask round keeps its forwards' senders and bytes. A reduce
+    phase's :meth:`record_ring_phase` keeps its table of chunk bytes, one row
+    of N or one row per hop, where its messages number N(N-1). Byte
     counts sum each block's total and the bandwidth rows its per-sender
     totals; :attr:`records` is a read-only view that expands
     the blocks into one (step, sender, phase, payload_bytes) tuple per
@@ -173,17 +175,18 @@ class LinkStats:
         self._blocks.append(_Messages(int(step), phase, senders, sizes))
 
     def record_ring_phase(self, step: int, phase: str, chunk_bytes) -> None:
-        """One scatter-reduce or allgather phase on a ring of
-        ``len(chunk_bytes)`` nodes, chunk c being ``chunk_bytes[c]`` bytes
-        at every hop."""
+        """One scatter-reduce or allgather phase on a ring of N nodes: chunk c
+        is ``chunk_bytes[c]`` bytes at every hop of an (N,) table, or
+        ``chunk_bytes[s, c]`` at hop s of an (N-1, N) table."""
         chunk_bytes = np.asarray(chunk_bytes, dtype=np.int64)
         if phase not in _PHASE_OFFSETS:
             raise StructuralError(f"'{phase}' is not a reduce phase")
-        if chunk_bytes.ndim != 1 or chunk_bytes.shape[0] < 2:
+        n = chunk_bytes.shape[-1] if chunk_bytes.ndim else 0
+        if n < 2 or chunk_bytes.shape not in ((n,), (n - 1, n)):
             raise StructuralError(f"chunk bytes of shape {chunk_bytes.shape} are not a ring's")
         if np.any(chunk_bytes < 0):
             raise StructuralError("payload_bytes must be >= 0")
-        self._blocks.append(_RingPhase(int(step), phase, chunk_bytes))
+        self._blocks.append(_RingPhase(int(step), phase, chunk_bytes.reshape(-1, n)))
 
     def extend(self, other: "LinkStats") -> None:
         self._blocks.extend(other._blocks)
@@ -268,13 +271,12 @@ def _ring_sum(rows: np.ndarray, bounds) -> np.ndarray:
     return total
 
 
-def _fixed_size_reduce(rows, bounds, entry_bytes, step) -> tuple[np.ndarray, LinkStats]:
-    """Owner-first sum of ``rows`` over chunks ``bounds``, and the scatter-reduce
-    and allgather phases of those chunks, at ``entry_bytes`` per entry."""
-    chunk_bytes = entry_bytes * np.diff(bounds)
+def _ring_reduce(rows, bounds, scatter_bytes, gather_bytes, step) -> tuple[np.ndarray, LinkStats]:
+    """Owner-first sum of ``rows`` over chunks ``bounds``, and the ring phases
+    that carry it, each a table of chunk bytes: one row, or one row per hop."""
     stats = LinkStats()
-    stats.record_ring_phase(step, PHASE_SCATTER, chunk_bytes)
-    stats.record_ring_phase(step, PHASE_ALLGATHER, chunk_bytes)
+    stats.record_ring_phase(step, PHASE_SCATTER, scatter_bytes)
+    stats.record_ring_phase(step, PHASE_ALLGATHER, gather_bytes)
     return _ring_sum(rows, bounds), stats
 
 
@@ -290,7 +292,8 @@ def dense_allreduce(
     0 bytes. The returned vector is the one every node ends up holding.
     """
     rows = _stack_vectors(contributions, topo)
-    return _fixed_size_reduce(rows, topo.chunk_bounds, VALUE_BYTES, step)
+    chunk_bytes = VALUE_BYTES * np.diff(topo.chunk_bounds)
+    return _ring_reduce(rows, topo.chunk_bounds, chunk_bytes, chunk_bytes, step)
 
 
 def select_broadcast_nodes(n_nodes: int, cfg: MaskAgreementConfig, step: int) -> tuple[int, ...]:
@@ -377,7 +380,8 @@ def sparse_allreduce(
     # Chunk c carries the sparse entries whose parameter index falls in the
     # chunk's range; those are contiguous in the sorted index list.
     cuts = np.searchsorted(idx, topo.chunk_bounds)
-    total, stats = _fixed_size_reduce(values, cuts, VALUE_BYTES + INDEX_BYTES, step)
+    chunk_bytes = (VALUE_BYTES + INDEX_BYTES) * np.diff(cuts)
+    total, stats = _ring_reduce(values, cuts, chunk_bytes, chunk_bytes, step)
     return SparseGradient(indices=idx, values=total, total_length=topo.length), stats
 
 
@@ -396,9 +400,9 @@ def naive_sparse_allreduce(
     Message bytes reflect the growing unions: a running OR of the masks,
     built per chunk from chunk c's column block, stacked in the chunk's
     owner-first order and OR-accumulated in place. The result is the sum of
-    the masked contributions on the union support. Since scatter payloads
-    change size hop by hop, that phase is recorded message by message, from
-    an (N, N) table of entry counts.
+    the masked contributions on the union support. Its phases are tables of
+    chunk bytes cut from an (N, N) table of entry counts: one row per hop for
+    the scatter, whose payloads grow, and the last row for the allgather.
     """
     rows = _stack_vectors(contributions, topo)
     bits = np.asarray(local_bits)
@@ -419,13 +423,9 @@ def naive_sparse_allreduce(
         np.logical_or.accumulate(running, axis=0, out=running)
         counts[:, c] = np.count_nonzero(running, axis=1)
         union[cols] = running[-1]
-    entry_bytes = VALUE_BYTES + INDEX_BYTES
-    senders = np.arange(n)
-    hops = senders[: n - 1, None]
-    stats = LinkStats()
-    scatter = entry_bytes * counts[hops, (senders - hops) % n]
-    stats.record_messages(step, PHASE_SCATTER, np.tile(senders, n - 1), scatter.ravel())
-    stats.record_ring_phase(step, PHASE_ALLGATHER, entry_bytes * counts[n - 1])
-    total = _ring_sum(np.where(bits, rows, 0.0), bounds)
+    chunk_bytes = (VALUE_BYTES + INDEX_BYTES) * counts
+    total, stats = _ring_reduce(
+        np.where(bits, rows, 0.0), bounds, chunk_bytes[:-1], chunk_bytes[-1], step
+    )
     idx = np.flatnonzero(union)
     return SparseGradient(indices=idx, values=total[idx], total_length=topo.length), stats

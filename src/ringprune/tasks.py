@@ -110,6 +110,19 @@ def shift_log_sum_exp(logits: np.ndarray) -> np.ndarray:
     return np.log(class_sum(np.exp(logits)))
 
 
+def check_array_sizes(arrays) -> None:
+    """Reject the first of ``arrays``, (fields, shape) pairs, whose float64
+    bytes pass np.intp's maximum, with a ConfigError naming its fields:
+    numpy cannot make such an array, whatever memory there is."""
+    limit = np.iinfo(np.intp).max
+    for names, shape in arrays:
+        if 8 * math.prod(shape) > limit:
+            raise ConfigError(
+                f"{names}: a float64 array of shape {shape} passes numpy's "
+                f"limit of {limit} bytes"
+            )
+
+
 def in_halves(work, n: int, split: bool) -> None:
     """Call ``work(0, n)``; or, when ``split``, ``work(0, n // 2)`` on a
     helper thread and ``work(n // 2, n)`` on this one, returning once both
@@ -236,6 +249,7 @@ class LinearRegressionTask(SyntheticTask):
             raise ConfigError("linear task needs n_samples >= 1 and n_features >= 1")
         if not np.isfinite(self.noise):
             raise ConfigError(f"noise must be finite, got {self.noise}")
+        check_array_sizes([("n_samples x n_features", (self.n_samples, self.n_features))])
         rng = substream(self.data_seed, DATA_STREAM)
         self.features = rng.standard_normal((self.n_samples, self.n_features))
         true_coef = rng.standard_normal(self.n_features)
@@ -302,6 +316,15 @@ class MlpClassificationTask(SyntheticTask):
             raise ConfigError(f"center_scale must be finite, got {self.center_scale}")
         if not 0.0 <= self.label_noise < 1.0:
             raise ConfigError("label_noise must be in [0, 1)")
+        s, d, h, c = self.n_samples, self.n_features, self.hidden_units, self.n_classes
+        check_array_sizes([
+            ("n_samples x n_features", (s, d)),
+            ("n_classes x n_features", (c, d)),
+            ("n_features x hidden_units", (d, h)),
+            ("hidden_units x n_classes", (h, c)),
+            ("n_samples x hidden_units", (s, h)),
+            ("n_samples x n_classes", (s, c)),
+        ])
         rng = substream(self.data_seed, DATA_STREAM)
         centers = self.center_scale * rng.standard_normal((self.n_classes, self.n_features))
         self.labels = rng.integers(0, self.n_classes, size=self.n_samples)
@@ -314,7 +337,6 @@ class MlpClassificationTask(SyntheticTask):
             self.labels = np.where(
                 flip, (self.labels + shift) % self.n_classes, self.labels
             )
-        d, h, c = self.n_features, self.hidden_units, self.n_classes
         self.layer_shapes = {
             "hidden_weight": (d, h),
             "hidden_bias": (h,),

@@ -38,6 +38,7 @@ from ringprune import (
 )
 from ringprune.codec import encoded_size
 from ringprune.cli import main as cli_main
+from ringprune.config import resolve_experiment
 from ringprune.ring import PHASE_MASK
 from ringprune.trainer import MODE_COMPRESSED, MODE_DENSE
 
@@ -236,6 +237,59 @@ def test_criterion_4_compression_and_accuracy_analog():
     )
     passed = bool(qualifying) and layerwise.final_loss() <= best_loss * 1.02
     report(4, "desk-scale compression/accuracy analog", passed, detail)
+
+
+def _reference_run(mode, learning_rate=None):
+    """configs/reference.json at threshold base 1.0, its three seeds at 0,
+    run in ``mode``; ``learning_rate`` replaces the training schedule."""
+    reference = Path(__file__).resolve().parents[1] / "configs" / "reference.json"
+    raw = json.loads(reference.read_text())
+    raw["task"]["data_seed"] = raw["training"]["seed"] = raw["mask_agreement"]["shared_seed"] = 0
+    raw["threshold"]["base"] = 1.0
+    raw["mode"] = mode
+    if learning_rate is not None:
+        raw["training"]["learning_rate"] = learning_rate
+    experiment = resolve_experiment(raw)
+    assert experiment.policy.warmup_epochs == 1
+    return run_experiment(
+        experiment.task, experiment.training, experiment.policy, experiment.mask_cfg, mode
+    )
+
+
+def test_criterion_4_pruned_phase_does_real_work():
+    """Criterion 4 passes even for a run that applies no update after
+    warm-up; this check fails for one. Over epochs 1-4 the pruned run must
+    send at most half of dense's bytes, cut the loss by at least 0.3x what
+    dense cuts, and end below a control whose learning rate is 0 from epoch
+    1 on. On seeds 0-2 these read 0.38-0.41x, 0.41-0.51x and 0.016-0.021
+    below the control."""
+    pruned = _reference_run(MODE_COMPRESSED)
+    dense = _reference_run(MODE_DENSE)
+    frozen = [{"start": 0, "end": 1, "value": 0.05}, {"start": 1, "end": None, "value": 0.0}]
+    control = _reference_run(MODE_COMPRESSED, frozen)
+
+    def pruned_phase(result):
+        """The loss when warm-up ends, and the rows of the steps after it."""
+        warm = [m for m in result.metrics if m.epoch < 1]
+        return warm[-1].loss, result.metrics[len(warm):]
+
+    pruned_start, pruned_steps = pruned_phase(pruned)
+    dense_start, dense_steps = pruned_phase(dense)
+    control_start, control_steps = pruned_phase(control)
+    bytes_ratio = sum(m.bytes_total for m in pruned_steps) / sum(m.bytes_total for m in dense_steps)
+    cut_ratio = (pruned_start - pruned.final_loss()) / (dense_start - dense.final_loss())
+    control_still = all(m.loss == control_start for m in control_steps)
+    detail = (
+        f"pruned-phase bytes {bytes_ratio:.3f}x dense; loss cut {cut_ratio:.3f}x dense's; "
+        f"final loss {pruned.final_loss():.5f} vs control {control.final_loss():.5f}"
+    )
+    passed = (
+        control_still
+        and bytes_ratio <= 0.5
+        and cut_ratio >= 0.3
+        and pruned.final_loss() < control.final_loss()
+    )
+    report(4, "pruned phase does real work", passed, detail)
 
 
 def test_criterion_5_ring_correctness():

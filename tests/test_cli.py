@@ -565,6 +565,66 @@ def test_seeds_and_int64_bounds_are_accepted(tmp_path):
     assert experiment.training.learning_rate.spans == ((0, 2**63 - 1, 0.05),)
 
 
+def _reference_config(out_dir, section, key, value):
+    """configs/reference.json for one epoch, with ``section.key`` at ``value``."""
+    cfg = json.loads((REPO_ROOT / "configs" / "reference.json").read_text())
+    cfg["training"]["epochs"] = 1
+    cfg[section][key] = value
+    cfg["out_dir"] = str(out_dir)
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "kind, section, key",
+    [
+        ("mlp_classification_synthetic", "task", "n_samples"),
+        ("mlp_classification_synthetic", "task", "n_features"),
+        ("mlp_classification_synthetic", "task", "hidden_units"),
+        ("mlp_classification_synthetic", "task", "n_classes"),
+        ("mlp_classification_synthetic", "training", "batch_size"),
+        ("linear_regression_synthetic", "task", "n_samples"),
+        ("linear_regression_synthetic", "task", "n_features"),
+        ("linear_regression_synthetic", "training", "batch_size"),
+    ],
+)
+def test_run_rejects_sizes_numpy_cannot_make(tmp_path, capsys, kind, section, key):
+    """A size that fits int64 but asks for an array past numpy's byte limit
+    is a config error naming the field (exit 2), found before the output
+    directory is made."""
+    out = tmp_path / "run"
+    if kind == "mlp_classification_synthetic":
+        cfg = _reference_config(out, section, key, 2**62)
+    else:
+        cfg = minimal_config(out)
+        cfg[section][key] = 2**62
+    assert main(["run", str(write_config(tmp_path, cfg)), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "passes numpy's limit" in err
+    assert not out.exists()
+
+
+def test_run_reports_memory_it_cannot_get(tmp_path):
+    """A run whose arrays numpy could make but the process cannot get
+    (200 TiB of weights, under a 4 GiB address-space limit) is a config
+    error (exit 2), not a traceback. The limit is set in the child, so the
+    allocation fails at once and touches no memory."""
+    cfg = _reference_config(tmp_path / "run", "task", "hidden_units", 2**40)
+    config = write_config(tmp_path, cfg)
+    child = (
+        "import resource, sys\n"
+        "soft, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+        "limit = 4 * 2**30 if hard == resource.RLIM_INFINITY else min(4 * 2**30, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+        "from ringprune.cli import main\n"
+        f"sys.exit(main(['run', {str(config)!r}, '--quiet']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True)
+    assert done.returncode == 2, done.stderr
+    assert "needs more memory than it can get" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_run_rejects_missing_file(tmp_path, capsys):
     assert main(["run", str(tmp_path / "absent.json"), "--quiet"]) == 2
 

@@ -668,10 +668,10 @@ def test_fixed_size_reduces_store_o_n_integers_per_phase():
         assert stored_integers(stats) <= 2 * n
         assert message_count(stats) == 2 * n * (n - 1)
     # The no-agreement reduce's scatter payloads grow hop by hop, so that
-    # phase alone is stored message by message.
+    # phase alone is stored as a table of one row per hop, N(N-1) integers.
     masks = [BitMask(rng.random(length) < 0.1) for _ in range(n)]
     stats = naive_sparse_allreduce(vecs, np.stack([m.bits for m in masks]), topo, step=4)[1]
-    assert stored_integers(stats) == 2 * n * (n - 1) + n
+    assert stored_integers(stats) == n * (n - 1) + n
     cfg = MaskAgreementConfig(n_selected_nodes=3, shared_seed=2)
     _, stats = agree(masks, cfg, step=4)
     assert stored_integers(stats) == 3 * 2 * (n - 1)
@@ -705,10 +705,38 @@ def test_record_ring_phase_rejects_what_is_not_a_ring_phase():
         stats.record_ring_phase(0, PHASE_MASK, [1, 2])
     with pytest.raises(StructuralError, match="payload_bytes must be >= 0"):
         stats.record_ring_phase(0, PHASE_SCATTER, [1, -2, 3])
-    for bad in ([5], [[1, 2], [3, 4]]):
+    with pytest.raises(StructuralError, match="payload_bytes must be >= 0"):
+        stats.record_ring_phase(0, PHASE_SCATTER, [[1, 2, 3], [4, -5, 6]])
+    # a ring of N takes (N,) or (N-1, N): (N, N) and (N-2, N) are neither
+    for bad in (5, [5], [[1, 2], [3, 4]], [[1, 2, 3]] * 3, [[1, 2, 3]], [[[1, 2], [3, 4]]]):
         with pytest.raises(StructuralError, match="are not a ring's"):
             stats.record_ring_phase(0, PHASE_ALLGATHER, bad)
     assert stats.records == ()
+    stats.record_ring_phase(0, PHASE_SCATTER, [[1, 2, 3], [4, 5, 6]])
+    assert message_count(stats) == 6
+
+
+def test_per_hop_ring_phase_matches_hand_written_messages():
+    # N = 3, row s of each table the chunk bytes at hop s. Scatter hop s:
+    # node k sends chunk k - s; allgather hop s: chunk k + 1 - s.
+    stats = LinkStats()
+    stats.record_ring_phase(5, PHASE_SCATTER, [[1, 2, 4], [10, 20, 40]])
+    stats.record_ring_phase(5, PHASE_ALLGATHER, [[100, 200, 400], [1000, 2000, 4000]])
+    s, a = PHASE_SCATTER, PHASE_ALLGATHER
+    assert stats.records == (
+        (5, 0, s, 1), (5, 1, s, 2), (5, 2, s, 4),  # hop 0: chunks 0, 1, 2
+        (5, 0, s, 40), (5, 1, s, 10), (5, 2, s, 20),  # hop 1: chunks 2, 0, 1
+        (5, 0, a, 200), (5, 1, a, 400), (5, 2, a, 100),  # hop 0: chunks 1, 2, 0
+        (5, 0, a, 1000), (5, 1, a, 2000), (5, 2, a, 4000),  # hop 1: chunks 0, 1, 2
+    )
+    assert list(stats.iter_aggregated_rows()) == [
+        (5, 0, a, 1200), (5, 0, s, 41),
+        (5, 1, a, 2400), (5, 1, s, 12),
+        (5, 2, a, 4100), (5, 2, s, 24),
+    ]
+    assert stats.bytes_for(PHASE_SCATTER) == 77
+    assert stats.bytes_for(PHASE_ALLGATHER) == 7700
+    assert stats.bytes_for() == 7777
 
 
 def test_linkstats_rejects_negative_or_mismatched_sizes():
@@ -775,24 +803,29 @@ def test_linkstats_queries_match_per_message_reference(blocks):
 
 def phase_oracle(step, phase, chunk_bytes):
     """One reduce phase moved hop by hop, every buffer holding its chunk's
-    id and message c weighing ``chunk_bytes[c]``: the phase's messages."""
-    n = len(chunk_bytes)
+    id: the phase's messages, the one of chunk c at hop s weighing
+    ``chunk_bytes[c]``, or ``chunk_bytes[s][c]`` in a table of one row per hop."""
+    table = [chunk_bytes] if np.ndim(chunk_bytes) == 1 else chunk_bytes
+    n = len(table[0])
     stats = LinkStats()
     _ring_exchange(
         [list(range(n)) for _ in range(n)],
         RingTopology.create(n, n),
         stats,
         step,
-        chunk_nbytes=lambda c: chunk_bytes[c],
+        chunk_nbytes=lambda c: c,  # each message is recorded with its chunk's id
         combine=lambda incoming, own: own,
     )
-    return [r for r in stats.records if r[2] == phase]
+    sent = [r for r in stats.records if r[2] == phase]
+    # _ring_exchange records a phase hop by hop, n messages a hop
+    return [(st, k, ph, table[i // n % len(table)][c]) for i, (st, k, ph, c) in enumerate(sent)]
 
 
 # (kind, step, ...): reduces at N from 2 to 17 with P from 0 (all chunks
-# empty) up, ring phases of random chunk sizes (zeros common), and message blocks.
+# empty) up, ring phases of random chunk sizes (zeros common), one row or
+# one row per hop, and message blocks.
 _reduce_ops = st.tuples(
-    st.sampled_from(("dense", "sparse")),
+    st.sampled_from(("dense", "sparse", "contrast")),
     st.integers(0, 3),
     st.integers(2, 17),
     st.integers(0, 40),
@@ -805,6 +838,17 @@ _phase_ops = st.tuples(
     st.lists(st.integers(0, 3), min_size=2, max_size=17),
     st.booleans(),
 )
+_hop_phase_ops = st.integers(2, 9).flatmap(
+    lambda n: st.tuples(
+        st.just("phase"),
+        st.integers(0, 3),
+        st.sampled_from((PHASE_SCATTER, PHASE_ALLGATHER)),
+        st.lists(
+            st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=n - 1, max_size=n - 1
+        ),
+        st.booleans(),
+    )
+)
 _message_ops = st.tuples(
     st.just("messages"),
     st.integers(0, 3),
@@ -814,13 +858,13 @@ _message_ops = st.tuples(
 )
 
 
-@given(st.lists(st.one_of(_reduce_ops, _phase_ops, _message_ops), max_size=6))
+@given(st.lists(st.one_of(_reduce_ops, _phase_ops, _hop_phase_ops, _message_ops), max_size=6))
 @settings(max_examples=150, deadline=None)
 def test_ring_phase_queries_match_per_message_reference(ops):
     stats = LinkStats()
     reference = []
     for kind, step, *args in ops:
-        if kind in ("dense", "sparse"):
+        if kind in ("dense", "sparse", "contrast"):
             n, length, density = args
             rng = np.random.default_rng(n * 100 + length)
             topo = RingTopology.create(n, length)
@@ -828,6 +872,10 @@ def test_ring_phase_queries_match_per_message_reference(ops):
             if kind == "dense":
                 part = dense_allreduce(vecs, topo, step=step)[1]
                 oracle_stats = hop_dense_oracle(list(vecs), topo, step)[1]
+            elif kind == "contrast":
+                bits = rng.random((n, length)) < density
+                part = naive_sparse_allreduce(vecs, bits, topo, step=step)[1]
+                oracle_stats = hop_naive_oracle(list(vecs), bits, topo, step)[2]
             else:
                 shared = np.flatnonzero(rng.random(length) < density)
                 parts = SparseGradient(shared, vecs[:, shared], length)

@@ -21,7 +21,10 @@ chunk k + 1 - s. So over a phase scatter sender k sends every chunk but
 k + 1, and allgather sender k every chunk but k + 2. A phase's messages thus
 follow from a table of chunk bytes, one row, or one row per hop when chunks
 grow in transit (the contrast's scatter), which is all :class:`LinkStats`
-stores. The sending node identifies the link: node k only sends to k+1.
+stores. A mask round runs on the scatter schedule without reducing: node o's
+broadcast is chunk o, forwarded at hop s by node o + s, and the chunks of
+nodes that do not broadcast are 0 bytes and send no message. The sending
+node identifies the link: node k only sends to k+1.
 """
 
 from __future__ import annotations
@@ -93,52 +96,46 @@ class MaskAgreementConfig:
             )
 
 
-# Schedule offset of each reduce phase: at hop s node k sends chunk k + offset - s.
-_PHASE_OFFSETS = {PHASE_SCATTER: 0, PHASE_ALLGATHER: 1}
-
-
-class _Messages(NamedTuple):
-    """Messages listed one by one: ``senders[i]`` sends ``sizes[i]`` bytes.
-    They are also the per-sender totals, a sender appearing once per message."""
-
-    step: int
-    phase: str
-    senders: np.ndarray
-    sizes: np.ndarray
-
-    def messages(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.senders, self.sizes
-
-    per_sender = messages
-
-    def payload_bytes(self) -> int:
-        return int(self.sizes.sum())
+# Schedule offset of each phase: at hop s node k sends chunk k + offset - s.
+_PHASE_OFFSETS = {PHASE_SCATTER: 0, PHASE_ALLGATHER: 1, PHASE_MASK: 0}
 
 
 class _RingPhase(NamedTuple):
-    """One reduce phase of the ring schedule: at hop s node k sends chunk
+    """One phase of the ring schedule: at hop s node k sends chunk
     c = (k + offset - s) mod N, of ``chunk_bytes[s mod rows, c]`` bytes. The
-    table has one row, or N-1, one per hop, when chunks grow in transit."""
+    table has one row, or N-1, one per hop, when chunks grow in transit.
+    In a mask round a 0-byte chunk was not broadcast: it is no message."""
 
     step: int
     phase: str
     chunk_bytes: np.ndarray
 
-    def messages(self) -> tuple[np.ndarray, np.ndarray]:
-        """(N-1) x N messages, hop by hop, each hop's in sender order."""
+    def hop_bytes(self) -> np.ndarray:
+        """(N-1, N): row s the bytes each node sends at hop s."""
         n = self.chunk_bytes.shape[1]
         senders = np.arange(n)
         chunks = (senders + _PHASE_OFFSETS[self.phase] - senders[: n - 1, None]) % n
-        return np.tile(senders, n - 1), np.take_along_axis(self.chunk_bytes, chunks, 1).ravel()
+        return np.take_along_axis(self.chunk_bytes, chunks, 1)
+
+    def messages(self) -> tuple[np.ndarray, np.ndarray]:
+        """The messages hop by hop, each hop's in sender order."""
+        sizes = self.hop_bytes()
+        senders = np.broadcast_to(np.arange(sizes.shape[1]), sizes.shape)
+        if self.phase == PHASE_MASK:
+            return senders[sizes > 0], sizes[sizes > 0]
+        return senders.ravel(), sizes.ravel()
 
     def per_sender(self) -> tuple[np.ndarray, np.ndarray]:
         rows, n = self.chunk_bytes.shape
         senders = np.arange(n)
         if rows > 1:  # a per-hop table: sum its messages by sender
-            return senders, self.messages()[1].reshape(n - 1, n).sum(axis=0)
-        # over its N-1 hops node k sends every chunk but k + offset + 1
-        skipped = self.chunk_bytes[0, (senders + _PHASE_OFFSETS[self.phase] + 1) % n]
-        return senders, int(self.chunk_bytes.sum()) - skipped
+            totals = self.hop_bytes().sum(axis=0)
+        else:  # over its N-1 hops node k sends every chunk but k + offset + 1
+            skipped = self.chunk_bytes[0, (senders + _PHASE_OFFSETS[self.phase] + 1) % n]
+            totals = int(self.chunk_bytes.sum()) - skipped
+        if self.phase == PHASE_MASK:  # a node that forwarded no mask has no row
+            return senders[totals > 0], totals[totals > 0]
+        return senders, totals
 
     def payload_bytes(self) -> int:
         # each chunk crosses N-1 hops, at one row's bytes or at each hop's own
@@ -149,41 +146,35 @@ class _RingPhase(NamedTuple):
 class LinkStats:
     """Ring traffic, stored as columns.
 
-    Each recording call appends one block. :meth:`record_messages` keeps two
-    equal-length int64 arrays, the senders and the payload bytes of its
-    messages: a mask round keeps its forwards' senders and bytes. A reduce
-    phase's :meth:`record_ring_phase` keeps its table of chunk bytes, one row
-    of N or one row per hop, where its messages number N(N-1). Byte
-    counts sum each block's total and the bandwidth rows its per-sender
-    totals; :attr:`records` is a read-only view that expands
-    the blocks into one (step, sender, phase, payload_bytes) tuple per
-    message, in recording order.
+    Each call of :meth:`record_ring_phase` appends one block: a phase's table
+    of chunk bytes, one row of N or one row per hop. A reduce phase sends
+    N(N-1) messages, 0-byte ones included; a mask round only its broadcast
+    chunks. Byte counts sum each block's total and the bandwidth rows its
+    per-sender totals; :attr:`records` is a read-only view that expands the
+    blocks into one (step, sender, phase, payload_bytes) tuple per message,
+    block by block in recording order, each block's hop by hop.
     """
 
     __slots__ = ("_blocks",)
 
     def __init__(self) -> None:
-        self._blocks: list[_Messages | _RingPhase] = []
-
-    def record_messages(self, step: int, phase: str, senders, sizes) -> None:
-        """``senders[i]`` sends one message of ``sizes[i]`` bytes; the arrays are kept."""
-        senders, sizes = np.asarray(senders, dtype=np.int64), np.asarray(sizes, dtype=np.int64)
-        if senders.ndim != 1 or senders.shape != sizes.shape:
-            raise StructuralError(f"senders {senders.shape} and sizes {sizes.shape} differ")
-        if np.any(sizes < 0):
-            raise StructuralError("payload_bytes must be >= 0")
-        self._blocks.append(_Messages(int(step), phase, senders, sizes))
+        self._blocks: list[_RingPhase] = []
 
     def record_ring_phase(self, step: int, phase: str, chunk_bytes) -> None:
-        """One scatter-reduce or allgather phase on a ring of N nodes: chunk c
-        is ``chunk_bytes[c]`` bytes at every hop of an (N,) table, or
-        ``chunk_bytes[s, c]`` at hop s of an (N-1, N) table."""
-        chunk_bytes = np.asarray(chunk_bytes, dtype=np.int64)
+        """One scatter-reduce, allgather or mask phase on a ring of N nodes:
+        chunk c is ``chunk_bytes[c]`` bytes at every hop of an (N,) table, or
+        ``chunk_bytes[s, c]`` at hop s of an (N-1, N) table. Byte counts must
+        be integers; in a mask round chunk o is broadcaster o's mask, and a
+        0-byte chunk one that was not broadcast."""
+        chunk_bytes = np.asarray(chunk_bytes)
         if phase not in _PHASE_OFFSETS:
-            raise StructuralError(f"'{phase}' is not a reduce phase")
+            raise StructuralError(f"'{phase}' is not a ring phase")
         n = chunk_bytes.shape[-1] if chunk_bytes.ndim else 0
         if n < 2 or chunk_bytes.shape not in ((n,), (n - 1, n)):
             raise StructuralError(f"chunk bytes of shape {chunk_bytes.shape} are not a ring's")
+        if chunk_bytes.dtype.kind not in "iu":
+            raise StructuralError(f"chunk bytes of dtype {chunk_bytes.dtype} are not integers")
+        chunk_bytes = chunk_bytes.astype(np.int64, copy=False)
         if np.any(chunk_bytes < 0):
             raise StructuralError("payload_bytes must be >= 0")
         self._blocks.append(_RingPhase(int(step), phase, chunk_bytes.reshape(-1, n)))
@@ -212,7 +203,7 @@ class LinkStats:
         """Byte totals summed per (step, node, phase), sorted; a key has a row
         when at least one message, of any size, was sent under it. Made one
         step at a time, so that a long run's rows are never all held at once."""
-        blocks_by_step: dict[int, list[_Messages | _RingPhase]] = defaultdict(list)
+        blocks_by_step: dict[int, list[_RingPhase]] = defaultdict(list)
         for block in self._blocks:
             blocks_by_step[block.step].append(block)
         for step in sorted(blocks_by_step):
@@ -325,29 +316,36 @@ def mask_agreement_round(
 ) -> tuple[BitMask, LinkStats]:
     """Agree on one shared mask by OR-combining the broadcasters' masks.
 
-    ``broadcasters`` are the nodes :func:`select_broadcast_nodes` drew, in
-    draw order, and ``broadcast_masks`` their local masks in the same order;
-    no other node's mask reaches the shared one, so no other is needed. Each
-    mask is byte-packed, circulated around the ring of ``n_nodes`` (it
+    ``broadcasters`` are the distinct nodes :func:`select_broadcast_nodes`
+    drew, in draw order, and ``broadcast_masks`` their local masks in the same
+    order; no other node's mask reaches the shared one, so no other is needed.
+    Each mask is byte-packed, circulated around the ring of ``n_nodes`` (it
     traverses the N-1 hops needed to visit every node), decoded, and
-    OR-combined. Every node ends the round holding the identical mask.
+    OR-combined. Every node ends the round holding the identical mask. The
+    round is recorded as one table on the scatter schedule, broadcaster o's
+    encoded mask as chunk o and every other chunk as 0 bytes.
     """
     masks = list(broadcast_masks)
     if not masks:
         raise StructuralError("mask agreement needs at least one broadcast mask")
     if len(masks) != len(broadcasters):
         raise StructuralError(f"got {len(masks)} masks for {len(broadcasters)} broadcasters")
-    stats = LinkStats()
+    if n_nodes < 2:
+        raise StructuralError(f"ring needs at least 2 nodes, got {n_nodes}")
+    chunk_bytes = np.zeros(n_nodes, dtype=np.int64)
     received: list[BitMask] = []
     for origin, mask in zip(broadcasters, masks):
         if not 0 <= origin < n_nodes:
             raise StructuralError(f"broadcaster {origin} is not a node of {n_nodes}")
+        if chunk_bytes[origin]:
+            raise StructuralError(f"broadcaster {origin} is named twice")
+        if not mask.length:
+            raise StructuralError(f"broadcaster {origin}'s mask has length 0")
         payload = encode_mask(mask)
-        senders = (origin + np.arange(n_nodes - 1)) % n_nodes
-        stats.record_messages(
-            step, PHASE_MASK, senders, np.full(n_nodes - 1, len(payload))
-        )
+        chunk_bytes[origin] = len(payload)
         received.append(decode_mask(payload, mask.length))
+    stats = LinkStats()
+    stats.record_ring_phase(step, PHASE_MASK, chunk_bytes)
     return or_masks(received), stats
 
 

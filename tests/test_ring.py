@@ -18,6 +18,7 @@ from ringprune import (
     RingTopology,
     SparseGradient,
     StructuralError,
+    decode_mask,
     dense_allreduce,
     encode_mask,
     mask_agreement_round,
@@ -41,11 +42,6 @@ from oracles import (
 )
 
 PHASES = (PHASE_SCATTER, PHASE_ALLGATHER, PHASE_MASK)
-
-
-def record(stats, step, sender, phase, nbytes):
-    """One message, through the block interface."""
-    stats.record_messages(step, phase, [sender], [nbytes])
 
 
 @dataclass(frozen=True)
@@ -84,10 +80,11 @@ def ring_order_sum_oracle(contributions, topo):
     return out
 
 
-def _ring_exchange(chunked, topo, stats, step, chunk_nbytes, combine):
+def _ring_exchange(chunked, topo, sent, step, chunk_nbytes, combine):
     """Run the scatter-reduce and allgather hop schedules over per-node,
     per-chunk buffers, combining partials with ``combine`` and adopting
-    finished chunks by reference."""
+    finished chunks by reference. Appends each message to ``sent`` as a
+    (step, sender, phase, bytes) tuple."""
     n = topo.n_nodes
     # Scatter-reduce: at hop s, node k forwards its partial of chunk (k - s);
     # the receiver folds it in ahead of its own contribution, which keeps the
@@ -97,7 +94,7 @@ def _ring_exchange(chunked, topo, stats, step, chunk_nbytes, combine):
         for k in range(n):
             c = (k - s) % n
             sends.append((k, c, chunked[k][c]))
-            record(stats, step, k, PHASE_SCATTER, chunk_nbytes(chunked[k][c]))
+            sent.append((step, k, PHASE_SCATTER, chunk_nbytes(chunked[k][c])))
         for k, c, payload in sends:
             r = successor(topo, k)
             chunked[r][c] = combine(payload, chunked[r][c])
@@ -107,7 +104,7 @@ def _ring_exchange(chunked, topo, stats, step, chunk_nbytes, combine):
         for k in range(n):
             c = (k + 1 - s) % n
             sends.append((k, c, chunked[k][c]))
-            record(stats, step, k, PHASE_ALLGATHER, chunk_nbytes(chunked[k][c]))
+            sent.append((step, k, PHASE_ALLGATHER, chunk_nbytes(chunked[k][c])))
         for k, c, payload in sends:
             chunked[successor(topo, k)][c] = payload
 
@@ -120,47 +117,48 @@ def _agreed(per_node):
 
 
 def hop_dense_oracle(contributions, topo, step):
-    """Dense all-reduce moved hop by hop through per-node chunk buffers."""
+    """Dense all-reduce moved hop by hop through per-node chunk buffers:
+    (sum, messages)."""
     chunked = [
         [np.array(v[chunk_slice(topo, c)]) for c in range(topo.n_nodes)]
         for v in contributions
     ]
-    stats = LinkStats()
+    sent = []
     _ring_exchange(
         chunked,
         topo,
-        stats,
+        sent,
         step,
         chunk_nbytes=lambda chunk: chunk.shape[0] * VALUE_BYTES,
         combine=lambda incoming, own: incoming + own,
     )
-    return _agreed([np.concatenate(c) for c in chunked]), stats
+    return _agreed([np.concatenate(c) for c in chunked]), sent
 
 
 def hop_sparse_oracle(contributions, topo, step):
     """Shared-index sparse all-reduce of a node-stacked block, moved hop by
-    hop: (indices, sums, stats)."""
+    hop: (indices, sums, messages)."""
     idx = contributions.indices
     cuts = np.searchsorted(idx, np.asarray(topo.chunk_bounds))
     chunked = [
         [np.array(row[cuts[c]: cuts[c + 1]]) for c in range(topo.n_nodes)]
         for row in contributions.values
     ]
-    stats = LinkStats()
+    sent = []
     _ring_exchange(
         chunked,
         topo,
-        stats,
+        sent,
         step,
         chunk_nbytes=lambda chunk: chunk.shape[0] * (VALUE_BYTES + INDEX_BYTES),
         combine=lambda incoming, own: incoming + own,
     )
-    return idx, _agreed([np.concatenate(c) for c in chunked]), stats
+    return idx, _agreed([np.concatenate(c) for c in chunked]), sent
 
 
 def hop_naive_oracle(contributions, local_bits, topo, step):
     """No-agreement reduce moved hop by hop, index sets unioning on the way:
-    (indices, sums, stats)."""
+    (indices, sums, messages)."""
     chunked = []
     for v, bits in zip(contributions, local_bits):
         vals = np.where(bits, v, 0.0)
@@ -170,11 +168,11 @@ def hop_naive_oracle(contributions, local_bits, topo, step):
                 for c in range(topo.n_nodes)
             ]
         )
-    stats = LinkStats()
+    sent = []
     _ring_exchange(
         chunked,
         topo,
-        stats,
+        sent,
         step,
         chunk_nbytes=lambda chunk: int(np.count_nonzero(chunk[1])) * (VALUE_BYTES + INDEX_BYTES),
         combine=lambda incoming, own: (incoming[0] + own[0], incoming[1] | own[1]),
@@ -182,19 +180,43 @@ def hop_naive_oracle(contributions, local_bits, topo, step):
     final_vals = _agreed([np.concatenate([c[0] for c in node]) for node in chunked])
     final_mask = _agreed([np.concatenate([c[1] for c in node]) for node in chunked])
     idx = np.flatnonzero(final_mask)
-    return idx, final_vals[idx], stats
+    return idx, final_vals[idx], sent
+
+
+def forward_oracle(payloads, n, step):
+    """Broadcasts moved hop by hop around a ring of ``n`` nodes. At hop 0 each
+    origin o sends ``payloads[o]`` to its successor; at every later hop each
+    node passes on the payload it received at the hop before, so a payload
+    has visited every node after N-1 hops. Returns the payloads each node
+    holds at the end and the messages as (step, sender, phase, bytes) tuples."""
+    topo = RingTopology.create(n, 0)
+    held = [[] for _ in range(n)]
+    outgoing = [None] * n
+    for origin, payload in payloads.items():
+        held[origin].append(payload)
+        outgoing[origin] = payload
+    sent = []
+    for _hop in range(n - 1):
+        incoming = [None] * n
+        for k, payload in enumerate(outgoing):
+            if payload is not None:
+                sent.append((step, k, PHASE_MASK, len(payload)))
+                incoming[successor(topo, k)] = payload
+        for k, payload in enumerate(incoming):
+            if payload is not None:
+                held[k].append(payload)
+        outgoing = incoming
+    return held, sent
 
 
 def mask_round_oracle(masks, cfg, step):
-    """Mask-round accounting one message per hop: each broadcast mask is
-    forwarded by its origin and then by the next N-2 nodes."""
-    n = len(masks)
-    stats = LinkStats()
-    for origin in select_broadcast_nodes(n, cfg, step):
-        nbytes = len(encode_mask(masks[origin]))
-        for hop in range(n - 1):
-            record(stats, step, (origin + hop) % n, PHASE_MASK, nbytes)
-    return stats
+    """The mask round forwarded hop by hop: (the mask every node gets by
+    decoding and OR-ing the payloads it holds, the messages)."""
+    n, length = len(masks), masks[0].length
+    payloads = {o: encode_mask(masks[o]) for o in select_broadcast_nodes(n, cfg, step)}
+    held, sent = forward_oracle(payloads, n, step)
+    shared = [or_masks([decode_mask(p, length) for p in node]).bits for node in held]
+    return BitMask(_agreed(shared)), sent
 
 
 def reference_rows(records):
@@ -380,8 +402,12 @@ def test_agreement_records_match_per_hop_oracle(n):
     masks = _random_masks(rng, n, 37, 0.3)
     for n_selected in sorted({1, min(2, n), n}):
         cfg = MaskAgreementConfig(n_selected_nodes=n_selected, shared_seed=n)
-        _, stats = agree(masks, cfg, step=9)
-        assert stats.records == mask_round_oracle(masks, cfg, 9).records
+        shared, stats = agree(masks, cfg, step=9)
+        expected, sent = mask_round_oracle(masks, cfg, 9)
+        assert shared == expected
+        assert stats.records == tuple(sent)
+        assert list(stats.iter_aggregated_rows()) == reference_rows(sent)
+        assert stats.bytes_for(PHASE_MASK) == stats.bytes_for() == sum(r[3] for r in sent)
     # One broadcaster's mask is forwarded by N-1 nodes: the node before the
     # origin sends no mask message and so has no mask_round row.
     cfg = MaskAgreementConfig(n_selected_nodes=1, shared_seed=n)
@@ -389,6 +415,27 @@ def test_agreement_records_match_per_hop_oracle(n):
     _, stats = mask_agreement_round([masks[origin]], (origin,), n, step=9)
     senders = [node for step, node, phase, _ in stats.iter_aggregated_rows() if phase == PHASE_MASK]
     assert senders == sorted(set(range(n)) - {(origin - 1) % n})
+
+
+def test_agreement_messages_match_hand_written_forwards():
+    # N = 4, broadcasters 3 and 1, 20-entry masks of 3 bytes. Hop s: node k
+    # forwards chunk k - s, and chunk o is broadcaster o's mask; the chunks
+    # of nodes 0 and 2 are not broadcast and send nothing.
+    rng = np.random.default_rng(5)
+    masks = _random_masks(rng, 2, 20, 0.5)
+    shared, stats = mask_agreement_round(masks, (3, 1), 4, step=6)
+    assert shared == or_masks(masks)
+    m = PHASE_MASK
+    assert stats.records == (
+        (6, 1, m, 3), (6, 3, m, 3),  # hop 0: chunks 1 and 3 leave their origins
+        (6, 0, m, 3), (6, 2, m, 3),  # hop 1: node 0 forwards chunk 3, node 2 chunk 1
+        (6, 1, m, 3), (6, 3, m, 3),  # hop 2: node 1 forwards chunk 3, node 3 chunk 1
+    )
+    assert list(stats.iter_aggregated_rows()) == [
+        (6, 0, m, 3), (6, 1, m, 6), (6, 2, m, 3), (6, 3, m, 6),
+    ]
+    assert stats.bytes_for(PHASE_MASK) == stats.bytes_for() == 18
+    assert stats.bytes_for(PHASE_SCATTER) == 0
 
 
 def test_agreement_rejects_overselection():
@@ -412,6 +459,14 @@ def test_agreement_rejects_masks_that_do_not_match_the_broadcasters():
         mask_agreement_round([], (), 3, step=0)
     with pytest.raises(StructuralError, match="broadcaster 3 is not a node of 3"):
         mask_agreement_round([mask], (3,), 3, step=0)
+    for n in (1, 0, -1):
+        with pytest.raises(StructuralError, match=f"ring needs at least 2 nodes, got {n}"):
+            mask_agreement_round([mask], (0,), n, step=0)
+    # one chunk per broadcaster, and a 0-byte chunk means "not broadcast"
+    with pytest.raises(StructuralError, match="broadcaster 1 is named twice"):
+        mask_agreement_round([mask, mask], (1, 1), 3, step=0)
+    with pytest.raises(StructuralError, match="broadcaster 2's mask has length 0"):
+        mask_agreement_round([BitMask(np.zeros(0, dtype=bool))], (2,), 3, step=0)
 
 
 # --- sparse all-reduce -------------------------------------------------------------
@@ -552,24 +607,24 @@ def test_collectives_match_hop_by_hop_oracle(n, length):
     vecs = [rng.standard_normal(length) for _ in range(n)]
 
     total, stats = dense_allreduce(vecs, topo, step=step)
-    expected, oracle_stats = hop_dense_oracle(vecs, topo, step)
+    expected, sent = hop_dense_oracle(vecs, topo, step)
     assert total.tobytes() == expected.tobytes()
-    assert stats.records == oracle_stats.records
+    assert stats.records == tuple(sent)
 
     shared = np.flatnonzero(rng.random(length) < 0.3)
     parts = SparseGradient(shared, np.stack(vecs)[:, shared], length)
     reduced, stats = sparse_allreduce(parts, topo, step=step)
-    idx, values, oracle_stats = hop_sparse_oracle(parts, topo, step)
+    idx, values, sent = hop_sparse_oracle(parts, topo, step)
     assert np.array_equal(reduced.indices, idx)
     assert reduced.values.tobytes() == values.tobytes()
-    assert stats.records == oracle_stats.records
+    assert stats.records == tuple(sent)
 
     bits = np.stack([BitMask(rng.random(length) < 0.1).bits for _ in range(n)])
     reduced, stats = naive_sparse_allreduce(vecs, bits, topo, step=step)
-    idx, values, oracle_stats = hop_naive_oracle(vecs, bits, topo, step)
+    idx, values, sent = hop_naive_oracle(vecs, bits, topo, step)
     assert np.array_equal(reduced.indices, idx)
     assert reduced.values.tobytes() == values.tobytes()
-    assert stats.records == oracle_stats.records
+    assert stats.records == tuple(sent)
 
 
 def _edge_case_rows(rng, n, length):
@@ -669,18 +724,19 @@ def test_fixed_size_reduces_store_o_n_integers_per_phase():
         assert message_count(stats) == 2 * n * (n - 1)
     # The no-agreement reduce's scatter payloads grow hop by hop, so that
     # phase alone is stored as a table of one row per hop, N(N-1) integers.
+    # A mask round is one row of N, whatever the number of broadcasters.
     masks = [BitMask(rng.random(length) < 0.1) for _ in range(n)]
     stats = naive_sparse_allreduce(vecs, np.stack([m.bits for m in masks]), topo, step=4)[1]
     assert stored_integers(stats) == n * (n - 1) + n
     cfg = MaskAgreementConfig(n_selected_nodes=3, shared_seed=2)
     _, stats = agree(masks, cfg, step=4)
-    assert stored_integers(stats) == 3 * 2 * (n - 1)
+    assert stored_integers(stats) == n
 
 
 def test_compressed_run_at_1024_nodes_stores_under_16n_integers_per_step():
     # Two warm-up and two pruned steps. Per-message reduce arrays would hold
-    # 4N(N-1) integers per step; the O(N) phases and the mask rounds hold
-    # about 6N.
+    # 4N(N-1) integers per step; the two reduce phases and the mask round
+    # hold N each.
     n = 1024
     task = MlpClassificationTask(n_samples=2 * n, data_seed=3)
     cfg = TrainingConfig(
@@ -701,8 +757,15 @@ def test_compressed_run_at_1024_nodes_stores_under_16n_integers_per_step():
 
 def test_record_ring_phase_rejects_what_is_not_a_ring_phase():
     stats = LinkStats()
-    with pytest.raises(StructuralError, match="'mask_round' is not a reduce phase"):
-        stats.record_ring_phase(0, PHASE_MASK, [1, 2])
+    with pytest.raises(StructuralError, match="'broadcast' is not a ring phase"):
+        stats.record_ring_phase(0, "broadcast", [1, 2])
+    # byte counts that are not integers are rejected, not truncated
+    for bad, dtype in (([2.7, 3.9, 0.5], "float64"), ([True, False], "bool")):
+        for phase in PHASES:
+            with pytest.raises(StructuralError, match=f"dtype {dtype} are not integers"):
+                stats.record_ring_phase(0, phase, bad)
+    with pytest.raises(StructuralError, match="dtype float64 are not integers"):
+        stats.record_ring_phase(0, PHASE_SCATTER, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     with pytest.raises(StructuralError, match="payload_bytes must be >= 0"):
         stats.record_ring_phase(0, PHASE_SCATTER, [1, -2, 3])
     with pytest.raises(StructuralError, match="payload_bytes must be >= 0"):
@@ -713,7 +776,11 @@ def test_record_ring_phase_rejects_what_is_not_a_ring_phase():
             stats.record_ring_phase(0, PHASE_ALLGATHER, bad)
     assert stats.records == ()
     stats.record_ring_phase(0, PHASE_SCATTER, [[1, 2, 3], [4, 5, 6]])
-    assert message_count(stats) == 6
+    stats.record_ring_phase(0, PHASE_ALLGATHER, np.array([1, 2, 3], dtype=np.uint8))
+    stats.record_ring_phase(0, PHASE_MASK, np.array([0, 2, 0], dtype=np.int32))
+    assert message_count(stats) == 12
+    assert message_count(stats, phases=(PHASE_MASK,)) == 2
+    assert stats.bytes_for() == 21 + 6 * 2 + 2 * 2
 
 
 def test_per_hop_ring_phase_matches_hand_written_messages():
@@ -740,49 +807,58 @@ def test_per_hop_ring_phase_matches_hand_written_messages():
 
 
 def test_linkstats_rejects_negative_or_mismatched_sizes():
+    # A mask round's table is checked as a reduce phase's is.
     stats = LinkStats()
     with pytest.raises(StructuralError, match="payload_bytes must be >= 0"):
-        stats.record_messages(0, PHASE_MASK, [0, 1, 2], [3, -1, 0])
+        stats.record_ring_phase(0, PHASE_MASK, [3, -1, 0])
     with pytest.raises(StructuralError, match="payload_bytes must be >= 0"):
-        record(stats, 0, 1, PHASE_SCATTER, -5)
-    with pytest.raises(StructuralError):
-        stats.record_messages(0, PHASE_MASK, [0, 1], [3])
-    with pytest.raises(StructuralError):
-        stats.record_messages(0, PHASE_MASK, [[0, 1]], [[3, 4]])
+        stats.record_ring_phase(0, PHASE_MASK, np.array([3, 2**63], dtype=np.uint64))
+    for bad in ([3], [[0, 1], [3, 4]], [[[3, 4]]]):
+        with pytest.raises(StructuralError, match="are not a ring's"):
+            stats.record_ring_phase(0, PHASE_MASK, bad)
     assert stats.records == ()
 
 
-# (step, phase, [(sender, bytes), ...], how): small ranges, so (step, node,
-# phase) keys repeat and zero-byte messages are common.
-_blocks = st.lists(
+def mask_table(n, sizes):
+    """A mask round's chunk bytes on a ring of ``n``: ``sizes[o]`` at each
+    broadcaster o, 0 (not broadcast) elsewhere."""
+    return [sizes.get(k, 0) for k in range(n)]
+
+
+def mask_messages(step, n, sizes):
+    """The mask round of ``mask_table(n, sizes)`` forwarded hop by hop."""
+    return forward_oracle({o: bytes(b) for o, b in sizes.items()}, n, step)[1]
+
+
+def _mask_sizes(n):
+    """A random set of broadcasters of a ring of ``n``, each with a mask of 1
+    to 3 bytes; the empty set is a round that sends nothing."""
+    return st.dictionaries(st.integers(0, n - 1), st.integers(1, 3))
+
+
+# (step, (n, sizes), through_extend): small ranges, so (step, node, phase)
+# keys repeat across rounds.
+_mask_rounds = st.lists(
     st.tuples(
         st.integers(0, 3),
-        st.sampled_from(PHASES),
-        st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3)), max_size=6),
-        st.sampled_from(("record", "record_messages", "extend")),
+        st.integers(2, 5).flatmap(lambda n: st.tuples(st.just(n), _mask_sizes(n))),
+        st.booleans(),
     ),
     max_size=10,
 )
 
 
-@given(_blocks)
+@given(_mask_rounds)
 @settings(max_examples=200, deadline=None)
-def test_linkstats_queries_match_per_message_reference(blocks):
+def test_linkstats_queries_match_per_message_reference(rounds):
     stats = LinkStats()
     reference = []
-    for step, phase, messages, how in blocks:
-        senders = [k for k, _ in messages]
-        sizes = [b for _, b in messages]
-        if how == "record":
-            for sender, nbytes in messages:
-                record(stats, step, sender, phase, nbytes)
-        elif how == "record_messages":
-            stats.record_messages(step, phase, senders, sizes)
-        else:
-            other = LinkStats()
-            other.record_messages(step, phase, senders, sizes)
-            stats.extend(other)
-        reference += [(step, sender, phase, nbytes) for sender, nbytes in messages]
+    for step, (n, sizes), through_extend in rounds:
+        target = LinkStats() if through_extend else stats
+        target.record_ring_phase(step, PHASE_MASK, mask_table(n, sizes))
+        if through_extend:
+            stats.extend(target)
+        reference += mask_messages(step, n, sizes)
 
     assert stats.records == tuple(reference)
     assert stats.bytes_for() == sum(r[3] for r in reference)
@@ -807,23 +883,23 @@ def phase_oracle(step, phase, chunk_bytes):
     ``chunk_bytes[c]``, or ``chunk_bytes[s][c]`` in a table of one row per hop."""
     table = [chunk_bytes] if np.ndim(chunk_bytes) == 1 else chunk_bytes
     n = len(table[0])
-    stats = LinkStats()
+    records = []
     _ring_exchange(
         [list(range(n)) for _ in range(n)],
         RingTopology.create(n, n),
-        stats,
+        records,
         step,
         chunk_nbytes=lambda c: c,  # each message is recorded with its chunk's id
         combine=lambda incoming, own: own,
     )
-    sent = [r for r in stats.records if r[2] == phase]
+    sent = [r for r in records if r[2] == phase]
     # _ring_exchange records a phase hop by hop, n messages a hop
     return [(st, k, ph, table[i // n % len(table)][c]) for i, (st, k, ph, c) in enumerate(sent)]
 
 
 # (kind, step, ...): reduces at N from 2 to 17 with P from 0 (all chunks
-# empty) up, ring phases of random chunk sizes (zeros common), one row or
-# one row per hop, and message blocks.
+# empty) up, reduce phases of random chunk sizes (zeros common), one row or
+# one row per hop, and mask tables.
 _reduce_ops = st.tuples(
     st.sampled_from(("dense", "sparse", "contrast")),
     st.integers(0, 3),
@@ -849,16 +925,12 @@ _hop_phase_ops = st.integers(2, 9).flatmap(
         st.booleans(),
     )
 )
-_message_ops = st.tuples(
-    st.just("messages"),
-    st.integers(0, 3),
-    st.sampled_from(PHASES),
-    st.lists(st.tuples(st.integers(0, 16), st.integers(0, 3)), max_size=6),
-    st.booleans(),
+_mask_ops = st.integers(2, 17).flatmap(
+    lambda n: st.tuples(st.just("mask"), st.integers(0, 3), st.just(n), _mask_sizes(n), st.booleans())
 )
 
 
-@given(st.lists(st.one_of(_reduce_ops, _phase_ops, _hop_phase_ops, _message_ops), max_size=6))
+@given(st.lists(st.one_of(_reduce_ops, _phase_ops, _hop_phase_ops, _mask_ops), max_size=6))
 @settings(max_examples=150, deadline=None)
 def test_ring_phase_queries_match_per_message_reference(ops):
     stats = LinkStats()
@@ -871,27 +943,29 @@ def test_ring_phase_queries_match_per_message_reference(ops):
             vecs = rng.standard_normal((n, length))
             if kind == "dense":
                 part = dense_allreduce(vecs, topo, step=step)[1]
-                oracle_stats = hop_dense_oracle(list(vecs), topo, step)[1]
+                oracle_records = hop_dense_oracle(list(vecs), topo, step)[1]
             elif kind == "contrast":
                 bits = rng.random((n, length)) < density
                 part = naive_sparse_allreduce(vecs, bits, topo, step=step)[1]
-                oracle_stats = hop_naive_oracle(list(vecs), bits, topo, step)[2]
+                oracle_records = hop_naive_oracle(list(vecs), bits, topo, step)[2]
             else:
                 shared = np.flatnonzero(rng.random(length) < density)
                 parts = SparseGradient(shared, vecs[:, shared], length)
                 part = sparse_allreduce(parts, topo, step=step)[1]
-                oracle_stats = hop_sparse_oracle(parts, topo, step)[2]
+                oracle_records = hop_sparse_oracle(parts, topo, step)[2]
             stats.extend(part)
-            reference += oracle_stats.records
+            reference += oracle_records
             continue
-        phase, items, through_extend = args
+        *items, through_extend = args
         target = LinkStats() if through_extend else stats
         if kind == "phase":
-            target.record_ring_phase(step, phase, items)
-            reference += phase_oracle(step, phase, items)
+            phase, table = items
+            target.record_ring_phase(step, phase, table)
+            reference += phase_oracle(step, phase, table)
         else:
-            target.record_messages(step, phase, [k for k, _ in items], [b for _, b in items])
-            reference += [(step, k, phase, b) for k, b in items]
+            n, sizes = items
+            target.record_ring_phase(step, PHASE_MASK, mask_table(n, sizes))
+            reference += mask_messages(step, n, sizes)
         if through_extend:
             stats.extend(target)
 
@@ -915,12 +989,16 @@ def test_report_empty_stats_all_zero():
 
 
 def test_report_aggregates_by_step_node_phase():
+    # N = 2: at hop 0 node k sends chunk k. A reduce phase's 0-byte message
+    # still gives its sender a row; a mask round's unbroadcast chunk does not.
     stats = LinkStats()
-    record(stats, 0, 1, PHASE_SCATTER, 10)
-    record(stats, 0, 1, PHASE_SCATTER, 5)
-    record(stats, 1, 0, PHASE_MASK, 3)
+    stats.record_ring_phase(0, PHASE_SCATTER, [0, 10])
+    stats.record_ring_phase(0, PHASE_SCATTER, [0, 5])
+    stats.record_ring_phase(1, PHASE_MASK, [3, 0])
     report = bandwidth_report(stats)
-    assert report.rows == ((0, 1, PHASE_SCATTER, 15), (1, 0, PHASE_MASK, 3))
+    assert report.rows == (
+        (0, 0, PHASE_SCATTER, 0), (0, 1, PHASE_SCATTER, 15), (1, 0, PHASE_MASK, 3)
+    )
     assert report.per_node_bytes == {0: 3, 1: 15}
     assert report.total_bytes == 18
 

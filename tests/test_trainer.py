@@ -925,6 +925,35 @@ def test_run_is_deterministic():
     assert a.stats.records == b.stats.records
 
 
+@pytest.mark.parametrize(
+    "mode, n_selected", [(MODE_COMPRESSED, 1), (MODE_COMPRESSED, 2), (MODE_DGC_CONTRAST, 2)]
+)
+def test_run_message_count_per_step(mode, n_selected):
+    # The count the benchmark reports as ring.messages: 2N(N-1) reduce
+    # messages per step, and in a compressed step R(N-1) mask forwards, one
+    # per hop of each of the R broadcasters' masks. Warm-up and pruned steps
+    # alike run a mask round.
+    n = 5
+    task = MlpClassificationTask(
+        n_samples=80, n_features=6, hidden_units=8, n_classes=3, data_seed=44
+    )
+    cfg = TrainingConfig(
+        momentum=0.9,
+        learning_rate=EpochSchedule.constant(0.05),
+        batch_size=4,
+        n_nodes=n,
+        epochs=2,
+        seed=18,
+    )
+    policy = fixed_threshold_policy(0.05, warmup_epochs=1)
+    mask_cfg = MaskAgreementConfig(n_selected_nodes=n_selected, shared_seed=24)
+    result = run_experiment(task, cfg, policy, mask_cfg, mode)
+    n_steps = len(result.metrics) - 1
+    assert n_steps == 8
+    mask_forwards = n_selected * (n - 1) if mode == MODE_COMPRESSED else 0
+    assert len(result.stats.records) == n_steps * (2 * n * (n - 1) + mask_forwards)
+
+
 def test_run_modes_emit_schema_fields():
     task = MlpClassificationTask(
         n_samples=64, n_features=6, hidden_units=8, n_classes=3, data_seed=43

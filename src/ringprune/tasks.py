@@ -27,14 +27,18 @@ Bit-identity with the per-batch products rests on the BLAS computing a
 row block of a GEMM as the GEMM of that block alone; the pinned artifact
 digests hold for numpy 2.4.6 with its AVX-512 loops and its bundled
 OpenBLAS's SkylakeX kernels.
+The evaluation walks the dataset in row blocks, as many as fit with every
+block's products past SMALL_GEMM_MACS, so it holds the hidden activations
+of at most two blocks rather than of the whole dataset.
 Wide work runs as two halves through ``in_halves``, the first on a helper
-thread: the evaluation's rows once each half's products pass
-SMALL_GEMM_MACS, the gradient's chunks once one node fills a chunk. The
-cuts, and so the results, do not depend on the CPU count.
+thread: the evaluation's blocks once there are two or more, the gradient's
+chunks once one node fills a chunk. The cuts, and so the results, do not
+depend on the CPU count.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 import threading
 from dataclasses import dataclass
@@ -58,10 +62,12 @@ from .seeds import DATA_STREAM, substream
 GRADIENT_CHUNK_ELEMENTS = 1 << 15
 
 # OpenBLAS multiplies a product of at most this many multiply-adds with its
-# small-matrix kernel and a larger one with its blocked kernel, and on its
-# AVX-512 kernels the two sum an inner dimension of 512 or more in different
-# orders. So a block of a product's rows gets the product's bits only when
-# both fall on the same side of this line.
+# small-matrix kernel and a larger one with its blocked kernel, and the two
+# round differently at short inner dimensions too: on the SkylakeX kernels,
+# with 4 output columns at every inner dimension from 20 to 1,024, with 48
+# from 500 up, with 1 from 8 up. So a block of a product's rows gets the
+# product's bits only when both fall on the same side of this line,
+# whatever the inner dimension.
 SMALL_GEMM_MACS = 10**6
 
 # Numpy adds a row of fewer than PAIRWISE_LANES entries one by one, and a
@@ -126,14 +132,17 @@ def check_array_sizes(arrays) -> None:
 def in_halves(work, n: int, split: bool) -> None:
     """Call ``work(0, n)``; or, when ``split``, ``work(0, n // 2)`` on a
     helper thread and ``work(n // 2, n)`` on this one, returning once both
-    are done. An exception of the helper's is raised here."""
+    are done. The helper runs in a copy of this thread's context, so both
+    halves keep the caller's numpy error state (``np.errstate``). An
+    exception of the helper's is raised here."""
     if not split:
         return work(0, n)
     errors = []
+    context = contextvars.copy_context()
 
     def helper_body():
         try:
-            work(0, n // 2)
+            context.run(work, 0, n // 2)
         except BaseException as exc:
             errors.append(exc)
 
@@ -322,7 +331,6 @@ class MlpClassificationTask(SyntheticTask):
             ("n_classes x n_features", (c, d)),
             ("n_features x hidden_units", (d, h)),
             ("hidden_units x n_classes", (h, c)),
-            ("n_samples x hidden_units", (s, h)),
             ("n_samples x n_classes", (s, c)),
         ])
         rng = substream(self.data_seed, DATA_STREAM)
@@ -408,19 +416,35 @@ class MlpClassificationTask(SyntheticTask):
         return out
 
     def evaluate(self, weights: np.ndarray) -> tuple[float, float | None]:
-        """Mean cross-entropy and accuracy over the whole dataset. The forward
-        pass fills preallocated buffers, in two row halves (``in_halves``)
-        once each half's smaller product, S // 2 x hidden x min(features,
-        classes), is past SMALL_GEMM_MACS, so that each half runs the
-        whole's kernel."""
-        hidden = np.empty((self.n_samples, self.hidden_units))
-        logits = np.empty((self.n_samples, self.n_classes))
+        """Mean cross-entropy and accuracy over the whole dataset.
+
+        The forward pass walks the dataset in row blocks of near-equal size,
+        as many as fit with each block's smaller product, rows x hidden x
+        min(features, classes), past SMALL_GEMM_MACS, so that every block
+        runs the whole's kernel and so has the whole's bits. Each block
+        writes its logits into one (S, C) buffer. From two blocks on, the
+        first half of them runs on a helper thread (``in_halves``). The
+        hidden activations go to one (min(2, blocks), ceil(S / blocks),
+        hidden) buffer, a slab per thread, made here on each call and freed
+        on return: two per-thread buffers, or one kept on the task, lowered
+        glibc's dynamic mmap threshold below the step's 1-2 MB temporaries,
+        and wide4-pruned's minor faults per super-step rose from about 140
+        to about 1,300."""
+        s = self.n_samples
+        narrowest = self.hidden_units * min(self.n_features, self.n_classes)
+        blocks = max(1, s // (SMALL_GEMM_MACS // narrowest + 1))
+        hidden = np.empty((min(2, blocks), -(-s // blocks), self.hidden_units))
+        logits = np.empty((s, self.n_classes))
 
         def forward(lo: int, hi: int) -> None:
-            self._forward(weights, self.features[lo:hi], hi - lo, hidden[lo:hi], logits[lo:hi])
+            slab = hidden[min(lo, 1)]
+            for block in range(lo, hi):
+                # S // blocks rows, or one more
+                start, stop = s * block // blocks, s * (block + 1) // blocks
+                n = stop - start
+                self._forward(weights, self.features[start:stop], n, slab[:n], logits[start:stop])
 
-        half = (self.n_samples // 2) * self.hidden_units * min(self.n_features, self.n_classes)
-        in_halves(forward, self.n_samples, half > SMALL_GEMM_MACS)
+        in_halves(forward, blocks, blocks > 1)
         # the accuracy first: the shift below runs in place
         accuracy = np.count_nonzero(np.argmax(logits, axis=1) == self.labels) / self.n_samples
         lse = shift_log_sum_exp(logits)

@@ -1,6 +1,8 @@
 import math
 import sys
 import threading
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -346,17 +348,19 @@ def _split_samples(n_features: int) -> int:
 
 
 @pytest.mark.parametrize(
-    "n_features, hidden_units, n_samples, splits",
+    "n_features, hidden_units, n_samples, blocks",
     [
-        (20, 1024, 2051, True),
-        (20, 1024, _split_samples(20), True),
-        (20, 1024, _split_samples(20) - 1, False),
-        (3, 1024, _split_samples(3), True),
-        (3, 1024, _split_samples(3) - 1, False),
-        (20, 1000, 500, False),
+        (20, 1024, 2051, 8),
+        (20, 1024, 979, 3),
+        (20, 1024, _split_samples(20), 2),
+        (20, 1024, _split_samples(20) - 1, 1),
+        (3, 1024, _split_samples(3), 2),
+        (3, 1024, _split_samples(3) - 1, 1),
+        (20, 1000, 500, 1),
     ],
     ids=[
         "odd",
+        "three-blocks",
         "at-constant",
         "below",
         "few-features-at-constant",
@@ -365,14 +369,18 @@ def _split_samples(n_features: int) -> int:
     ],
 )
 def test_wide_evaluate_matches_reference_in_halves(
-    monkeypatch, n_features, hidden_units, n_samples, splits
+    monkeypatch, n_features, hidden_units, n_samples, blocks
 ):
-    """Past SMALL_GEMM_MACS in each half's smaller product evaluate runs two
-    row halves (unequal ones at odd S), otherwise one pass; either way its
-    bits are the plain formulas'. With fewer features than classes, the
-    features product is each half's smaller one and sets the split. Halves
-    of exactly SMALL_GEMM_MACS (250 x 1,000 x 4) must not split: they would
-    run the small-matrix kernel where the whole runs the blocked one."""
+    """Past SMALL_GEMM_MACS in each block's smaller product evaluate walks
+    as many row blocks as fit, S // blocks rows each or one more (2,051
+    rows make 8 blocks and 979 make 3, neither dividing S), the first
+    blocks // 2 on a helper thread and the rest on the caller's; otherwise
+    it runs one pass on the caller's. Either way its bits are the plain
+    formulas', while the threads switch as often as the interpreter allows.
+    With fewer features than classes, the features product is each block's
+    smaller one and sets the count. Blocks of exactly SMALL_GEMM_MACS
+    (250 x 1,000 x 4) must not split: they would run the small-matrix
+    kernel where the whole runs the blocked one."""
     task = MlpClassificationTask(
         n_samples=n_samples,
         n_features=n_features,
@@ -380,12 +388,69 @@ def test_wide_evaluate_matches_reference_in_halves(
         n_classes=4,
         data_seed=4,
     )
+    caller = threading.get_ident()
+    block_rows = []
+    forward = task._forward
+
+    def recording(weights, x, batch_rows, hidden=None, logits=None):
+        block_rows.append((x.shape[0], threading.get_ident() != caller))
+        return forward(weights, x, batch_rows, hidden, logits)
+
+    task._forward = recording
     calls = _spy_in_halves(monkeypatch)
     rng = np.random.default_rng(12)
     init = task.init_weights(rng)
-    for weights in (init, rng.standard_normal(init.shape)):
-        assert task.evaluate(weights) == mlp_evaluate(task, weights)
-    assert calls == ([n_samples] * 2 if splits else [])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for weights in (init, rng.standard_normal(init.shape)):
+            assert task.evaluate(weights) == mlp_evaluate(task, weights)
+    finally:
+        sys.setswitchinterval(interval)
+    assert calls == ([blocks] * 2 if blocks > 1 else [])
+    assert len(block_rows) == 2 * blocks
+    assert {n for n, _ in block_rows} <= {n_samples // blocks, -(-n_samples // blocks)}
+    helper_rows = sum(n for n, on_helper in block_rows if on_helper)
+    assert helper_rows == 2 * (n_samples * (blocks // 2) // blocks)
+    assert sum(n for n, _ in block_rows) == 2 * n_samples
+
+
+WIDE4_PRUNED = {"n_samples": 2048, "n_features": 64, "hidden_units": 1024, "n_classes": 4}
+
+
+@pytest.mark.parametrize("n_samples", [2048, 4096])
+def test_evaluate_memory_does_not_grow_with_the_dataset(n_samples):
+    """At wide4-pruned's widths evaluate holds two 256-row blocks of hidden
+    activations, not all S rows: its peak allocation stays below a third of
+    the 16 MiB an (S, H) buffer takes at S = 2,048, and stays there when S
+    doubles. Only the (S, C) logits and their like grow with S."""
+    task = MlpClassificationTask(**{**WIDE4_PRUNED, "n_samples": n_samples}, data_seed=4)
+    weights = task.init_weights(np.random.default_rng(14))
+    tracemalloc.start()
+    try:
+        task.evaluate(weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    whole = 2048 * task.hidden_units * 8
+    assert peak < whole // 3, (peak, whole)
+
+
+def test_helper_half_keeps_the_callers_error_state():
+    """The helper thread's half runs under the caller's np.errstate: with
+    infinite hidden weights at wide4-pruned's shape, the matmuls of both
+    halves meet inf - inf, and under errstate(all="ignore") neither evaluate
+    nor node_gradient warns."""
+    task = MlpClassificationTask(**WIDE4_PRUNED, data_seed=4)
+    weights = task.init_weights(np.random.default_rng(15))
+    hidden_w, _, _, _ = task._unpack(weights)
+    hidden_w[...] = math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="ignore"):
+            loss, _ = task.evaluate(weights)
+            grads = task.node_gradient(weights, 0, 4, 64)
+    assert math.isnan(loss) and np.isnan(grads).any()
 
 
 def _record_thread_starts(monkeypatch) -> list:

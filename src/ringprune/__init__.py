@@ -53,7 +53,6 @@ from .trainer import (
     baseline_dense_step,
     clip_gradient,
     compressed_step,
-    dgc_contrast_step,
     init_state,
     run_experiment,
     write_metrics_csv,
@@ -94,7 +93,6 @@ __all__ = [
     "compute_importance",
     "decode_mask",
     "dense_allreduce",
-    "dgc_contrast_step",
     "encode_mask",
     "encoded_size",
     "init_state",

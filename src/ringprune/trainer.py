@@ -6,7 +6,8 @@ modes each node's residual buffer differs, so it is one row per node; the
 dense baseline's momentum velocity is the same on every node and is kept
 once. Staleness is read from node 0 only, so only its last-send steps are
 kept. One training super-step runs compute, mask agreement, reduce, and
-update as lock-step phases. The pruned pipeline:
+update as lock-step phases. Both pruned modes run one step,
+:func:`compressed_step`; its pipeline with mask agreement (``compressed``):
 
 1. compute every node's (1/NB)-scaled mini-batch gradient as (N, P) rows,
    in one task call, then clip each row when ``clip_norm`` is set (the
@@ -27,6 +28,14 @@ update as lock-step phases. The pruned pipeline:
 6. ring-reduce the sent block, subtract the update from the weights in
    place at the shared indices and record the step as the last send of
    every entry in the shared mask.
+
+Without mask agreement (``dgc_contrast``) steps 1-2 are the same; step 3
+masks all N rows, and no broadcasters are drawn; steps 4-5 give way to a
+reduce of each node's own masked entries, whose index sets union hop by
+hop, after which the sent entries are zeroed in each node's row; step 6
+applies the sum on the union and records node 0's own mask as its sends.
+Given N copies of one mask, the two reduces return the same sum and the
+same messages, so the branches are two forms of one collective.
 
 The reduce hands back the sum of the sent contributions in the same
 owner-first order as the dense baseline's reduce of (1/NB)-scaled
@@ -68,10 +77,12 @@ from .seeds import INIT_STREAM, substream
 
 # perfbench/child.py times runs by replacing attributes by name: this
 # module's compute_importance, thresholds_for, build_local_mask,
-# split_by_mask, dense_allreduce, mask_agreement_round, sparse_allreduce and
-# step functions, and ring's encode_mask, decode_mask and or_masks. So the
-# steps call them as globals, and run_experiment names each step in its call
-# (a mode -> function table built at import would bypass the step hook). The
+# split_by_mask, dense_allreduce, mask_agreement_round, sparse_allreduce,
+# baseline_dense_step and compressed_step, and ring's encode_mask,
+# decode_mask and or_masks. So the steps call them as globals, and
+# run_experiment names each step in its call (a mode -> function table built
+# at import would bypass the step hook); tests/test_package.py checks that
+# every hooked name resolves and that run_experiment reaches the step. The
 # hook on mask_agreement_round calls .density() on each local mask and
 # or_masks on the list: the round takes BitMasks, not an (R, P) bool stack.
 
@@ -157,9 +168,10 @@ def clip_gradient(grad: np.ndarray, clip_norm: float) -> np.ndarray:
 @dataclass
 class StepOutcome:
     """What one super-step produced, for metrics and assertions: its link
-    traffic and the mask of the entries its reduce delivered (all ones in
-    dense mode, the shared mask in compressed mode, the union of the
-    nodes' masks in the contrast mode)."""
+    traffic and the mask of the entries its reduce delivered. That is all
+    ones in dense mode; in compressed mode the agreed shared mask, as the
+    agreement round returned it; in the contrast mode the union of the
+    nodes' own masks."""
 
     stats: LinkStats
     shared_mask: BitMask
@@ -243,7 +255,7 @@ def _local_masks(
 def compressed_step(
     state: TrainState,
     policy: ThresholdPolicy,
-    mask_cfg: MaskAgreementConfig,
+    mask_cfg: MaskAgreementConfig | None,
     cfg: TrainingConfig,
     step: int,
     epoch: int,
@@ -251,42 +263,30 @@ def compressed_step(
     task,
     topo: RingTopology,
 ) -> StepOutcome:
-    """One pruned super-step; see the module docstring for the pipeline."""
-    broadcasters = select_broadcast_nodes(cfg.n_nodes, mask_cfg, step)
-    bits = _local_masks(state, policy, cfg, step, epoch, task, nodes=broadcasters)
-    masks = [BitMask(row) for row in bits]
-    shared, stats = mask_agreement_round(masks, broadcasters, cfg.n_nodes, step)
-    sent = split_by_mask(state.accum, shared)
-    total, reduce_stats = sparse_allreduce(sent, topo, step=step)
-    stats.extend(reduce_stats)
-    state.weights[total.indices] -= cfg.learning_rate.value_at(epoch) * total.values
-    state.last_sent[shared.bits] = step + 1
-    return StepOutcome(stats=stats, shared_mask=shared)
+    """One pruned super-step; see the module docstring for the pipeline.
 
-
-def dgc_contrast_step(
-    state: TrainState,
-    policy: ThresholdPolicy,
-    cfg: TrainingConfig,
-    step: int,
-    epoch: int,
-    *,
-    task,
-    topo: RingTopology,
-) -> StepOutcome:
-    """Pruned step without mask agreement: every node sends its own picks.
-
-    Index sets union as partials travel the ring, so the applied update and
-    the wire traffic densify with node count. The union plays the shared
-    mask's role for residual-free bookkeeping of what was applied; node 0's
-    last sends are those of its own mask.
+    ``mask_cfg`` None is the ``dgc_contrast`` mode: no mask agreement, so
+    every node sends its own picks, and the applied update and the wire
+    traffic densify with node count.
     """
-    bits = _local_masks(state, policy, cfg, step, epoch, task, range(cfg.n_nodes))
-    total, stats = naive_sparse_allreduce(state.accum, bits, topo, step=step)
-    state.accum[bits] = 0.0
+    if mask_cfg is None:
+        bits = _local_masks(state, policy, cfg, step, epoch, task, range(cfg.n_nodes))
+        total, stats = naive_sparse_allreduce(state.accum, bits, topo, step=step)
+        state.accum[bits] = 0.0
+        delivered = BitMask(bits.any(axis=0))
+        node_0_sent = bits[0]
+    else:
+        broadcasters = select_broadcast_nodes(cfg.n_nodes, mask_cfg, step)
+        bits = _local_masks(state, policy, cfg, step, epoch, task, nodes=broadcasters)
+        masks = [BitMask(row) for row in bits]
+        delivered, stats = mask_agreement_round(masks, broadcasters, cfg.n_nodes, step)
+        sent = split_by_mask(state.accum, delivered)
+        total, reduce_stats = sparse_allreduce(sent, topo, step=step)
+        stats.extend(reduce_stats)
+        node_0_sent = delivered.bits
     state.weights[total.indices] -= cfg.learning_rate.value_at(epoch) * total.values
-    state.last_sent[bits[0]] = step + 1
-    return StepOutcome(stats=stats, shared_mask=BitMask(bits.any(axis=0)))
+    state.last_sent[node_0_sent] = step + 1
+    return StepOutcome(stats=stats, shared_mask=delivered)
 
 
 @dataclass
@@ -385,19 +385,17 @@ def run_experiment(
             )
         )
 
+    # the contrast mode runs the pruned step without mask agreement
+    step_mask_cfg = mask_cfg if mode == MODE_COMPRESSED else None
     record(0, 0, None)
     for step in range(cfg.epochs * steps_per_epoch):
         epoch = step // steps_per_epoch
         try:
             if mode == MODE_DENSE:
                 outcome = baseline_dense_step(state, cfg, step, epoch, task=task, topo=topo)
-            elif mode == MODE_COMPRESSED:
-                outcome = compressed_step(
-                    state, policy, mask_cfg, cfg, step, epoch, task=task, topo=topo
-                )
             else:
-                outcome = dgc_contrast_step(
-                    state, policy, cfg, step, epoch, task=task, topo=topo
+                outcome = compressed_step(
+                    state, policy, step_mask_cfg, cfg, step, epoch, task=task, topo=topo
                 )
         except InputError as exc:
             raise DivergenceError(f"{exc} at step {step + 1} (epoch {epoch})") from exc

@@ -5,7 +5,19 @@ import inspect
 import re
 from pathlib import Path
 
+import pytest
+
 import ringprune
+from ringprune import (
+    EpochSchedule,
+    LinearRegressionTask,
+    MaskAgreementConfig,
+    MlpClassificationTask,
+    ThresholdPolicy,
+    TrainingConfig,
+    ring,
+    trainer,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -121,3 +133,89 @@ def test_every_module_level_name_is_read_by_the_program():
             if not any(name in reads for _, other, reads in statements if other is not statement):
                 unread.append(f"{path.stem}.{name}")
     assert not unread, f"module-level names not read by the program: {unread}"
+
+
+# What perfbench/child.py replaces by name, and on what: "trainer" and "ring"
+# are the package's modules, "task" is the run's task object.
+HOOK_OWNERS = {
+    "trainer": (trainer,),
+    "ring": (ring,),
+    "task": (MlpClassificationTask, LinearRegressionTask),
+}
+
+
+def benchmark_hooks() -> tuple[set[tuple[str, str]], set[str]]:
+    """The (owner, attribute) pairs that perfbench/child.py names, and the
+    step functions it hooks on ``trainer``, read from its source: importing
+    it would run its imports and path setup."""
+    tree = ast.parse((ROOT / "perfbench" / "child.py").read_text())
+    pairs, steps = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Tuple) and len(node.elts) >= 2:
+            owner, attr = node.elts[:2]
+            if isinstance(owner, ast.Name) and isinstance(getattr(attr, "value", None), str):
+                pairs.add((owner.id, attr.value))
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "step_name" for target in node.targets
+        ):
+            steps |= {
+                leaf.value
+                for leaf in ast.walk(node.value)
+                if isinstance(leaf, ast.Constant) and isinstance(leaf.value, str)
+            }
+    return pairs, steps
+
+
+def test_every_name_the_benchmark_hooks_resolves_on_the_package():
+    """Each (module, attribute) in ``TRACED_NAMES`` and in the other hooks
+    of perfbench/child.py, and each step function it times, exists. The step
+    functions take ``step`` and ``epoch``, which its step log binds by name.
+    A deleted or renamed hooked name fails here, not only in a benchmark
+    run."""
+    pairs, steps = benchmark_hooks()
+    assert ("trainer", "split_by_mask") in pairs and ("ring", "or_masks") in pairs
+    assert steps == {"baseline_dense_step", "compressed_step"}
+    missing = [
+        f"{owner}.{attr}"
+        for owner, attr in sorted(pairs)
+        for target in HOOK_OWNERS.get(owner, (None,))
+        if target is None or not hasattr(target, attr)
+    ]
+    assert not missing, f"hooked by perfbench/child.py but not defined: {missing}"
+    for name in sorted(steps):
+        parameters = inspect.signature(getattr(trainer, name)).parameters
+        assert {"step", "epoch"} <= parameters.keys(), name
+
+
+@pytest.mark.parametrize(
+    "mode, step_name",
+    [
+        (trainer.MODE_DENSE, "baseline_dense_step"),
+        (trainer.MODE_COMPRESSED, "compressed_step"),
+        (trainer.MODE_DGC_CONTRAST, "compressed_step"),
+    ],
+)
+def test_run_experiment_calls_the_hooked_step_on_every_step(monkeypatch, mode, step_name):
+    """perfbench/child.py times a run by replacing the mode's step on
+    ``trainer``: ``baseline_dense_step`` in dense mode and
+    ``compressed_step`` in both pruned modes. So run_experiment must call
+    that global on every step, and no other step function."""
+    calls = {"baseline_dense_step": 0, "compressed_step": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(trainer, name, counting(name, getattr(trainer, name)))
+    policy = ThresholdPolicy(base=EpochSchedule.constant(0.05), warmup_epochs=1)
+    cfg = TrainingConfig(batch_size=4, n_nodes=2, epochs=2)
+    result = trainer.run_experiment(
+        LinearRegressionTask(n_samples=32), cfg, policy, MaskAgreementConfig(), mode
+    )
+    n_steps = len(result.metrics) - 1
+    assert n_steps == 8
+    assert calls == {name: n_steps if name == step_name else 0 for name in calls}

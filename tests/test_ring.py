@@ -28,6 +28,7 @@ from ringprune import (
     run_experiment,
     select_broadcast_nodes,
     sparse_allreduce,
+    split_by_mask,
 )
 from ringprune.ring import PHASE_ALLGATHER, PHASE_MASK, PHASE_SCATTER
 
@@ -665,6 +666,41 @@ def test_reduces_match_hop_by_hop_oracle_bit_for_bit_on_edge_cases(n):
         idx, values, _ = hop_naive_oracle(list(rows), bits, topo, 3)
         assert np.array_equal(reduced.indices, idx)
         assert reduced.values.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "n, length, density",
+    [
+        (64, 1204, 0.04),
+        (64, 1204, 0.5),
+        (8, 1204, 0.3),
+        (4, 70_660, 0.3),
+        (5, 3, 0.5),
+        (5, 3, 0.0),
+        (3, 10, 1.0),
+    ],
+)
+def test_contrast_reduce_of_one_common_mask_is_the_shared_index_reduce(n, length, density):
+    # Given N copies of one mask the contrast's unions never grow, so it must
+    # send and sum exactly what splitting under that mask and reducing on the
+    # shared index set does: the pruned step's two branches are two forms of
+    # one collective.
+    rng = np.random.default_rng(n * length)
+    topo = RingTopology.create(n, length)
+    rows = _edge_case_rows(rng, n, length)
+    mask = BitMask(rng.random(length) < density)
+    contrast, contrast_stats = naive_sparse_allreduce(
+        rows, np.tile(mask.bits, (n, 1)), topo, step=5
+    )
+    shared, shared_stats = sparse_allreduce(split_by_mask(rows.copy(), mask), topo, step=5)
+    assert np.array_equal(contrast.indices, shared.indices)
+    assert contrast.values.tobytes() == shared.values.tobytes()
+    assert contrast_stats.records == shared_stats.records
+    assert list(contrast_stats.iter_aggregated_rows()) == list(
+        shared_stats.iter_aggregated_rows()
+    )
+    for phase in (None, *PHASES):
+        assert contrast_stats.bytes_for(phase) == shared_stats.bytes_for(phase)
 
 
 def test_fixed_size_reduces_allocate_o_p_not_o_np():

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -23,7 +24,6 @@ from ringprune import (
     clip_gradient,
     compressed_step,
     compute_importance,
-    dgc_contrast_step,
     init_state,
     or_masks,
     run_experiment,
@@ -149,7 +149,7 @@ def test_steps_reject_a_state_built_for_another_mode():
     with pytest.raises(StructuralError, match=r"pruned step needs .* \(2, 3\), got \(3,\)"):
         compressed_step(dense, warmup_policy(), mask_cfg, cfg, 0, 0, task=task, topo=topo)
     with pytest.raises(StructuralError, match="built for another mode"):
-        dgc_contrast_step(dense, warmup_policy(), cfg, 0, 0, task=task, topo=topo)
+        compressed_step(dense, warmup_policy(), None, cfg, 0, 0, task=task, topo=topo)
     # A rejected step leaves the state as it was.
     assert np.array_equal(pruned.weights, np.ones(3)) and not pruned.accum.any()
     assert np.array_equal(dense.weights, np.ones(3)) and not dense.accum.any()
@@ -516,12 +516,14 @@ def test_compressed_matches_scalar_transcript():
         assert staleness(state, step + 1).tolist() == stale
 
 
-def test_compressed_per_step_conservation_exact():
+@pytest.mark.parametrize("mode", [MODE_COMPRESSED, MODE_DGC_CONTRAST])
+def test_compressed_per_step_conservation_exact(mode):
     # Integer-valued gradients and momentum 0.5 keep every quantity exactly
-    # representable. Each node's folded residual u = m * u_prev + g is split
-    # exactly: the kept residual is u off the shared mask and 0 on it, and
-    # the weights move by exactly -lr * (u0 + u1) on the mask and not at all
-    # off it, so nothing is lost or applied twice.
+    # representable. Each node's folded residual u_k = m * u_prev + g is
+    # split exactly under the mask node k sent (the shared mask, or in the
+    # contrast mode node k's own): the kept residual is u_k off that mask and
+    # 0 on it, and the weights move by exactly -lr * sum_k u_k on it and not
+    # at all off the masks, so nothing is lost or applied twice.
     rng = np.random.default_rng(23)
     length = 32
     layout = LayerLayout.from_sizes([("w", length)])
@@ -531,30 +533,40 @@ def test_compressed_per_step_conservation_exact():
         for step in range(6)
     }
     task = PresetGradientTask(layout, lambda n, s: presets[(n, s)], np.ones(length))
+    policy = fixed_policy(1.5)
     for momentum in (0.0, 0.5):
         cfg = TrainingConfig(
             momentum=momentum, learning_rate=EpochSchedule.constant(0.01), n_nodes=2, seed=6
         )
-        mask_cfg = MaskAgreementConfig(n_selected_nodes=1, shared_seed=8)
+        mask_cfg = None
+        if mode == MODE_COMPRESSED:
+            mask_cfg = MaskAgreementConfig(n_selected_nodes=1, shared_seed=8)
         topo = RingTopology.create(2, length)
-        state = init_state(task, cfg, MODE_COMPRESSED)
+        state = init_state(task, cfg, mode)
         for step in range(6):
             u = [momentum * state.accum[k] + presets[(k, step)] for k in range(2)]
+            own = _local_masks(copy.deepcopy(state), policy, cfg, step, 0, task, range(2))
             w_prev = state.weights.copy()
             outcome = compressed_step(
-                state, fixed_policy(1.5), mask_cfg, cfg, step, 0, task=task, topo=topo
+                state, policy, mask_cfg, cfg, step, 0, task=task, topo=topo
             )
             mask = outcome.shared_mask.bits
-            assert 0 < mask.sum() < length  # both sides of the split are checked
+            if mask_cfg is None:
+                sent = list(own)
+                assert np.array_equal(mask, own[0] | own[1])
+                assert np.any(own[0] != own[1])  # some entries only one node sent
+            else:
+                sent = [mask, mask]
             for k in range(2):
-                assert np.array_equal(state.accum[k], np.where(mask, 0.0, u[k]))
-            applied = np.where(mask, u[0] + u[1], 0.0)
+                assert 0 < sent[k].sum() < length  # both sides of the split are checked
+                assert np.array_equal(state.accum[k], np.where(sent[k], 0.0, u[k]))
+            applied = np.where(sent[0], u[0], 0.0) + np.where(sent[1], u[1], 0.0)
             assert np.array_equal(state.weights, w_prev - cfg.learning_rate.value_at(0) * applied)
             if momentum == 0.0:
                 # Each step is self-contained: it applies exactly this
-                # step's gradients on the mask.
-                g = presets[(0, step)] + presets[(1, step)]
-                expected = w_prev - cfg.learning_rate.value_at(0) * np.where(mask, g, 0.0)
+                # step's gradients on the masks.
+                g = sum(np.where(sent[k], presets[(k, step)], 0.0) for k in range(2))
+                expected = w_prev - cfg.learning_rate.value_at(0) * g
                 assert np.array_equal(state.weights, expected)
 
 
@@ -617,7 +629,9 @@ def test_step_updates_weights_in_place_and_keeps_unsent_bits(mode):
             state, fixed_policy(0.03), mask_cfg, cfg, 0, 0, task=task, topo=topo
         )
     else:
-        outcome = dgc_contrast_step(state, fixed_policy(0.03), cfg, 0, 0, task=task, topo=topo)
+        outcome = compressed_step(
+            state, fixed_policy(0.03), None, cfg, 0, 0, task=task, topo=topo
+        )
     assert state.weights is weights
     if mode == MODE_DENSE:
         sent = np.ones(length, dtype=bool)
@@ -763,11 +777,37 @@ def test_dgc_step_updates_union_support_only():
     topo = RingTopology.create(4, task.layout.total_length)
     state = init_state(task, cfg, MODE_DGC_CONTRAST)
     before = state.weights.copy()
-    outcome = dgc_contrast_step(
-        state, fixed_policy(0.05), cfg, 0, 0, task=task, topo=topo
+    outcome = compressed_step(
+        state, fixed_policy(0.05), None, cfg, 0, 0, task=task, topo=topo
     )
     changed = state.weights != before
     assert not np.any(changed & ~outcome.shared_mask.bits)
+
+
+@pytest.mark.parametrize("clip_norm", [None, 0.01])
+@pytest.mark.parametrize("n_nodes", [3, 4, 5, 6])
+def test_dgc_warmup_equals_baseline_exactly(n_nodes, clip_norm):
+    # Criterion 2's setup, without mask agreement: every node's warm-up mask
+    # is all ones, so the contrast reduce sums every entry in the dense
+    # reduce's owner-first order.
+    task = LinearRegressionTask(n_samples=128, n_features=8, data_seed=202)
+    cfg = TrainingConfig(
+        momentum=0.0,
+        learning_rate=EpochSchedule.constant(0.05),
+        batch_size=8,
+        n_nodes=n_nodes,
+        clip_norm=clip_norm,
+        seed=21,
+    )
+    topo = RingTopology.create(n_nodes, task.layout.total_length)
+    dense_state = init_state(task, cfg, MODE_DENSE)
+    pruned_state = init_state(task, cfg, MODE_DGC_CONTRAST)
+    policy = warmup_policy()
+    for step in range(200):
+        baseline_dense_step(dense_state, cfg, step, 0, task=task, topo=topo)
+        outcome = compressed_step(pruned_state, policy, None, cfg, step, 0, task=task, topo=topo)
+        assert outcome.shared_mask.density() == 1.0
+        assert pruned_state.weights.tobytes() == dense_state.weights.tobytes(), step
 
 
 def test_dgc_staleness_follows_node_0s_own_mask():
@@ -786,7 +826,7 @@ def test_dgc_staleness_follows_node_0s_own_mask():
     others_only = 0
     for step in range(4):
         masks = _local_masks(oracle, policy, cfg, step, 0, task, range(4))
-        outcome = dgc_contrast_step(state, policy, cfg, step, 0, task=task, topo=topo)
+        outcome = compressed_step(state, policy, None, cfg, step, 0, task=task, topo=topo)
         assert outcome.shared_mask == or_masks([BitMask(m) for m in masks])
         stale = staleness(state, step + 1)
         assert np.array_equal(stale == 0, masks[0])

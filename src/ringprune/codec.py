@@ -15,8 +15,10 @@ import numpy as np
 
 from .errors import CodecError, StructuralError
 
-# Default wire sizes. The protocol ships 4-byte values and 4-byte indices for
-# sparse entries; masks are bit-packed.
+# Wire sizes. A value is 4 bytes. An index is 4 bytes and travels only where
+# the receiver cannot derive it: the shared-mask reduce sends values alone,
+# since every node holds the agreed mask, while the contrast's sparse entries
+# carry value and index. Masks are bit-packed.
 VALUE_BYTES = 4
 INDEX_BYTES = 4
 

@@ -363,6 +363,12 @@ def sparse_allreduce(
     are summed per index in the same owner-first ring order as the dense
     reduce. The output index set is exactly the shared one, so density is
     preserved no matter how many nodes reduce.
+
+    A message carries ``VALUE_BYTES`` per entry and no indices: after
+    :func:`mask_agreement_round` every node holds the same mask, derives the
+    same sorted index list and the same chunk cuts from it, and so places
+    each received value by its position in the chunk. An all-ones mask thus
+    sends exactly the dense reduce's bytes.
     """
     values = contributions.values
     if values.ndim != 2 or values.shape[0] != topo.n_nodes:
@@ -376,9 +382,10 @@ def sparse_allreduce(
         )
     idx = contributions.indices
     # Chunk c carries the sparse entries whose parameter index falls in the
-    # chunk's range; those are contiguous in the sorted index list.
+    # chunk's range; those are contiguous in the sorted index list. A message
+    # carries the chunk's values only (see above).
     cuts = np.searchsorted(idx, topo.chunk_bounds)
-    chunk_bytes = (VALUE_BYTES + INDEX_BYTES) * np.diff(cuts)
+    chunk_bytes = VALUE_BYTES * np.diff(cuts)
     total, stats = _ring_reduce(values, cuts, chunk_bytes, chunk_bytes, step)
     return SparseGradient(indices=idx, values=total, total_length=topo.length), stats
 
@@ -401,6 +408,10 @@ def naive_sparse_allreduce(
     the masked contributions on the union support. Its phases are tables of
     chunk bytes cut from an (N, N) table of entry counts: one row per hop for
     the scatter, whose payloads grow, and the last row for the allgather.
+
+    Each entry costs ``VALUE_BYTES + INDEX_BYTES``: the nodes share no mask,
+    and a partial's support is the union of its contributors' masks, which no
+    receiver holds, so every value travels with its index.
     """
     rows = _stack_vectors(contributions, topo)
     bits = np.asarray(local_bits)

@@ -23,6 +23,7 @@ from ringprune import (
     SparseGradient,
     ThresholdPolicy,
     TrainingConfig,
+    VALUE_BYTES,
     baseline_dense_step,
     build_local_mask,
     compressed_step,
@@ -406,7 +407,7 @@ def test_criterion_8_bandwidth_accounting():
             _, sstats = sparse_allreduce(parts, topo, step=step)
             mask_total += mstats.bytes_for(phase=PHASE_MASK)
             sparse_total += mstats.bytes_for() + sstats.bytes_for()
-            ratio_sum += length * 4 / (idx.shape[0] * 8)
+            ratio_sum += length * 4 / (idx.shape[0] * VALUE_BYTES)
         bytes_ratio = dense_total / sparse_total
         adjusted = dense_total / (sparse_total - mask_total)
         mean_step_ratio = ratio_sum / steps

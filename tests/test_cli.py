@@ -129,8 +129,8 @@ PINNED_RUNS = {
             "mask_agreement": {"n_selected_nodes": 2, "shared_seed": 3},
             "mode": "compressed",
         },
-        "44839d46dbc5365d355d6c1d7bb6308ef30b0cd2c4cbb65b074817ca21c817af",
-        "737d4e403cee79cfbe33c6f20e1322af8ce3a5a2599d13d388d6f381befdb4bd",
+        "7cf2bcc36ac65c78a43cc489c4a9acee5c74b07eba759f3a3bcdc7306d51f0b3",
+        "5f9ff39525eb06f8869d4824424c8b881f1e3698b165f9d139114537fbb63f6b",
     ),
     "dgc_contrast8": (
         {
@@ -237,8 +237,8 @@ PINNED_RUNS = {
             "mask_agreement": {"n_selected_nodes": 2, "shared_seed": 16},
             "mode": "compressed",
         },
-        "e00989bbe8939fabda1df205dc43f3bee8ec37268f134cac5a512309323fdb37",
-        "8fe71fd7a56ebbcf59cc62d0b3c551ad5a10e4b9f17d32d8e217e0199a715376",
+        "24e2faa86fc7dcfeda21f47db08d9d619c2db9768a17a9727208bd7f4cd8134f",
+        "758d35d80a35b5db4c29fe65cd383598a7b34ba9b5854f5ff08f0663f4f49027",
     ),
     "wide4-pruned": (
         {
@@ -262,8 +262,8 @@ PINNED_RUNS = {
             "mask_agreement": {"n_selected_nodes": 2, "shared_seed": 16},
             "mode": "compressed",
         },
-        "023ee6e4fdc389344e2cb9f97e1fb4f81704de99eebe1a44fc00643d2c380c8e",
-        "21ff28428ee2df2b589b56b1c35b31f3deb7d621fc4950af868ef623fb1cd73d",
+        "63378c5b71bf3b10925fb7599949a7e2102833785424bd14c48dd998ca871794",
+        "34dd6bff249a33eaa82d602b7410d8d62b3092bf7ab33e80d51a9220f152bb6e",
     ),
     "dense64": (
         {
@@ -315,8 +315,8 @@ PINNED_RUNS = {
             "mask_agreement": {"n_selected_nodes": 2, "shared_seed": 6},
             "mode": "compressed",
         },
-        "898e48d9d7d39e8f063a41af2a65203f7a6a1248e5f4a7c94674c35225cb90cc",
-        "2c33a874c981d83306c1e8328c049873be273312a7965d5a159bc1122bb3d81e",
+        "0042ea0c71925e2732d3162a1f58e30e6618bae24c7dcf21a347044bdfce8151",
+        "6cd2c997e4d8383764e98cfd9814ae083d406f16232c32dc32e149ec4b166bd0",
     ),
 }
 
@@ -327,7 +327,10 @@ def test_artifacts_match_pinned_digests(tmp_path):
     The pruned digests were recorded with the per-node scoring loop that
     the lock-step pass replaced, and the dense one with the velocity held
     in row 0 of an (N, P) buffer, on Python 3.11.7 with numpy 2.4.6; a refactor
-    that shifts one ulp or one draw changes them. Another numpy version may
+    that shifts one ulp or one draw changes them. The compressed runs' digests
+    were re-recorded when the agreed reduce stopped sending indices: that
+    moved their byte counts (bytes_total, compression_ratio and the reduce
+    rows of bandwidth.csv) and nothing else. Another numpy version may
     legitimately change them too (its reductions or generator can round
     differently): re-record them then, from the code before the change.
     """
@@ -834,7 +837,7 @@ def test_compare_bytes_ratio_reconciles_with_payload_accounting(tmp_path, capsys
     for row in rows:
         nnz = round(float(row["mean_density"]) * length)
         dense_payload += 4 * length
-        sparse_payload += 8 * nnz
+        sparse_payload += 4 * nnz  # values only: every node holds the shared mask
     payload_ratio = dense_payload / sparse_payload
     assert adjusted_ratio == pytest.approx(payload_ratio, rel=0.10)
 

@@ -138,7 +138,8 @@ def hop_dense_oracle(contributions, topo, step):
 
 def hop_sparse_oracle(contributions, topo, step):
     """Shared-index sparse all-reduce of a node-stacked block, moved hop by
-    hop: (indices, sums, messages)."""
+    hop: (indices, sums, messages). Every node holds the shared index set, so
+    a message carries its chunk's values only."""
     idx = contributions.indices
     cuts = np.searchsorted(idx, np.asarray(topo.chunk_bounds))
     chunked = [
@@ -151,7 +152,7 @@ def hop_sparse_oracle(contributions, topo, step):
         topo,
         sent,
         step,
-        chunk_nbytes=lambda chunk: chunk.shape[0] * (VALUE_BYTES + INDEX_BYTES),
+        chunk_nbytes=lambda chunk: chunk.shape[0] * VALUE_BYTES,
         combine=lambda incoming, own: incoming + own,
     )
     return idx, _agreed([np.concatenate(c) for c in chunked]), sent
@@ -535,9 +536,10 @@ def test_sparse_byte_accounting_is_nnz_scaled():
     topo = RingTopology.create(2, 8)
     parts = _sparse([0, 1, 4, 5], [[1.0] * 4, [2.0] * 4], 8)
     _, stats = sparse_allreduce(parts, topo)
-    # Each chunk holds 2 entries of 8 bytes; each node sends one chunk per phase.
-    assert stats.bytes_for(phase=PHASE_SCATTER) == 2 * 2 * 8
-    assert stats.bytes_for(phase=PHASE_ALLGATHER) == 2 * 2 * 8
+    # Each chunk holds 2 entries of 4 bytes (values only: every node holds the
+    # shared index set); each node sends one chunk per phase.
+    assert stats.bytes_for(phase=PHASE_SCATTER) == 2 * 2 * 4
+    assert stats.bytes_for(phase=PHASE_ALLGATHER) == 2 * 2 * 4
 
 
 # --- densification contrast ---------------------------------------------------------
@@ -682,9 +684,11 @@ def test_reduces_match_hop_by_hop_oracle_bit_for_bit_on_edge_cases(n):
 )
 def test_contrast_reduce_of_one_common_mask_is_the_shared_index_reduce(n, length, density):
     # Given N copies of one mask the contrast's unions never grow, so it must
-    # send and sum exactly what splitting under that mask and reducing on the
-    # shared index set does: the pruned step's two branches are two forms of
-    # one collective.
+    # send the same messages and sum exactly what splitting under that mask
+    # and reducing on the shared index set does: the pruned step's two
+    # branches are two forms of one collective. Only the message sizes
+    # differ: the contrast's entries carry an index beside each value, the
+    # agreed reduce's values alone.
     rng = np.random.default_rng(n * length)
     topo = RingTopology.create(n, length)
     rows = _edge_case_rows(rng, n, length)
@@ -693,14 +697,19 @@ def test_contrast_reduce_of_one_common_mask_is_the_shared_index_reduce(n, length
         rows, np.tile(mask.bits, (n, 1)), topo, step=5
     )
     shared, shared_stats = sparse_allreduce(split_by_mask(rows.copy(), mask), topo, step=5)
+    per_value = (VALUE_BYTES + INDEX_BYTES) // VALUE_BYTES
+
+    def scaled(rows):
+        return [(*key, per_value * nbytes) for *key, nbytes in rows]
+
     assert np.array_equal(contrast.indices, shared.indices)
     assert contrast.values.tobytes() == shared.values.tobytes()
-    assert contrast_stats.records == shared_stats.records
-    assert list(contrast_stats.iter_aggregated_rows()) == list(
+    assert list(contrast_stats.records) == scaled(shared_stats.records)
+    assert list(contrast_stats.iter_aggregated_rows()) == scaled(
         shared_stats.iter_aggregated_rows()
     )
     for phase in (None, *PHASES):
-        assert contrast_stats.bytes_for(phase) == shared_stats.bytes_for(phase)
+        assert contrast_stats.bytes_for(phase) == per_value * shared_stats.bytes_for(phase)
 
 
 def test_fixed_size_reduces_allocate_o_p_not_o_np():
@@ -1056,5 +1065,6 @@ def test_dense_vs_sparse_bytes_track_compression():
         _, sstats = sparse_allreduce(parts, topo, step=step)
         dense_total += dstats.bytes_for()
         sparse_total += sstats.bytes_for()
-    # Payload ratio equals the codec ratio L*4 / (nnz*8) = 25x here.
-    assert dense_total / sparse_total == pytest.approx(length * 4 / (20 * 8), rel=1e-9)
+    # Payload ratio equals the codec ratio L*4 / (nnz*4) = 50x here: the shared
+    # reduce sends 4-byte values and no indices.
+    assert dense_total / sparse_total == pytest.approx(length * 4 / (20 * 4), rel=1e-9)

@@ -30,6 +30,7 @@ from ringprune import (
     select_broadcast_nodes,
     thresholds_for,
 )
+from ringprune.ring import PHASE_MASK
 from ringprune.trainer import (
     MODE_COMPRESSED,
     MODE_DENSE,
@@ -425,6 +426,50 @@ def test_compressed_warmup_equals_baseline_exactly():
             pruned_state.weights.tobytes() == dense_state.weights.tobytes()
         )  # bit-for-bit
         assert int(staleness(pruned_state, step + 1).max()) == 0
+
+
+@pytest.mark.parametrize(
+    "n_nodes, length",
+    [(2, 1), (2, 37), (3, 2), (3, 100), (5, 3), (5, 100), (64, 63), (64, 1204)],
+)
+def test_compressed_warmup_step_sends_dense_bytes_plus_its_mask_round(n_nodes, length):
+    # An all-ones shared mask makes the agreed reduce's chunks the dense
+    # reduce's, and its messages carry values only, so the step's reduce
+    # rows are the dense step's node by node, empty chunks (P < N) included.
+    # The only other rows are the mask round's: each broadcaster's
+    # ceil(P / 8)-byte mask, forwarded by every node but the one before it.
+    rng = np.random.default_rng(n_nodes * 10_000 + length)
+    grads = rng.standard_normal((n_nodes, length))
+    task = PresetGradientTask(
+        LayerLayout.from_sizes([("w", length)]), lambda node, step: grads[node], np.zeros(length)
+    )
+    cfg = TrainingConfig(momentum=0.0, batch_size=8, n_nodes=n_nodes)
+    mask_cfg = MaskAgreementConfig(n_selected_nodes=2, shared_seed=9)
+    topo = RingTopology.create(n_nodes, length)
+    step = 3
+    dense = baseline_dense_step(
+        init_state(task, cfg, MODE_DENSE), cfg, step, 0, task=task, topo=topo
+    )
+    pruned = compressed_step(
+        init_state(task, cfg, MODE_COMPRESSED),
+        warmup_policy(),
+        mask_cfg,
+        cfg,
+        step,
+        0,
+        task=task,
+        topo=topo,
+    )
+    assert pruned.shared_mask.density() == 1.0
+    broadcasters = select_broadcast_nodes(n_nodes, mask_cfg, step)
+    mask_bytes = {
+        k: sum(-(-length // 8) for o in broadcasters if k != (o - 1) % n_nodes)
+        for k in range(n_nodes)
+    }
+    mask_rows = [(step, k, PHASE_MASK, b) for k, b in mask_bytes.items() if b]
+    assert list(pruned.stats.iter_aggregated_rows()) == sorted(
+        [*dense.stats.iter_aggregated_rows(), *mask_rows]
+    )
 
 
 def test_compressed_zero_gradients_change_nothing():
@@ -1021,7 +1066,8 @@ def test_run_modes_emit_schema_fields():
 
 # --- compression ratio rows ----------------------------------------------------
 # A row's compression_ratio is the dense allgather bytes over the step's:
-# P x 4 over k x (4 + 4) for the k entries the reduce delivered.
+# P x 4 over k x 4 for the k entries the agreed reduce delivered (values
+# only), and over k x (4 + 4) for the contrast's (value and index).
 
 
 def _ratio_rows(mode, policy, epochs=2):
@@ -1047,11 +1093,18 @@ def test_dense_rows_read_density_and_ratio_one():
     assert rows and all(m.mean_density == 1.0 and m.compression_ratio == 1.0 for m in rows)
 
 
+# Bytes per delivered entry: the agreed reduce sends values only, the
+# contrast a value and an index.
+_ENTRY_BYTES = {MODE_COMPRESSED: 4, MODE_DGC_CONTRAST: 8}
+
+
 @pytest.mark.parametrize("mode", [MODE_COMPRESSED, MODE_DGC_CONTRAST])
 def test_warmup_rows_read_half(mode):
-    # Every entry at 4 + 4 bytes against 4: the payload densified.
+    # Every entry sent: the agreed reduce's 4-byte values cost exactly dense's
+    # bytes (1.0), while the contrast's 4 + 4 bytes against 4 read half.
+    ratio = 4 / _ENTRY_BYTES[mode]
     _, rows = _ratio_rows(mode, warmup_policy())
-    assert rows and all(m.mean_density == 1.0 and m.compression_ratio == 0.5 for m in rows)
+    assert rows and all(m.mean_density == 1.0 and m.compression_ratio == ratio for m in rows)
 
 
 @pytest.mark.parametrize("mode", [MODE_COMPRESSED, MODE_DGC_CONTRAST])
@@ -1061,11 +1114,14 @@ def test_pruned_rows_read_dense_over_sparse_payload(mode):
     counts = [round(m.mean_density * length) for m in rows]
     assert len(set(counts)) > 2 and 0 < min(counts) and max(counts) < length
     for m, k in zip(rows, counts):
-        assert m.compression_ratio == length * 4 / (k * 8), (k, m.compression_ratio)
+        assert m.compression_ratio == length * 4 / (k * _ENTRY_BYTES[mode]), (
+            k,
+            m.compression_ratio,
+        )
 
 
 def test_pruned_row_canonical_ratio():
-    # 1000 entries, 4 B dense; 25 sent at 4 + 4 B: 4000 / 200 = 20x. A zero
+    # 1000 entries, 4 B dense; 25 sent at 4 B: 4000 / 100 = 40x. A zero
     # gradient scores 0 and is never drawn, so exactly the 25 are sent.
     length = 1000
     grad = np.zeros(length)
@@ -1078,7 +1134,7 @@ def test_pruned_row_canonical_ratio():
     result = run_experiment(
         task, cfg, fixed_policy(0.5), MaskAgreementConfig(n_selected_nodes=1), MODE_COMPRESSED
     )
-    assert [m.compression_ratio for m in result.metrics[1:]] == [20.0]
+    assert [m.compression_ratio for m in result.metrics[1:]] == [40.0]
 
 
 @pytest.mark.parametrize("mode", [MODE_COMPRESSED, MODE_DGC_CONTRAST])
